@@ -13,7 +13,9 @@ Subcommands:
 * ``compose``    -- the composition identity on random skew functions.
 
 Exit codes: 0 success / identity verified, 1 identity violated (a
-mathematical counterexample; should never occur), 2 usage or input error.
+mathematical counterexample; should never occur) or an internal error
+(``error: internal: ...`` on stderr, such as an inexact exact division),
+2 usage or input error.
 Output is deterministic given the flags, byte for byte.
 
 Spec files are UTF-8 JSON objects with integer fields ``n`` and ``k``, an
@@ -64,7 +66,7 @@ MAX_POINTS_N = 12
 MAX_COEFFS_N = 16
 MAX_TORELLI_N = 8
 MAX_COMPOSE_P = 8
-MAX_INVOLUTION_N = {2: 6, 4: 8}
+MAX_INVOLUTION_N = {2: 6, 4: 4}
 
 
 # -- spec files -------------------------------------------------------------
@@ -463,6 +465,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -150,6 +150,10 @@ class SkewFunction:
         stored: dict[tuple[int, ...], Value] = {}
         for key, value in values.items():
             subset = tuple(key)
+            if not (is_scalar(value) or isinstance(value, Polynomial)):
+                raise ValueError(
+                    f"value on {subset!r} is not an exact rational or polynomial: {value!r}"
+                )
             stored[subset] = value
         expected = set(combinations(range(1, n + 1), k))
         if set(stored) != expected:

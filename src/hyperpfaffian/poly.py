@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -29,7 +29,8 @@ _CONST: Monomial = ()
 
 
 def is_scalar(value) -> bool:
-    return isinstance(value, (int, Fraction))
+    """An exact rational: an int or Fraction, but not a bool."""
+    return isinstance(value, (int, Fraction)) and value.__class__ is not bool
 
 
 def _merge_monomials(a: Monomial, b: Monomial) -> Monomial:
@@ -72,6 +73,8 @@ class Polynomial:
         cleaned: dict[Monomial, Scalar] = {}
         if terms:
             for mono, coeff in terms.items():
+                if not is_scalar(coeff):
+                    raise ValueError(f"coefficient of {mono!r} is not an exact rational: {coeff!r}")
                 if coeff:
                     cleaned[mono] = coeff
         self.terms = cleaned
@@ -92,7 +95,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, value: Scalar) -> "Polynomial":
-        return cls._raw({_CONST: value} if value else {})
+        return cls({_CONST: value})
 
     @classmethod
     def variable(cls, index: int) -> "Polynomial":
@@ -111,9 +114,7 @@ class Polynomial:
                 raise ValueError(f"exponent of x{var} must be a nonnegative integer, got {exp!r}")
             if exp:
                 pairs.append((var, exp))
-        if not coeff:
-            return cls.zero()
-        return cls._raw({tuple(sorted(pairs)): coeff})
+        return cls({tuple(sorted(pairs)): coeff})
 
     # -- ring structure -------------------------------------------------
 
@@ -307,19 +308,19 @@ def div_exact(value: Scalar | Polynomial, divisor: int):
 
 @lru_cache(maxsize=None)
 def vandermonde(n: int) -> Polynomial:
-    """The expanded product of ``x_j - x_i`` over all pairs 1 <= i < j <= n.
-
-    Homogeneous of degree n*(n-1)/2 with exactly n! terms, all of
-    coefficient +1 or -1.  Cached; treat the result as immutable.
+    """The expanded product of ``x_j - x_i`` over all pairs 1 <= i < j <= n,
+    built as the Leibniz expansion of det[x_i^(j-1)]: the term
+    sign(s) * x_1^(s(1)-1) * ... * x_n^(s(n)-1) for each permutation s of [n].
+    So n! terms, all +1 or -1.  Cached; treat the result as immutable.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"vandermonde requires a positive integer order, got {n!r}")
-    factors = [
-        Polynomial.variable(j) - Polynomial.variable(i)
-        for j in range(2, n + 1)
-        for i in range(1, j)
-    ]
-    return reduce(lambda p, q: p * q, factors, Polynomial.one())
+    level = [((), tuple(range(n)), 1)]  # (monomial in x_1..x_v, sorted unused exponents, sign)
+    for v in range(1, n + 1):
+        pair = [(v, e) for e in range(n)]  # one shared (variable, exponent) tuple, as in unpack
+        level = [(mono + (pair[e],) if e else mono, left[:i] + left[i + 1:], -s if i & 1 else s)
+                 for mono, left, s in level for i, e in enumerate(left)]  # left[i]: i inversions
+    return Polynomial._raw({mono: s for mono, _, s in level})
 
 
 # -- packed-exponent multiply-accumulate kernel -----------------------------

@@ -74,8 +74,11 @@ def random_point(n: int, rng: Lcg) -> tuple[int, ...]:
     """Point with pairwise distinct coordinates in [-100, 100].
 
     A repeated coordinate makes every skew identity trivially 0 = 0, so
-    whole points are redrawn until the coordinates are distinct.
+    whole points are redrawn until the coordinates are distinct.  The range
+    holds 201 integers, so larger n is refused rather than redrawn forever.
     """
+    if n > 201:
+        raise ValueError(f"a point has at most 201 distinct coordinates in [-100, 100], got n={n}")
     while True:
         point = tuple(rng.int_between(-100, 100) for _ in range(n))
         if len(set(point)) == n:

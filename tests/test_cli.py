@@ -5,6 +5,7 @@ import pytest
 from hyperpfaffian.cli import load_spec_file, main, tiling_label
 from hyperpfaffian.hpf import pf_closed_form, torelli_spec
 from hyperpfaffian.poly import parse_polynomial, render, vandermonde
+from hyperpfaffian.randgen import Lcg
 
 SMALLEST_SPEC = {"n": 2, "k": 2, "terms": [{"r": [0, 1], "a": "1"}]}
 TORELLI_4 = {"n": 4, "k": 2, "terms": [{"r": [0, 3], "a": 1}, {"r": [1, 2], "a": "-3"}]}
@@ -149,6 +150,18 @@ class TestVerify:
         assert code == 2
         assert "--force" in err
 
+    def test_points_beyond_201_coordinates_refused(self, capsys, monkeypatch):
+        def no_draw(rng, low, high):  # fail instead of redrawing forever
+            raise AssertionError("a coordinate was drawn for an impossible point")
+
+        monkeypatch.setattr(Lcg, "int_between", no_draw)
+        code, out, err = run(
+            capsys, "verify", "--n", "202", "--k", "2", "--mode", "points", "--force"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "at most 201 distinct coordinates" in err
+
 
 class TestCoeffs:
     def test_unique_matching_tiling(self, capsys):
@@ -206,6 +219,18 @@ class TestInvolution:
     def test_guard(self, capsys):
         code, _, err = run(capsys, "involution", "--n", "8", "--k", "2")
         assert code == 2
+        assert "--force" in err
+
+    def test_guard_at_arity_four(self, capsys, monkeypatch):
+        import hyperpfaffian.cli as cli
+
+        def no_enumeration(n, k):  # fail fast instead of walking 4,536,000 elements
+            raise AssertionError("the guard let the enumeration start")
+
+        monkeypatch.setattr(cli, "weighted_oriented_partitions", no_enumeration)
+        code, _, err = run(capsys, "involution", "--n", "8", "--k", "4")
+        assert code == 2
+        assert "|W| = 4536000" in err
         assert "--force" in err
 
 
@@ -301,6 +326,20 @@ class TestCounterexampleExitCode:
         code, out, _ = run(capsys, "compose", "--k", "2", "--n", "4", "--p", "8")
         assert code == 1
         assert "MISMATCH" in out
+
+    def test_internal_error_exits_one_without_traceback(self, capsys, monkeypatch):
+        import hyperpfaffian.cli as cli
+
+        message = "inexact division 1/2; this indicates an implementation bug"
+
+        def inexact(f):
+            raise ArithmeticError(message)
+
+        monkeypatch.setattr(cli, "pf_exterior", inexact)
+        code, out, err = run(capsys, "verify", "--n", "4", "--k", "2", "--trials", "1")
+        assert code == 1
+        assert out == ""
+        assert err == f"error: internal: {message}\n"
 
 
 class TestPointsModeSmallOrders:

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -74,6 +75,10 @@ class TestSkewSpec:
         with pytest.raises(ValueError, match="rational"):
             SkewSpec(4, 2, {(0, 3): 0.5})
 
+    def test_rejects_bool_coefficient(self):
+        with pytest.raises(ValueError, match=re.escape("(0, 1) is not an exact rational: True")):
+            SkewSpec(2, 2, {(0, 1): True})
+
     def test_absent_coefficients_read_as_zero(self):
         spec = SkewSpec(4, 2, {(0, 3): 1})
         assert spec.coefficient((1, 2)) == 0
@@ -125,6 +130,12 @@ class TestSkewFunction:
     def test_requires_every_sorted_subset(self):
         with pytest.raises(ValueError, match="missing"):
             SkewFunction(4, 2, {(1, 2): 1})
+
+    @pytest.mark.parametrize("value", [0.5, False])
+    def test_rejects_inexact_values(self, value):
+        message = f"(1, 2) is not an exact rational or polynomial: {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SkewFunction(2, 2, {(1, 2): value})
 
     def test_value_at_reorders_with_sign(self):
         f = symbolic_skew_function(4, 2)
@@ -336,3 +347,11 @@ class TestPointEvaluation:
         spec = random_skew_spec(4, 2, Lcg(1))
         with pytest.raises(ValueError):
             skew_function_from_spec_at(spec, (1, 2, 3))
+
+    def test_random_point_refuses_more_than_201_coordinates(self, monkeypatch):
+        def no_draw(rng, low, high):  # fail instead of redrawing forever
+            raise AssertionError("a coordinate was drawn for an impossible point")
+
+        monkeypatch.setattr(Lcg, "int_between", no_draw)
+        with pytest.raises(ValueError, match="at most 201 distinct coordinates"):
+            random_point(202, Lcg(1))

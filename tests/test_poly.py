@@ -1,5 +1,7 @@
 import random
+import re
 from fractions import Fraction
+from functools import reduce
 from itertools import permutations
 from math import factorial
 
@@ -37,6 +39,13 @@ def vandermonde_by_determinant(n):
     return total
 
 
+def vandermonde_by_binomials(n):
+    """Independent oracle: the binomials x_j - x_i, i < j, multiplied out
+    one by one with the tuple-monomial ``Polynomial.__mul__``."""
+    factors = [x(j) - x(i) for j in range(2, n + 1) for i in range(1, j)]
+    return reduce(lambda p, q: p * q, factors, Polynomial.one())
+
+
 def random_polynomial(rng, max_vars=3, max_terms=4, max_exp=3):
     terms = {}
     for _ in range(rng.randint(0, max_terms)):
@@ -53,6 +62,16 @@ def random_polynomial(rng, max_vars=3, max_terms=4, max_exp=3):
 
 
 class TestArithmetic:
+    @pytest.mark.parametrize("coeff", [0.25, True])
+    def test_rejects_inexact_coefficients(self, coeff):
+        message = f"((1, 1),) is not an exact rational: {coeff!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Polynomial({((1, 1),): coeff})
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Polynomial.monomial({1: 1}, coeff)
+        with pytest.raises(ValueError, match=re.escape(f"() is not an exact rational: {coeff!r}")):
+            Polynomial.constant(coeff)
+
     def test_add_cancellation(self):
         assert (x(1) + x(2)) + (-x(2)) == x(1)
 
@@ -183,6 +202,17 @@ class TestVandermonde:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_matches_determinant_expansion(self, n):
         assert vandermonde(n) == vandermonde_by_determinant(n)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_product_of_binomials(self, n):
+        assert vandermonde(n) == vandermonde_by_binomials(n)
+
+    def test_order_eight(self):
+        v = vandermonde(8)
+        assert len(v.terms) == factorial(8)
+        assert set(v.terms.values()) == {1, -1}
+        assert v.map_variables({1: 2, 2: 1}) == -v
+        assert v.coefficient({j: j - 1 for j in range(2, 9)}) == 1
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_term_count_and_unit_coefficients(self, n):
