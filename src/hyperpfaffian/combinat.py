@@ -58,6 +58,16 @@ def permutation_sign(perm: Sequence[int]) -> int:
     return inversion_sign(perm)
 
 
+def concatenation_sign(blocks: Sequence[Sequence]) -> int:
+    """Sign of the concatenation of the blocks as given: of a partition's
+    blocks, an oriented partition's ordered blocks or a tiling's
+    compositions."""
+    return inversion_sign([element for block in blocks for element in block])
+
+
+partition_sign = oriented_sign = tiling_sign = concatenation_sign
+
+
 def _check_block_args(n: int, k: int) -> None:
     if not isinstance(n, int) or not isinstance(k, int):
         raise ValueError(f"n and k must be integers, got n={n!r}, k={k!r}")
@@ -103,11 +113,6 @@ def equal_block_partitions(n: int, k: int) -> Iterator[Blocks]:
     return (blocks for _, blocks in signed_equal_block_partitions(n, k))
 
 
-def partition_sign(blocks: Blocks) -> int:
-    """Sign of the concatenation of the blocks of a partition."""
-    return inversion_sign([element for block in blocks for element in block])
-
-
 def oriented_partitions(n: int, k: int) -> Iterator[Blocks]:
     """All oriented partitions: each block additionally carries an order.
 
@@ -120,11 +125,6 @@ def oriented_partitions(n: int, k: int) -> Iterator[Blocks]:
             yield from product(*(permutations(block) for block in blocks))
 
     return orient()
-
-
-def oriented_sign(blocks: Blocks) -> int:
-    """Sign of the concatenation of the (ordered) blocks as given."""
-    return inversion_sign([element for block in blocks for element in block])
 
 
 def increasing_compositions_summing(total: int, parts: int) -> Iterator[Composition]:
@@ -188,8 +188,3 @@ def composition_tilings(n: int, k: int) -> Iterator[tuple[Composition, ...]]:
                 yield (composition,) + tail
 
     return rec(tuple(range(n)))
-
-
-def tiling_sign(compositions: Sequence[Composition]) -> int:
-    """Sign of the concatenation of a tiling's compositions as given."""
-    return inversion_sign([part for comp in compositions for part in comp])

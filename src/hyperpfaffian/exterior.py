@@ -20,7 +20,7 @@ from __future__ import annotations
 from itertools import chain
 from typing import Iterator, Mapping, Sequence
 
-from .poly import Polynomial, Scalar, addmul, degree, field_width, pack, unpack
+from .poly import Polynomial, Scalar, accumulate, addmul, degree, field_width, pack, unpack
 
 
 def _mask_of(subset: Sequence[int], n: int) -> int:
@@ -136,25 +136,13 @@ class ExteriorElement:
             return NotImplemented
         if self.n != other.n:
             raise ValueError(f"mismatched generator counts: {self.n} vs {other.n}")
-        out = dict(self.table)
-        for mask, coeff in other.table.items():
-            acc = out.get(mask, 0) + coeff
-            if acc:
-                out[mask] = acc
-            elif mask in out:
-                del out[mask]
-        return ExteriorElement._raw(self.n, out)
+        return ExteriorElement._raw(self.n, accumulate(dict(self.table), other.table.items()))
 
     def __neg__(self) -> "ExteriorElement":
         return ExteriorElement._raw(self.n, {m: -c for m, c in self.table.items()})
 
     def __sub__(self, other: "ExteriorElement") -> "ExteriorElement":
         return self + (-other)
-
-    def scale(self, value: Scalar | Polynomial) -> "ExteriorElement":
-        if not value:
-            return ExteriorElement._raw(self.n, {})
-        return ExteriorElement._raw(self.n, {m: c * value for m, c in self.table.items()})
 
     def wedge(self, other: "ExteriorElement") -> "ExteriorElement":
         """Bilinear product; overlapping subset pairs contribute nothing."""
@@ -195,13 +183,8 @@ class ExteriorElement:
         left, right = self.table, other.table
         out: dict = {}
         if not any(isinstance(c, Polynomial) for c in chain(left.values(), right.values())):
-            get = out.get
-            for s_mask, t_mask, factor in pairs:
-                value = left[s_mask] * right[t_mask] * factor
-                union = s_mask | t_mask
-                acc = get(union)
-                out[union] = value if acc is None else acc + value
-            return ExteriorElement._raw(self.n, {m: c for m, c in out.items() if c})
+            products = ((s | t, left[s] * right[t] * factor) for s, t, factor in pairs)
+            return ExteriorElement._raw(self.n, accumulate(out, products))
         # Polynomial coefficients: accumulate packed products in place, with
         # fields wide enough for the two factors' degrees added together.
         width = field_width(sum(max(map(degree, t.values()), default=0) for t in (left, right)))

@@ -48,6 +48,7 @@ from .poly import (
     degree,
     div_exact,
     field_width,
+    is_integer,
     is_scalar,
     pack,
     unpack,
@@ -64,7 +65,8 @@ class SkewSpec:
     (each summing to ``degree``) to nonzero rational coefficients.  The
     default degree, k/2*(n-1), is the one for which the closed form
     applies; lower homogeneous degrees are legal and make the
-    hyperpfaffian vanish.
+    hyperpfaffian vanish.  This is the one place a spec is checked; the
+    CLI's spec-file loader checks only the file format before building it.
     """
 
     __slots__ = ("n", "k", "degree", "coeffs")
@@ -76,13 +78,13 @@ class SkewSpec:
         coeffs: Mapping[Sequence[int], Scalar],
         degree: int | None = None,
     ):
-        if not isinstance(n, int) or n < 1:
+        if not is_integer(n) or n < 1:
             raise ValueError(f"order n must be a positive integer, got {n!r}")
-        if not isinstance(k, int) or k < 2 or k % 2:
+        if not is_integer(k) or k < 2 or k % 2:
             raise ValueError(f"arity k must be a positive even integer, got {k!r}")
         if degree is None:
             degree = k * (n - 1) // 2
-        if not isinstance(degree, int) or degree < 0:
+        if not is_integer(degree) or degree < 0:
             raise ValueError(f"degree must be a nonnegative integer, got {degree!r}")
         self.n = n
         self.k = k
@@ -90,18 +92,19 @@ class SkewSpec:
         cleaned: dict[tuple[int, ...], Scalar] = {}
         for key, value in coeffs.items():
             exponents = tuple(key)
-            if len(exponents) != k or not all(isinstance(e, int) for e in exponents):
-                raise ValueError(f"exponent tuple {exponents!r} is not a {k}-tuple of integers")
+            shown = list(exponents)  # as a spec file writes it
+            if len(exponents) != k or not all(map(is_integer, exponents)):
+                raise ValueError(f"exponent tuple {shown} is not a {k}-tuple of integers")
             if exponents[0] < 0 or any(a >= b for a, b in zip(exponents, exponents[1:])):
-                raise ValueError(f"exponent tuple {exponents!r} is not strictly increasing")
+                raise ValueError(f"exponent tuple {shown} is not strictly increasing")
             if sum(exponents) != degree:
                 raise ValueError(
-                    f"exponent tuple {exponents!r} sums to {sum(exponents)}, expected {degree}"
+                    f"exponent tuple {shown} sums to {sum(exponents)}, expected {degree}"
                 )
             if not is_scalar(value):
                 raise ValueError(f"coefficient for {exponents!r} is not an exact rational: {value!r}")
             if exponents in cleaned:
-                raise ValueError(f"duplicate exponent tuple {exponents!r}")
+                raise ValueError(f"duplicate exponent tuple {shown}")
             if value:
                 cleaned[exponents] = value
         self.coeffs = dict(sorted(cleaned.items()))

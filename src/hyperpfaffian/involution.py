@@ -26,7 +26,7 @@ from typing import Iterator, Optional
 
 from .combinat import increasing_compositions, oriented_partitions, oriented_sign
 from .hpf import SkewSpec
-from .poly import Polynomial, Scalar
+from .poly import Polynomial, Scalar, accumulate
 
 
 @dataclass(frozen=True)
@@ -206,20 +206,13 @@ def signed_weighted_sum(
         raise ValueError(
             f"weighted expansion needs degree k/2*(n-1) = {spec.full_degree}, got {spec.degree}"
         )
-    accumulated: dict[tuple, Scalar] = {}
-    for wop in weighted_oriented_partitions(spec.n, spec.k):
-        if restrict is not None:
-            distinct = has_distinct_weights(wop)
-            if (restrict == "distinct") != distinct:
+
+    def terms():
+        for wop in weighted_oriented_partitions(spec.n, spec.k):
+            if restrict is not None and (restrict == "distinct") != has_distinct_weights(wop):
                 continue
-        coeff = wop.coefficient(spec)
-        if not coeff:
-            continue
-        term = coeff if wop.sign > 0 else -coeff
-        key = wop.weight_exponents()
-        acc = accumulated.get(key, 0) + term
-        if acc:
-            accumulated[key] = acc
-        elif key in accumulated:
-            del accumulated[key]
-    return Polynomial(accumulated)
+            coeff = wop.coefficient(spec)
+            if coeff:
+                yield wop.weight_exponents(), coeff * wop.sign
+
+    return Polynomial(accumulate({}, terms()))

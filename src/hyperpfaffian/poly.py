@@ -33,6 +33,27 @@ def is_scalar(value) -> bool:
     return isinstance(value, (int, Fraction)) and value.__class__ is not bool
 
 
+def is_integer(value) -> bool:
+    """An int, but not a bool."""
+    return isinstance(value, int) and value.__class__ is not bool
+
+
+def accumulate(out: dict, items) -> dict:
+    """Add each ``(key, value)`` pair into ``out`` in place and return it.
+
+    Keys whose values cancel to zero are removed, so ``out`` never stores
+    a zero.
+    """
+    get = out.get
+    for key, value in items:
+        value = get(key, 0) + value
+        if value:
+            out[key] = value
+        else:
+            out.pop(key, None)
+    return out
+
+
 def _merge_monomials(a: Monomial, b: Monomial) -> Monomial:
     """Multiply two monomials: merge sorted pair tuples, adding exponents."""
     if not a:
@@ -147,14 +168,7 @@ class Polynomial:
             return other
         if not other.terms:
             return self
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            acc = out.get(mono, 0) + coeff
-            if acc:
-                out[mono] = acc
-            elif mono in out:
-                del out[mono]
-        return Polynomial._raw(out)
+        return Polynomial._raw(accumulate(dict(self.terms), other.terms.items()))
 
     __radd__ = __add__
 
@@ -188,13 +202,9 @@ class Polynomial:
                 for m2, c2 in b_items:
                     out[tuple(sorted(m1 + m2))] = c1 * c2
             return Polynomial._raw(out)
-        get = out.get
-        for m1, c1 in a.items():
-            for m2, c2 in b.items():
-                key = _merge_monomials(m1, m2)
-                acc = get(key)
-                out[key] = c1 * c2 if acc is None else acc + c1 * c2
-        return Polynomial._raw({m: c for m, c in out.items() if c})
+        products = ((_merge_monomials(m1, m2), c1 * c2)
+                    for m1, c1 in a.items() for m2, c2 in b.items())
+        return Polynomial._raw(accumulate(out, products))
 
     __rmul__ = __mul__
 
@@ -216,10 +226,6 @@ class Polynomial:
         if not self.terms:
             return 0
         return max(sum(e for _, e in mono) for mono in self.terms)
-
-    def is_homogeneous(self) -> bool:
-        degrees = {sum(e for _, e in mono) for mono in self.terms}
-        return len(degrees) <= 1
 
     def coefficient(self, exponents: Mapping[int, int]) -> Scalar:
         key = tuple(sorted((v, e) for v, e in exponents.items() if e))
@@ -244,21 +250,16 @@ class Polynomial:
         The mapping need not be injective: substituting x_i -> x_j merges
         exponents and collects any colliding terms.
         """
-        out: dict[Monomial, Scalar] = {}
-        for mono, coeff in self.terms.items():
+        def renamed(mono: Monomial) -> Monomial:
             exps: dict[int, int] = {}
             for var, exp in mono:
                 target = mapping.get(var, var)
                 if not isinstance(target, int) or target < 1:
                     raise ValueError(f"variable index must be a positive integer, got {target!r}")
                 exps[target] = exps.get(target, 0) + exp
-            key = tuple(sorted(exps.items()))
-            acc = out.get(key, 0) + coeff
-            if acc:
-                out[key] = acc
-            elif key in out:
-                del out[key]
-        return Polynomial._raw(out)
+            return tuple(sorted(exps.items()))
+
+        return Polynomial._raw(accumulate({}, ((renamed(m), c) for m, c in self.terms.items())))
 
     def div_exact(self, divisor: int) -> "Polynomial":
         return Polynomial._raw({m: _div_scalar(c, divisor) for m, c in self.terms.items()})
@@ -492,30 +493,26 @@ def parse_polynomial(text: str) -> Polynomial:
             return coeff
         raise ValueError(f"unexpected token {token!r} in polynomial text")
 
-    terms: dict[Monomial, Scalar] = {}
-    sign = 1
-    token = peek()
-    if token in ("+", "-"):
-        take()
-        sign = -1 if token == "-" else 1
-    while True:
-        coeff: Scalar = 1
-        exps: dict[int, int] = {}
-        coeff = parse_factor(coeff, exps)
-        while peek() == "*":
-            take()
-            coeff = parse_factor(coeff, exps)
-        mono = tuple(sorted((v, e) for v, e in exps.items() if e))
-        acc = terms.get(mono, 0) + sign * coeff
-        if acc:
-            terms[mono] = acc
-        elif mono in terms:
-            del terms[mono]
+    def parse_terms():
+        sign = 1
         token = peek()
-        if token is None:
-            break
-        if token not in ("+", "-"):
-            raise ValueError(f"unexpected token {token!r} in polynomial text")
-        take()
-        sign = -1 if token == "-" else 1
-    return Polynomial(terms)
+        if token in ("+", "-"):
+            take()
+            sign = -1 if token == "-" else 1
+        while True:
+            coeff: Scalar = 1
+            exps: dict[int, int] = {}
+            coeff = parse_factor(coeff, exps)
+            while peek() == "*":
+                take()
+                coeff = parse_factor(coeff, exps)
+            yield tuple(sorted((v, e) for v, e in exps.items() if e)), sign * coeff
+            token = peek()
+            if token is None:
+                return
+            if token not in ("+", "-"):
+                raise ValueError(f"unexpected token {token!r} in polynomial text")
+            take()
+            sign = -1 if token == "-" else 1
+
+    return Polynomial(accumulate({}, parse_terms()))

@@ -86,6 +86,7 @@ class TestSpecFileValidation:
             ({"n": 4, "k": 3, "terms": []}, "even"),
             ({"n": 4, "terms": []}, "'k'"),
             ({"n": 4, "k": 2, "terms": [], "extra": 1}, "extra"),
+            ({"n": 4, "k": -2, "terms": [{"r": [0, 3], "a": "1"}]}, "positive even integer, got -2"),
         ],
     )
     def test_malformed_documents(self, tmp_path, capsys, document, needle):
@@ -283,6 +284,23 @@ class TestUsageErrors:
         assert info.value.code == 2
 
 
+# The seed-1 spec at (4, 2) and its hyperpfaffian, -8 times the
+# Vandermonde product, as the MISMATCH reports print them.
+MISMATCH_SPEC = (
+    '{"n": 4, "k": 2, "degree": 3, "terms": [{"r": [0, 3], "a": "8"}, {"r": [1, 2], "a": "-1"}]}'
+)
+MISMATCH_POLYNOMIAL = (
+    "-8*x2*x3^2*x4^3 + 8*x2*x3^3*x4^2 + 8*x2^2*x3*x4^3 - "
+    "8*x2^2*x3^3*x4 - 8*x2^3*x3*x4^2 + 8*x2^3*x3^2*x4 + "
+    "8*x1*x3^2*x4^3 - 8*x1*x3^3*x4^2 - 8*x1*x2^2*x4^3 + "
+    "8*x1*x2^2*x3^3 + 8*x1*x2^3*x4^2 - 8*x1*x2^3*x3^2 - "
+    "8*x1^2*x3*x4^3 + 8*x1^2*x3^3*x4 + 8*x1^2*x2*x4^3 - "
+    "8*x1^2*x2*x3^3 - 8*x1^2*x2^3*x4 + 8*x1^2*x2^3*x3 + "
+    "8*x1^3*x3*x4^2 - 8*x1^3*x3^2*x4 - 8*x1^3*x2*x4^2 + "
+    "8*x1^3*x2*x3^2 + 8*x1^3*x2^2*x4 - 8*x1^3*x2^2*x3"
+)
+
+
 class TestCounterexampleExitCode:
     """Exit code 1 marks a violated identity; forced here by sabotaging one
     route, since no honest counterexample exists."""
@@ -295,6 +313,13 @@ class TestCounterexampleExitCode:
         assert code == 1
         assert "MISMATCH trial 1" in out
         assert '"terms"' in out  # the counterexample spec is dumped
+        assert out == (
+            "MISMATCH trial 1 (n=4, k=2, seed=1)\n"
+            f"spec: {MISMATCH_SPEC}\n"
+            f"definition: {MISMATCH_POLYNOMIAL}\n"
+            "exterior: 0\n"
+            f"closed form: {MISMATCH_POLYNOMIAL}\n"
+        )
 
     def test_verify_reports_point_mismatch(self, capsys, monkeypatch):
         import hyperpfaffian.cli as cli
@@ -306,6 +331,14 @@ class TestCounterexampleExitCode:
         )
         assert code == 1
         assert "point" in out
+        assert out == (
+            "MISMATCH trial 1 point 1 (n=4, k=2, seed=1)\n"
+            f"spec: {MISMATCH_SPEC}\n"
+            "point: [22, -31, -25, -15]\n"
+            "definition: 707842560\n"
+            "exterior: 707842560\n"
+            "closed form: 0\n"
+        )
 
     def test_torelli_reports_mismatch(self, capsys, monkeypatch):
         import hyperpfaffian.cli as cli

@@ -79,6 +79,19 @@ class TestSkewSpec:
         with pytest.raises(ValueError, match=re.escape("(0, 1) is not an exact rational: True")):
             SkewSpec(2, 2, {(0, 1): True})
 
+    def test_rejects_bool_exponents(self):
+        with pytest.raises(ValueError, match=re.escape("[False, True] is not a 2-tuple of integers")):
+            SkewSpec(2, 2, {(False, True): 1})
+
+    @pytest.mark.parametrize(
+        "n,degree,message",
+        [(True, 0, "order n must be a positive integer, got True"),
+         (2, False, "degree must be a nonnegative integer, got False")],
+    )
+    def test_rejects_bool_order_and_degree(self, n, degree, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SkewSpec(n, 2, {}, degree=degree)
+
     def test_absent_coefficients_read_as_zero(self):
         spec = SkewSpec(4, 2, {(0, 3): 1})
         assert spec.coefficient((1, 2)) == 0
