@@ -45,6 +45,7 @@ from .poly import (
     Polynomial,
     Scalar,
     addmul,
+    check_point,
     degree,
     div_exact,
     field_width,
@@ -227,29 +228,60 @@ def skew_function_from_spec(spec: SkewSpec) -> SkewFunction:
     return SkewFunction(spec.n, spec.k, values)
 
 
-def _point_mapping(point: Sequence[Scalar]) -> dict[int, Scalar]:
-    return {index + 1: value for index, value in enumerate(point)}
-
-
 def skew_function_from_spec_at(spec: SkewSpec, point: Sequence[Scalar]) -> SkewFunction:
     """Scalar values of the spec's polynomial at a point, per sorted subset.
 
-    Avoids materializing the n-variable symbolic values, which matters for
-    the evaluation-based identity checks at larger n.
+    The value on a subset s is sum_r a_r * det[x_(s_i)^(r_j)], so the
+    k!-term expansion is never built.  Each determinant is expanded along
+    its last row, D_m[E] = sum_j (-1)^(m-1+j) x_(s_m)^(E_j) D_(m-1)[E - E_j],
+    over the exponent sets E inside some r.  Subsets are visited depth first
+    in sorted order, so a shared prefix's minors are computed once, and only
+    one chain of k minor tables is alive at a time.
     """
-    if len(point) != spec.n:
-        raise ValueError(f"point has {len(point)} coordinates, expected {spec.n}")
-    expanded = skew_expand(spec)
+    n, k = spec.n, spec.k
+    if len(point) != n:
+        raise ValueError(f"point has {len(point)} coordinates, expected {n}")
+    check_point(point)
+    rows = [[x**e for e in range(spec.degree + 1)] for x in point]
+    powers = [(row, [-value for value in row]) for row in rows]  # [i][odd][e]
+    # rules[m] lists, per exponent set E of size m, its Laplace terms as
+    # (sign parity, exponent E_j, slot of E - E_j in the level m-1 table).
+    slots: dict[tuple[int, ...], int] = {(): 0}
+    rules: list[list] = [[]]
+    for m in range(1, k + 1):
+        sets = sorted({part for r in spec.coeffs for part in combinations(r, m)})
+        rules.append([
+            [((m - 1 + j) % 2, e[j], slots[e[:j] + e[j + 1:]]) for j in range(m)]
+            for e in sets
+        ])
+        slots = {e: slot for slot, e in enumerate(sets)}
+    terms = [(a, slots[r]) for r, a in spec.coeffs.items()]
     values: dict[tuple[int, ...], Value] = {}
-    for subset in combinations(range(1, spec.n + 1), spec.k):
-        assignment = {j + 1: point[subset[j] - 1] for j in range(spec.k)}
-        values[subset] = expanded.evaluate(assignment)
-    return SkewFunction(spec.n, spec.k, values)
+
+    def descend(prefix: tuple[int, ...], start: int, minors: list) -> None:
+        m = len(prefix) + 1
+        for i in range(start, n - k + m):
+            row = powers[i]
+            table = []
+            for expansion in rules[m]:
+                total: Scalar = 0
+                for odd, exponent, rest in expansion:
+                    total += row[odd][exponent] * minors[rest]
+                table.append(total)
+            subset = prefix + (i + 1,)
+            if m == k:
+                values[subset] = sum(a * table[slot] for a, slot in terms)
+            else:
+                descend(subset, i + 1, table)
+
+    descend((), 0, [1])
+    return SkewFunction(n, k, values)
 
 
 def skew_function_at(f: SkewFunction, point: Sequence[Scalar]) -> SkewFunction:
     """Evaluate polynomial-valued subset values at a point."""
-    mapping = _point_mapping(point)
+    check_point(point)
+    mapping = dict(enumerate(point, start=1))
     return f.map_values(lambda v: v.evaluate(mapping) if isinstance(v, Polynomial) else v)
 
 

@@ -38,6 +38,14 @@ def is_integer(value) -> bool:
     return isinstance(value, int) and value.__class__ is not bool
 
 
+def check_point(point: Sequence) -> None:
+    """Refuse a point with a coordinate that is not an exact rational,
+    naming it by its 1-based index, the index of its variable."""
+    for index, value in enumerate(point, start=1):
+        if not is_scalar(value):
+            raise ValueError(f"point coordinate {index} is not an exact rational: {value!r}")
+
+
 def accumulate(out: dict, items) -> dict:
     """Add each ``(key, value)`` pair into ``out`` in place and return it.
 
@@ -400,6 +408,7 @@ def addmul(acc: dict[int, Scalar], a: Mapping[int, Scalar], b: Mapping[int, Scal
 
 def vandermonde_at(values: Sequence[Scalar]) -> Scalar:
     """Evaluate the Vandermonde product at a point without expanding it."""
+    check_point(values)
     total: Scalar = 1
     for j in range(1, len(values)):
         for i in range(j):

@@ -130,6 +130,17 @@ class TestVerify:
         assert code == 0
         assert "ok (1 points)" in out
 
+    def test_points_at_twelve_six(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "--n", "12", "--k", "6",
+            "--mode", "points", "--trials", "1", "--points", "1",
+        )
+        assert code == 0
+        assert out == (
+            "trial 1: ok (1 points)\n"
+            "verified: 1/1 trials, definition = exterior = closed form\n"
+        )
+
     def test_deterministic_output(self, capsys):
         argv = ["verify", "--n", "4", "--k", "2", "--trials", "2", "--seed", "9"]
         first = run(capsys, *argv)

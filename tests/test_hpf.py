@@ -343,6 +343,33 @@ class TestRelabel:
             relabel(f, (0, 1, 2, 3))
 
 
+def seeded_spec_and_point(n, k, seed=41):
+    rng = Lcg(seed)
+    spec = random_skew_spec(n, k, rng)
+    return spec, random_point(n, rng)
+
+
+def fraction_spec_and_point(n, k):
+    spec, point = seeded_spec_and_point(n, k)
+    coeffs = {r: Fraction(a, 3) for r, a in spec.coeffs.items()}
+    return SkewSpec(n, k, coeffs), tuple(Fraction(c, 7) for c in point)
+
+
+SPEC_AT_POINT_CASES = {
+    **{
+        f"{n}-{k}": seeded_spec_and_point(n, k)
+        for n, k in [(2, 2), (4, 2), (6, 2), (4, 4), (8, 4), (6, 6)]
+    },
+    "below-full-degree": (SkewSpec(6, 2, {(0, 3): 2, (1, 2): -5}, degree=3), (3, -1, 4, 1, -5, 9)),
+    "empty": (SkewSpec(6, 4, {}), (3, -1, 4, 1, -5, 9)),
+    "fraction-coefficients": (fraction_spec_and_point(6, 2)[0], seeded_spec_and_point(6, 2)[1]),
+    "fraction-coordinates": (seeded_spec_and_point(6, 4)[0], fraction_spec_and_point(6, 4)[1]),
+    "fractions": fraction_spec_and_point(4, 4),
+    "zero-coordinate": (seeded_spec_and_point(6, 4)[0], (0, 2, -3, 5, 7, -1)),
+    "repeated-coordinate": (seeded_spec_and_point(6, 4)[0], (2, 5, -1, 5, 3, 0)),
+}
+
+
 class TestPointEvaluation:
     def test_spec_evaluation_matches_symbolic_route(self):
         rng = Lcg(41)
@@ -355,6 +382,32 @@ class TestPointEvaluation:
         assert pf_definition(direct) == pf_definition(symbolic).evaluate(
             dict(enumerate(point, start=1))
         )
+
+    @pytest.mark.parametrize("case", SPEC_AT_POINT_CASES)
+    def test_spec_evaluation_matches_the_symbolic_oracle(self, case):
+        spec, point = SPEC_AT_POINT_CASES[case]
+        direct = skew_function_from_spec_at(spec, point).values
+        oracle = skew_function_at(skew_function_from_spec(spec), point).values
+        assert direct == oracle
+        subsets = list(combinations(range(1, spec.n + 1), spec.k))
+        assert list(direct) == subsets
+        assert list(oracle) == subsets
+        repeated = [i for i in range(1, spec.n + 1) if point.count(point[i - 1]) > 1]
+        for subset in subsets:
+            if repeated and set(repeated) <= set(subset):
+                assert direct[subset] == 0
+
+    @pytest.mark.parametrize(
+        "point,index", [((True, 2, 3, 4), 1), ((1, 2, 0.5, 4), 3), ((1, 2, 3, "4"), 4)]
+    )
+    def test_point_coordinates_must_be_exact(self, point, index):
+        spec = random_skew_spec(4, 2, Lcg(1))
+        symbolic = skew_function_from_spec(spec)
+        message = f"point coordinate {index} is not an exact rational: {point[index - 1]!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            skew_function_from_spec_at(spec, point)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            skew_function_at(symbolic, point)
 
     def test_point_length_validated(self):
         spec = random_skew_spec(4, 2, Lcg(1))

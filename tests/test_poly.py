@@ -240,6 +240,12 @@ class TestVandermonde:
             expected = vandermonde(n).evaluate(dict(enumerate(values, start=1)))
             assert vandermonde_at(values) == expected
 
+    @pytest.mark.parametrize("values,index", [((0.5, 2, 3, 4), 1), ((1, 2, False, 4), 3)])
+    def test_product_evaluation_rejects_inexact_coordinates(self, values, index):
+        message = f"point coordinate {index} is not an exact rational: {values[index - 1]!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            vandermonde_at(values)
+
 
 class TestEvaluation:
     def test_vandermonde_at_arithmetic_progression(self):

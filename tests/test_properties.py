@@ -1,11 +1,15 @@
 """Property tests for the accumulate-with-cancellation paths: polynomial
 and exterior arithmetic, the render/parse round trip, and the weighted
-oriented partition sum against the partition-sum hyperpfaffian.
+oriented partition sum against the partition-sum hyperpfaffian; for the
+spec-at-point evaluator against the symbolic values; and for the
+partition-sum route against the exterior route on rational values.
 
 They need Hypothesis and are skipped when it is not installed.  Examples
 are derandomized, so a run is reproducible, and no example database is
 written.
 """
+
+from itertools import combinations
 
 import pytest
 
@@ -14,7 +18,15 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from hyperpfaffian.combinat import increasing_compositions  # noqa: E402
 from hyperpfaffian.exterior import ExteriorElement  # noqa: E402
-from hyperpfaffian.hpf import SkewSpec, pf_definition, skew_function_from_spec  # noqa: E402
+from hyperpfaffian.hpf import (  # noqa: E402
+    SkewFunction,
+    SkewSpec,
+    pf_definition,
+    pf_exterior,
+    skew_function_at,
+    skew_function_from_spec,
+    skew_function_from_spec_at,
+)
 from hyperpfaffian.involution import signed_weighted_sum  # noqa: E402
 from hyperpfaffian.poly import Polynomial, parse_polynomial, render  # noqa: E402
 
@@ -79,5 +91,30 @@ def test_weighted_sum_is_the_partition_sum(n, k, examples):
     @given(specs(n, k))
     def check(spec):
         assert signed_weighted_sum(spec) == pf_definition(skew_function_from_spec(spec))
+
+    check()
+
+
+@pytest.mark.parametrize("n,k,examples", [(4, 2, 40), (4, 4, 40), (6, 2, 20)])
+def test_spec_at_point_is_the_symbolic_value_at_the_point(n, k, examples):
+    @settings(bounded, max_examples=examples)
+    @given(specs(n, k), st.lists(coefficients, min_size=n, max_size=n))
+    def check(spec, point):
+        direct = skew_function_from_spec_at(spec, point).values
+        assert direct == skew_function_at(skew_function_from_spec(spec), point).values
+
+    check()
+
+
+@pytest.mark.parametrize("n,k", [(4, 2), (6, 2), (4, 4)])
+def test_partition_sum_is_the_exterior_route_on_rationals(n, k):
+    subsets = list(combinations(range(1, n + 1), k))
+    rationals = st.fractions(-9, 9, max_denominator=6)
+
+    @settings(bounded, max_examples=30)
+    @given(st.lists(rationals, min_size=len(subsets), max_size=len(subsets)))
+    def check(values):
+        f = SkewFunction(n, k, dict(zip(subsets, values)))
+        assert pf_definition(f) == pf_exterior(f)
 
     check()
