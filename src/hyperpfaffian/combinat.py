@@ -29,6 +29,8 @@ from __future__ import annotations
 from itertools import combinations, permutations, product
 from typing import Iterator, Sequence
 
+from .poly import check_integers
+
 Block = tuple  # tuple[int, ...]
 Blocks = tuple  # tuple[Block, ...]
 Composition = tuple  # tuple[int, ...]
@@ -51,6 +53,7 @@ def permutation_sign(perm: Sequence[int]) -> int:
 
     Accepts permutations of {1, ..., m} or of {0, ..., m-1}.
     """
+    check_integers(perm, "permutation entry")
     m = len(perm)
     seen = set(perm)
     if seen != set(range(1, m + 1)) and seen != set(range(m)):

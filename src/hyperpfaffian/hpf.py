@@ -388,10 +388,5 @@ def relabel(f: SkewFunction, perm: Sequence[int]) -> SkewFunction:
     permutation_sign(perm)  # raises on anything that is not a permutation
     if len(perm) != f.n or min(perm) != 1:
         raise ValueError(f"expected a permutation of 1..{f.n}, got {tuple(perm)!r}")
-    values: dict[tuple[int, ...], Value] = {}
-    for subset in f.values:
-        image = [perm[element - 1] for element in subset]
-        sign = inversion_sign(image)
-        value = f.values[tuple(sorted(image))]
-        values[subset] = value if sign > 0 else -value
+    values = {subset: f.value_at([perm[e - 1] for e in subset]) for subset in f.values}
     return SkewFunction(f.n, f.k, values)

@@ -21,12 +21,12 @@ tiling coefficient times the Vandermonde determinant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 from typing import Iterator, Optional
 
 from .combinat import increasing_compositions, oriented_partitions, oriented_sign
 from .hpf import SkewSpec
-from .poly import Polynomial, Scalar, accumulate
+from .poly import Polynomial, Scalar, accumulate, check_integers
 
 
 @dataclass(frozen=True)
@@ -41,26 +41,29 @@ class WeightedOrientedPartition:
     weights: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        blocks = tuple(tuple(block) for block in self.blocks)
-        weights = tuple(tuple(weight) for weight in self.weights)
+        blocks = tuple(map(tuple, self.blocks))
+        weights = tuple(map(tuple, self.weights))
         if not blocks or len(blocks) != len(weights):
             raise ValueError("need the same positive number of blocks and weight vectors")
         k = len(blocks[0])
         if k < 2 or k % 2:
             raise ValueError(f"block size must be a positive even integer, got {k}")
         elements = [element for block in blocks for element in block]
+        check_integers(elements, "block element")
+        check_integers(chain.from_iterable(weights), "weight")
         n = len(elements)
         if any(len(block) != k for block in blocks) or set(elements) != set(range(1, n + 1)):
             raise ValueError(f"blocks {blocks!r} do not partition 1..{n} into {k}-tuples")
         target = k * (n - 1) // 2
         for weight in weights:
-            if len(weight) != k or any(a >= b for a, b in zip(weight, weight[1:])):
+            if len(weight) != k or sorted(set(weight)) != list(weight):
                 raise ValueError(f"weight vector {weight!r} is not strictly increasing")
             if weight[0] < 0 or sum(weight) != target:
                 raise ValueError(f"weight vector {weight!r} must be nonnegative with sum {target}")
-        order = sorted(range(len(blocks)), key=lambda i: min(blocks[i]))
-        object.__setattr__(self, "blocks", tuple(blocks[i] for i in order))
-        object.__setattr__(self, "weights", tuple(weights[i] for i in order))
+        # the minima are distinct, so the sort never compares blocks
+        _, blocks, weights = zip(*sorted(zip(map(min, blocks), blocks, weights)))
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "weights", weights)
 
     @property
     def n(self) -> int:
@@ -177,6 +180,7 @@ def compose_distinct(
     perm: tuple[int, ...], tiling: tuple[tuple[int, ...], ...]
 ) -> WeightedOrientedPartition:
     """Inverse of :func:`decompose_distinct`."""
+    check_integers(perm, "permutation entry")
     n = len(perm)
     if set(perm) != set(range(1, n + 1)):
         raise ValueError(f"{perm!r} is not a permutation of 1..{n}")

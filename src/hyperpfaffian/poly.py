@@ -38,6 +38,13 @@ def is_integer(value) -> bool:
     return isinstance(value, int) and value.__class__ is not bool
 
 
+def check_integers(values, what: str) -> None:
+    """Refuse a value that is not an int, or is a bool, naming it."""
+    for value in values:
+        if not is_integer(value):
+            raise ValueError(f"{what} {value!r} is not an integer")
+
+
 def check_point(point: Sequence) -> None:
     """Refuse a point with a coordinate that is not an exact rational,
     naming it by its 1-based index, the index of its variable."""
@@ -62,31 +69,15 @@ def accumulate(out: dict, items) -> dict:
     return out
 
 
-def _merge_monomials(a: Monomial, b: Monomial) -> Monomial:
-    """Multiply two monomials: merge sorted pair tuples, adding exponents."""
-    if not a:
-        return b
-    if not b:
-        return a
-    out = []
-    i = j = 0
-    la, lb = len(a), len(b)
-    while i < la and j < lb:
-        va, ea = a[i]
-        vb, eb = b[j]
-        if va < vb:
-            out.append(a[i])
-            i += 1
-        elif vb < va:
-            out.append(b[j])
-            j += 1
-        else:
-            out.append((va, ea + eb))
-            i += 1
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out)
+def _monomial(pairs) -> Monomial:
+    """The canonical key of the product of ``(variable, exponent)`` pairs:
+    exponents of a repeated variable added, zero exponents dropped, sorted
+    by variable."""
+    exps: dict[int, int] = {}
+    get = exps.get
+    for var, exp in pairs:
+        exps[var] = get(var, 0) + exp
+    return tuple(sorted([pair for pair in exps.items() if pair[1]]))
 
 
 class Polynomial:
@@ -128,22 +119,19 @@ class Polynomial:
 
     @classmethod
     def variable(cls, index: int) -> "Polynomial":
-        if not isinstance(index, int) or index < 1:
+        if not is_integer(index) or index < 1:
             raise ValueError(f"variable index must be a positive integer, got {index!r}")
         return cls._raw({((index, 1),): 1})
 
     @classmethod
     def monomial(cls, exponents: Mapping[int, int], coeff: Scalar = 1) -> "Polynomial":
         """Build ``coeff * prod x_v^e`` from an exponent map (zeros dropped)."""
-        pairs = []
         for var, exp in exponents.items():
-            if not isinstance(var, int) or var < 1:
+            if not is_integer(var) or var < 1:
                 raise ValueError(f"variable index must be a positive integer, got {var!r}")
-            if not isinstance(exp, int) or exp < 0:
+            if not is_integer(exp) or exp < 0:
                 raise ValueError(f"exponent of x{var} must be a nonnegative integer, got {exp!r}")
-            if exp:
-                pairs.append((var, exp))
-        return cls({tuple(sorted(pairs)): coeff})
+        return cls({_monomial(exponents.items()): coeff})
 
     # -- ring structure -------------------------------------------------
 
@@ -197,22 +185,9 @@ class Polynomial:
             return Polynomial._raw({m: c * other for m, c in self.terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
-        a, b = self.terms, other.terms
-        if not a or not b:
-            return Polynomial.zero()
-        out: dict[Monomial, Scalar] = {}
-        # Over disjoint variable sets (the common case in block products)
-        # distinct term pairs give distinct product monomials, so no
-        # accumulation, cancellation, or cleanup can occur.
-        if self.variables().isdisjoint(other.variables()):
-            b_items = list(b.items())
-            for m1, c1 in a.items():
-                for m2, c2 in b_items:
-                    out[tuple(sorted(m1 + m2))] = c1 * c2
-            return Polynomial._raw(out)
-        products = ((_merge_monomials(m1, m2), c1 * c2)
-                    for m1, c1 in a.items() for m2, c2 in b.items())
-        return Polynomial._raw(accumulate(out, products))
+        b = other.terms.items()
+        products = ((_monomial(m1 + m2), c1 * c2) for m1, c1 in self.terms.items() for m2, c2 in b)
+        return Polynomial._raw(accumulate({}, products))
 
     __rmul__ = __mul__
 
@@ -236,8 +211,7 @@ class Polynomial:
         return max(sum(e for _, e in mono) for mono in self.terms)
 
     def coefficient(self, exponents: Mapping[int, int]) -> Scalar:
-        key = tuple(sorted((v, e) for v, e in exponents.items() if e))
-        return self.terms.get(key, 0)
+        return self.terms.get(_monomial(exponents.items()), 0)
 
     def evaluate(self, point: Mapping[int, Scalar]) -> Scalar:
         """Exact value at a point assigning every variable of the polynomial."""
@@ -258,19 +232,14 @@ class Polynomial:
         The mapping need not be injective: substituting x_i -> x_j merges
         exponents and collects any colliding terms.
         """
-        def renamed(mono: Monomial) -> Monomial:
-            exps: dict[int, int] = {}
-            for var, exp in mono:
-                target = mapping.get(var, var)
-                if not isinstance(target, int) or target < 1:
-                    raise ValueError(f"variable index must be a positive integer, got {target!r}")
-                exps[target] = exps.get(target, 0) + exp
-            return tuple(sorted(exps.items()))
-
-        return Polynomial._raw(accumulate({}, ((renamed(m), c) for m, c in self.terms.items())))
-
-    def div_exact(self, divisor: int) -> "Polynomial":
-        return Polynomial._raw({m: _div_scalar(c, divisor) for m, c in self.terms.items()})
+        image = {}
+        for var in self.variables():
+            target = mapping.get(var, var)
+            if not is_integer(target) or target < 1:
+                raise ValueError(f"variable index must be a positive integer, got {target!r}")
+            image[var] = target
+        renamed = ((_monomial([(image[v], e) for v, e in m]), c) for m, c in self.terms.items())
+        return Polynomial._raw(accumulate({}, renamed))
 
     # -- rendering --------------------------------------------------------
 
@@ -311,7 +280,7 @@ def _div_scalar(value: Scalar, divisor: int) -> Scalar:
 def div_exact(value: Scalar | Polynomial, divisor: int):
     """Divide a scalar or polynomial by an integer, insisting on exactness."""
     if isinstance(value, Polynomial):
-        return value.div_exact(divisor)
+        return Polynomial._raw({m: _div_scalar(c, divisor) for m, c in value.terms.items()})
     return _div_scalar(value, divisor)
 
 
@@ -481,7 +450,7 @@ def parse_polynomial(text: str) -> Polynomial:
             raise ValueError(f"expected a number, got {token!r}")
         return int(take())
 
-    def parse_factor(coeff: Scalar, exps: dict[int, int]) -> Scalar:
+    def parse_factor(coeff: Scalar, pairs: list) -> Scalar:
         token = peek()
         if token is None:
             raise ValueError("unexpected end of polynomial text")
@@ -498,7 +467,7 @@ def parse_polynomial(text: str) -> Polynomial:
             if peek() == "^":
                 take()
                 exp = take_number()
-            exps[var] = exps.get(var, 0) + exp
+            pairs.append((var, exp))
             return coeff
         raise ValueError(f"unexpected token {token!r} in polynomial text")
 
@@ -509,13 +478,12 @@ def parse_polynomial(text: str) -> Polynomial:
             take()
             sign = -1 if token == "-" else 1
         while True:
-            coeff: Scalar = 1
-            exps: dict[int, int] = {}
-            coeff = parse_factor(coeff, exps)
+            pairs: list = []
+            coeff = parse_factor(1, pairs)
             while peek() == "*":
                 take()
-                coeff = parse_factor(coeff, exps)
-            yield tuple(sorted((v, e) for v, e in exps.items() if e)), sign * coeff
+                coeff = parse_factor(coeff, pairs)
+            yield _monomial(pairs), sign * coeff
             token = peek()
             if token is None:
                 return

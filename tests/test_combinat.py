@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from math import factorial
 
@@ -41,6 +42,12 @@ class TestPermutationSign:
             permutation_sign((1, 1, 2))
         with pytest.raises(ValueError):
             permutation_sign((2, 3))
+
+    @pytest.mark.parametrize("perm,bad", [((1.0, 2.0), 1.0), ((True, 2), True), ((0, 1, 2.0), 2.0)])
+    def test_rejects_inexact_entries(self, perm, bad):
+        message = f"permutation entry {bad!r} is not an integer"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            permutation_sign(perm)
 
     def test_multiplicative_on_random_pairs(self):
         rng = random.Random(3)

@@ -1,4 +1,5 @@
 import random
+import re
 from math import factorial
 
 import pytest
@@ -67,6 +68,16 @@ class TestConstruction:
             WeightedOrientedPartition(((1, 2), (3, 4)), ((3, 0), (1, 2)))
         with pytest.raises(ValueError):
             WeightedOrientedPartition(((1, 2), (3, 4)), ((0, 1), (1, 2)))
+
+    @pytest.mark.parametrize("blocks,weights,message", [
+        (((1.0, 2.0),), ((0.0, 1.0),), "block element 1.0 is not an integer"),
+        (((True, 2),), ((False, True),), "block element True is not an integer"),
+        (((1, 2),), ((0.0, 1.0),), "weight 0.0 is not an integer"),
+        (((2, 1), (3, 4)), ((0, 3), (True, 2)), "weight True is not an integer"),
+    ])
+    def test_rejects_inexact_elements_and_weights(self, blocks, weights, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            WeightedOrientedPartition(blocks, weights)
 
     def test_derived_quantities(self):
         wop = worked_example()
@@ -236,6 +247,12 @@ class TestDecomposition:
             compose_distinct((1, 1), ((0, 1),))
         with pytest.raises(ValueError):
             compose_distinct((1, 2, 3, 4), ((0, 3), (0, 3)))
+
+    @pytest.mark.parametrize("perm,bad", [((1.0, 2.0), 1.0), ((2, True), True)])
+    def test_compose_rejects_inexact_permutation_entries(self, perm, bad):
+        message = f"permutation entry {bad!r} is not an integer"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            compose_distinct(perm, ((0, 1),))
 
 
 class TestSignedWeightedSum:

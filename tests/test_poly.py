@@ -72,6 +72,30 @@ class TestArithmetic:
         with pytest.raises(ValueError, match=re.escape(f"() is not an exact rational: {coeff!r}")):
             Polynomial.constant(coeff)
 
+    def test_variable_rejects_bool_index(self):
+        message = "variable index must be a positive integer, got True"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Polynomial.variable(True)
+
+    @pytest.mark.parametrize("exponents,message", [
+        ({True: 2}, "variable index must be a positive integer, got True"),
+        ({1: True}, "exponent of x1 must be a nonnegative integer, got True"),
+        ({1: False}, "exponent of x1 must be a nonnegative integer, got False"),
+    ])
+    def test_monomial_rejects_bool_variables_and_exponents(self, exponents, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Polynomial.monomial(exponents)
+
+    def test_monomial_with_a_zero_exponent(self):
+        assert Polynomial.monomial({3: 0, 2: 1, 1: 2}, 5).terms == {((1, 2), (2, 1)): 5}
+        assert Polynomial.monomial({1: 0}, 4).terms == {(): 4}
+
+    def test_coefficient_with_a_zero_exponent(self):
+        p = 3 * x(1) ** 2 * x(2) - 7
+        assert p.coefficient({2: 1, 3: 0, 1: 2}) == 3
+        assert p.coefficient({1: 0}) == -7
+        assert p.coefficient({1: 2}) == 0
+
     def test_add_cancellation(self):
         assert (x(1) + x(2)) + (-x(2)) == x(1)
 
@@ -130,6 +154,53 @@ def packed_addmul(acc, a, b, sign, width=None):
     addmul(packed, pack(a, width), pack(b, width), sign)
     assert all(packed.values()), "a zero coefficient is stored"
     return unpack(packed, width)
+
+
+class TestMonomialKeys:
+    """Every construction path stores one key per monomial: the
+    (variable, exponent) pairs sorted by variable, with exponents of a
+    repeated variable added and zero exponents dropped."""
+
+    @staticmethod
+    def assert_canonical(p):
+        for mono in p.terms:
+            variables = [v for v, _ in mono]
+            assert variables == sorted(set(variables)), mono
+            assert all(e > 0 for _, e in mono), mono
+
+    def test_parse_merges_repeated_variables(self):
+        p = parse_polynomial("x1*x1")
+        assert p.terms == {((1, 2),): 1}
+        assert p == x(1) ** 2
+
+    def test_parse_drops_zero_exponents(self):
+        p = parse_polynomial("2*x3^0*x1")
+        assert p.terms == {((1, 1),): 2}
+        assert p == 2 * x(1)
+
+    def test_parse_orders_variables(self):
+        assert parse_polynomial("x3^2*x1*x2*x1").terms == {((1, 2), (2, 1), (3, 2)): 1}
+
+    @pytest.mark.parametrize("overlap", [True, False])
+    def test_products_agree_with_evaluation(self, overlap):
+        rng = random.Random(61 if overlap else 62)
+        for _ in range(40):
+            p = random_polynomial(rng, max_vars=3, max_terms=5)
+            q = random_polynomial(rng, max_vars=3, max_terms=5)
+            if not overlap:
+                q = q.map_variables({1: 4, 2: 5, 3: 6})
+            point = {v: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for v in range(1, 7)}
+            product = p * q
+            self.assert_canonical(product)
+            assert product.evaluate(point) == p.evaluate(point) * q.evaluate(point)
+
+    def test_non_injective_renaming_cancels(self):
+        p = x(1) ** 2 * x(2) - x(1) * x(2) ** 2 + 3 * x(3)
+        renamed = p.map_variables({1: 2})
+        assert renamed.terms == {((3, 1),): 3}
+        merged = (x(1) * x(3) + x(2) * x(3) ** 2).map_variables({1: 3, 2: 3})
+        self.assert_canonical(merged)
+        assert merged == x(3) ** 2 + x(3) ** 3
 
 
 class TestPackedKernel:
@@ -272,6 +343,11 @@ class TestVariableMapping:
 
     def test_cancellation_on_identification(self):
         assert (x(2) - x(1)).map_variables({2: 1}).is_zero()
+
+    def test_rejects_bool_targets(self):
+        message = "variable index must be a positive integer, got True"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            (x(1) * x(2)).map_variables({2: True})
 
 
 class TestExactDivision:

@@ -1,8 +1,11 @@
 """Property tests for the accumulate-with-cancellation paths: polynomial
 and exterior arithmetic, the render/parse round trip, and the weighted
 oriented partition sum against the partition-sum hyperpfaffian; for the
-spec-at-point evaluator against the symbolic values; and for the
-partition-sum route against the exterior route on rational values.
+spec-at-point evaluator against the symbolic values; for the
+partition-sum route against the exterior route on rational values; for
+the wedge product's associativity and graded commutativity; and for the
+partition sum being of degree one in each block value and obeying the
+relabeling sign law.
 
 They need Hypothesis and are skipped when it is not installed.  Examples
 are derandomized, so a run is reproducible, and no example database is
@@ -16,13 +19,14 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from hyperpfaffian.combinat import increasing_compositions  # noqa: E402
+from hyperpfaffian.combinat import increasing_compositions, permutation_sign  # noqa: E402
 from hyperpfaffian.exterior import ExteriorElement  # noqa: E402
 from hyperpfaffian.hpf import (  # noqa: E402
     SkewFunction,
     SkewSpec,
     pf_definition,
     pf_exterior,
+    relabel,
     skew_function_at,
     skew_function_from_spec,
     skew_function_from_spec_at,
@@ -49,6 +53,20 @@ renamings = st.dictionaries(st.integers(1, VARIABLES), st.integers(1, VARIABLES)
 exterior_elements = st.dictionaries(
     st.integers(0, (1 << VARIABLES) - 1), st.one_of(coefficients, polynomials), max_size=8
 ).map(lambda table: ExteriorElement(VARIABLES, table))
+#: scalar coefficients take the wedge's plain path, polynomial ones its packed kernel
+wedge_coefficients = pytest.mark.parametrize(
+    "values", [coefficients, polynomials], ids=["scalar", "polynomial"]
+)
+
+
+def homogeneous_elements(values):
+    """(grade, element) with every stored subset of that grade."""
+    def of_grade(grade):
+        masks = [m for m in range(1 << VARIABLES) if m.bit_count() == grade]
+        table = st.dictionaries(st.sampled_from(masks), values, min_size=1, max_size=4)
+        return table.map(lambda t: (grade, ExteriorElement(VARIABLES, t)))
+
+    return st.integers(0, VARIABLES).flatmap(of_grade)
 
 
 @bounded
@@ -76,6 +94,32 @@ def test_renaming_agrees_with_evaluation(p, mapping, point):
 def test_exterior_addition_commutes_and_cancels(a, b):
     assert a + b == b + a
     assert (a - a).table == {}
+
+
+@wedge_coefficients
+def test_wedge_is_associative(values):
+    elements = st.dictionaries(st.integers(0, (1 << VARIABLES) - 1), values, max_size=4).map(
+        lambda table: ExteriorElement(VARIABLES, table)
+    )
+
+    @settings(bounded, max_examples=25)
+    @given(elements, elements, elements)
+    def check(a, b, c):
+        assert a.wedge(b).wedge(c) == a.wedge(b.wedge(c))
+
+    check()
+
+
+@wedge_coefficients
+def test_wedge_is_graded_commutative(values):
+    @settings(bounded, max_examples=40)
+    @given(homogeneous_elements(values), homogeneous_elements(values))
+    def check(first, second):
+        (p, a), (q, b) = first, second
+        swapped = b.wedge(a)
+        assert a.wedge(b) == (-swapped if p * q % 2 else swapped)
+
+    check()
 
 
 def specs(n, k):
@@ -106,15 +150,49 @@ def test_spec_at_point_is_the_symbolic_value_at_the_point(n, k, examples):
     check()
 
 
-@pytest.mark.parametrize("n,k", [(4, 2), (6, 2), (4, 4)])
-def test_partition_sum_is_the_exterior_route_on_rationals(n, k):
+def skew_functions(n, k):
+    """Skew functions with a random rational on every sorted k-subset."""
     subsets = list(combinations(range(1, n + 1), k))
     rationals = st.fractions(-9, 9, max_denominator=6)
+    return st.lists(rationals, min_size=len(subsets), max_size=len(subsets)).map(
+        lambda values: SkewFunction(n, k, dict(zip(subsets, values)))
+    )
 
+
+@pytest.mark.parametrize("n,k", [(4, 2), (6, 2), (4, 4)])
+def test_partition_sum_is_the_exterior_route_on_rationals(n, k):
     @settings(bounded, max_examples=30)
-    @given(st.lists(rationals, min_size=len(subsets), max_size=len(subsets)))
-    def check(values):
-        f = SkewFunction(n, k, dict(zip(subsets, values)))
+    @given(skew_functions(n, k))
+    def check(f):
         assert pf_definition(f) == pf_exterior(f)
+
+    check()
+
+
+@pytest.mark.parametrize("n,k", [(4, 2), (6, 2), (4, 4)])
+def test_partition_sum_is_affine_in_one_block_value(n, k):
+    """Each partition has at most one block equal to a given subset, so
+    the sum has degree at most one in that subset's value."""
+    values = st.one_of(coefficients, polynomials)
+
+    @settings(bounded, max_examples=20)
+    @given(skew_functions(n, k), st.data(), values, values, coefficients)
+    def check(f, data, u, v, c):
+        subset = data.draw(st.sampled_from(sorted(f.values)))
+
+        def pf_with(value):
+            return pf_definition(SkewFunction(n, k, {**f.values, subset: value}))
+
+        assert pf_with(u + c * v) + c * pf_with(0) == pf_with(u) + c * pf_with(v)
+
+    check()
+
+
+@pytest.mark.parametrize("n,k", [(4, 2), (6, 2), (4, 4)])
+def test_relabeling_multiplies_by_the_permutation_sign(n, k):
+    @settings(bounded, max_examples=20)
+    @given(skew_functions(n, k), st.permutations(range(1, n + 1)))
+    def check(f, perm):
+        assert pf_definition(relabel(f, perm)) == permutation_sign(perm) * pf_definition(f)
 
     check()
