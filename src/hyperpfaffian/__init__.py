@@ -40,11 +40,11 @@ from .hpf import (
 )
 from .involution import (
     WeightedOrientedPartition,
+    check_involution,
     compose_distinct,
     decompose_distinct,
     has_distinct_weights,
     pairing_involution,
-    signed_weighted_sum,
     smallest_repeated_pair,
     weighted_oriented_partitions,
 )
@@ -73,6 +73,7 @@ __all__ = [
     "SkewSpec",
     "WeightedOrientedPartition",
     "build_g",
+    "check_involution",
     "compose_distinct",
     "composition_constant",
     "composition_tilings",
@@ -100,7 +101,6 @@ __all__ = [
     "relabel",
     "render",
     "signed_equal_block_partitions",
-    "signed_weighted_sum",
     "skew_expand",
     "skew_function_at",
     "skew_function_from_spec",

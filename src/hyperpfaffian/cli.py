@@ -35,8 +35,8 @@ from math import factorial
 
 from .combinat import (
     composition_tilings,
+    increasing_composition_count,
     increasing_compositions,
-    permutation_sign,
     tiling_sign,
 )
 from .compose import verify_composition
@@ -51,14 +51,8 @@ from .hpf import (
     torelli_constant,
     torelli_spec,
 )
-from .involution import (
-    compose_distinct,
-    decompose_distinct,
-    has_distinct_weights,
-    pairing_involution,
-    weighted_oriented_partitions,
-)
-from .poly import Polynomial, accumulate, is_integer, render, vandermonde, vandermonde_at
+from .involution import check_involution
+from .poly import Polynomial, is_integer, render, vandermonde, vandermonde_at
 from .randgen import Lcg, random_point, random_skew_function, random_skew_spec
 
 MAX_SYMBOLIC_N = 8
@@ -66,7 +60,7 @@ MAX_POINTS_N = 12
 MAX_COEFFS_N = 16
 MAX_TORELLI_N = 8
 MAX_COMPOSE_P = 8
-MAX_INVOLUTION_N = {2: 6, 4: 4}
+MAX_INVOLUTION_ELEMENTS = 100_000
 
 
 # -- spec files -------------------------------------------------------------
@@ -248,7 +242,7 @@ def cmd_coeffs(args) -> int:
     n, k = args.n, args.k
     if n > MAX_COEFFS_N and not args.force:
         composition_tilings(n, k)  # surface (n, k) validation first
-        gamma_count = sum(1 for _ in increasing_compositions(n, k))
+        gamma_count = increasing_composition_count(n, k)
         return _refuse(
             f"refusing n={n}: up to C({gamma_count},{n // k}) combinations of the "
             f"{gamma_count} admissible weight vectors to sift; pass --force to override"
@@ -290,63 +284,24 @@ def cmd_torelli(args) -> int:
 
 def cmd_involution(args) -> int:
     n, k = args.n, args.k
-    limit = MAX_INVOLUTION_N.get(k, 8)
-    if n > limit and not args.force:
-        gamma_count = sum(1 for _ in increasing_compositions(n, k))
-        estimate = factorial(n) // factorial(n // k) * gamma_count ** (n // k)
+    gamma_count = increasing_composition_count(n, k)  # names a bad k or n first
+    composition_tilings(n, k)  # then an n that k does not divide
+    elements = factorial(n) // factorial(n // k) * gamma_count ** (n // k)
+    if elements > MAX_INVOLUTION_ELEMENTS and not args.force:
         return _refuse(
-            f"refusing n={n}, k={k}: |W| = {estimate} weighted oriented partitions; "
+            f"refusing n={n}, k={k}: |W| = {elements} weighted oriented partitions; "
             f"pass --force to override"
         )
     # deterministic distinct coefficients: i+1 for the i-th admissible tuple
-    coeffs = {
-        exponents: index + 1
-        for index, exponents in enumerate(increasing_compositions(n, k))
-    }
-    spec = SkewSpec(n, k, coeffs)
-    total = repeated = distinct = 0
-    repeated_sum: dict = {}
-    seen_factorizations = set()
-    for wop in weighted_oriented_partitions(n, k):
-        total += 1
-        if has_distinct_weights(wop):
-            distinct += 1
-            perm, tiling = decompose_distinct(wop)
-            if wop.sign != tiling_sign(tiling) * permutation_sign(perm):
-                print(f"MISMATCH: sign factorization fails on {wop}")
-                return 1
-            if compose_distinct(perm, tiling) != wop:
-                print(f"MISMATCH: factorization does not round-trip on {wop}")
-                return 1
-            seen_factorizations.add((perm, tiling))
-        else:
-            repeated += 1
-            image = pairing_involution(wop)
-            if (
-                image == wop
-                or has_distinct_weights(image)
-                or pairing_involution(image) != wop
-                or image.sign != -wop.sign
-                or image.weight_exponents() != wop.weight_exponents()
-                or image.coefficient(spec) != wop.coefficient(spec)
-            ):
-                print(f"MISMATCH: pairing involution misbehaves on {wop}")
-                return 1
-            accumulate(repeated_sum, [(wop.weight_exponents(), wop.coefficient(spec) * wop.sign)])
-    tilings = sum(1 for _ in composition_tilings(n, k))
-    ok = (
-        not repeated_sum
-        and distinct == factorial(n) * tilings
-        and len(seen_factorizations) == distinct
-    )
-    if not ok:
-        print(f"MISMATCH: repeated-weight sum {render(Polynomial(repeated_sum))}, "
-              f"distinct count {distinct} vs n! * tilings = {factorial(n) * tilings}")
+    coeffs = {r: index + 1 for index, r in enumerate(increasing_compositions(n, k))}
+    check = check_involution(SkewSpec(n, k, coeffs))
+    if check.failure is not None:
+        print(f"MISMATCH: {check.failure}")
         return 1
-    print(f"|W| = {total} (n={n}, k={k}): {repeated} repeated, {distinct} distinct "
-          f"= {factorial(n)} * {tilings}")
-    print(f"W^r sum = 0, phi^2 = id on {repeated} elements, "
-          f"sign factorization ok on {distinct} elements, verified")
+    print(f"|W| = {check.elements} (n={n}, k={k}): {check.repeated} repeated, "
+          f"{check.distinct} distinct = {factorial(n)} * {check.tilings}")
+    print(f"W^r sum = 0, phi^2 = id on {check.repeated} elements, "
+          f"sign factorization ok on {check.distinct} elements, verified")
     return 0
 
 

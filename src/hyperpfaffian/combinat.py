@@ -29,7 +29,7 @@ from __future__ import annotations
 from itertools import combinations, permutations, product
 from typing import Iterator, Sequence
 
-from .poly import check_integers
+from .poly import check_integers, is_integer
 
 Block = tuple  # tuple[int, ...]
 Blocks = tuple  # tuple[Block, ...]
@@ -133,9 +133,9 @@ def oriented_partitions(n: int, k: int) -> Iterator[Blocks]:
 def increasing_compositions_summing(total: int, parts: int) -> Iterator[Composition]:
     """Strictly increasing tuples of `parts` nonnegative integers summing
     to `total`, in lexicographic order."""
-    if not isinstance(total, int) or total < 0:
+    if not is_integer(total) or total < 0:
         raise ValueError(f"total must be a nonnegative integer, got {total!r}")
-    if not isinstance(parts, int) or parts < 1:
+    if not is_integer(parts) or parts < 1:
         raise ValueError(f"parts must be a positive integer, got {parts!r}")
 
     def rec(count: int, minimum: int, left: int) -> Iterator[Composition]:
@@ -156,14 +156,37 @@ def increasing_compositions_summing(total: int, parts: int) -> Iterator[Composit
     return rec(parts, 0, total)
 
 
+def _check_composition_args(n: int, k: int) -> None:
+    if not is_integer(k) or k < 2 or k % 2:
+        raise ValueError(f"block size k must be a positive even integer, got k={k!r}")
+    if not is_integer(n) or n < 1:
+        raise ValueError(f"n must be a positive integer, got n={n!r}")
+
+
 def increasing_compositions(n: int, k: int) -> Iterator[Composition]:
     """The admissible weight vectors for ground set size n and block size k:
     strictly increasing k-tuples of nonnegative integers with sum k/2*(n-1)."""
-    if not isinstance(k, int) or k < 2 or k % 2:
-        raise ValueError(f"block size k must be a positive even integer, got k={k!r}")
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"n must be a positive integer, got n={n!r}")
+    _check_composition_args(n, k)
     return increasing_compositions_summing(k * (n - 1) // 2, k)
+
+
+def increasing_composition_count(n: int, k: int) -> int:
+    """How many admissible weight vectors (n, k) has, counted without
+    listing them.
+
+    Subtracting (0, 1, ..., k-1) from a strictly increasing k-tuple leaves a
+    partition of k/2*(n-1) - k(k-1)/2 into at most k parts, and conjugation
+    makes it one into parts of size at most k.
+    """
+    _check_composition_args(n, k)
+    total = k * (n - 1) // 2 - k * (k - 1) // 2
+    if total < 0:
+        return 0
+    ways = [1] + [0] * total  # ways[m]: partitions of m into the parts seen so far
+    for part in range(1, min(k, total) + 1):
+        for m in range(part, total + 1):
+            ways[m] += ways[m - part]
+    return ways[total]
 
 
 def composition_tilings(n: int, k: int) -> Iterator[tuple[Composition, ...]]:

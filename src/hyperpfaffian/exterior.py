@@ -20,13 +20,13 @@ from __future__ import annotations
 from itertools import chain
 from typing import Iterator, Mapping, Sequence
 
-from .poly import Polynomial, Scalar, accumulate, addmul, degree, field_width, pack, unpack
+from .poly import Polynomial, Scalar, accumulate, addmul, degree, field_width, is_integer, pack, unpack
 
 
 def _mask_of(subset: Sequence[int], n: int) -> int:
     mask = 0
     for element in subset:
-        if not isinstance(element, int) or not 1 <= element <= n:
+        if not is_integer(element) or not 1 <= element <= n:
             raise ValueError(f"subset element {element!r} is not in 1..{n}")
         bit = 1 << (element - 1)
         if mask & bit:
@@ -65,14 +65,14 @@ class ExteriorElement:
     __slots__ = ("n", "table")
 
     def __init__(self, n: int, table: Mapping[int, Scalar | Polynomial] | None = None):
-        if not isinstance(n, int) or n < 0:
+        if not is_integer(n) or n < 0:
             raise ValueError(f"number of generators must be a nonnegative integer, got {n!r}")
         self.n = n
         cleaned: dict[int, Scalar | Polynomial] = {}
         if table:
             full = (1 << n) - 1
             for mask, coeff in table.items():
-                if not isinstance(mask, int) or mask < 0 or mask & ~full:
+                if not is_integer(mask) or mask < 0 or mask & ~full:
                     raise ValueError(f"mask {mask!r} is not a subset of [{n}]")
                 if coeff:
                     cleaned[mask] = coeff
@@ -201,7 +201,7 @@ class ExteriorElement:
         products for the even-grade elements this library powers up, with a
         dedicated squaring that visits each unordered subset pair once.
         """
-        if not isinstance(m, int) or m < 0:
+        if not is_integer(m) or m < 0:
             raise ValueError(f"wedge power must be a nonnegative integer, got {m!r}")
         if m == 0:
             return ExteriorElement.scalar(self.n, 1)

@@ -45,6 +45,7 @@ from .poly import (
     Polynomial,
     Scalar,
     addmul,
+    check_integers,
     check_point,
     degree,
     div_exact,
@@ -145,15 +146,16 @@ class SkewFunction:
     __slots__ = ("n", "k", "values")
 
     def __init__(self, n: int, k: int, values: Mapping[Sequence[int], Value]):
-        if not isinstance(n, int) or n < 1:
+        if not is_integer(n) or n < 1:
             raise ValueError(f"order n must be a positive integer, got {n!r}")
-        if not isinstance(k, int) or k < 2 or k % 2 or k > n:
+        if not is_integer(k) or k < 2 or k % 2 or k > n:
             raise ValueError(f"arity k must be a positive even integer <= n, got k={k!r}")
         self.n = n
         self.k = k
         stored: dict[tuple[int, ...], Value] = {}
         for key, value in values.items():
             subset = tuple(key)
+            check_integers(subset, "subset element")
             if not (is_scalar(value) or isinstance(value, Polynomial)):
                 raise ValueError(
                     f"value on {subset!r} is not an exact rational or polynomial: {value!r}"

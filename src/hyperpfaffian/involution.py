@@ -16,17 +16,26 @@ monomial.  The surviving distinct-weight elements factor bijectively into
 a permutation of [n] (reading each element's weight plus one) and a
 composition tiling, with multiplicative signs; summing them yields the
 tiling coefficient times the Vandermonde determinant.
+:func:`check_involution` checks all of this in one walk over the set.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, product
+from math import factorial
 from typing import Iterator, Optional
 
-from .combinat import increasing_compositions, oriented_partitions, oriented_sign
+from .combinat import (
+    composition_tilings,
+    increasing_compositions,
+    oriented_partitions,
+    oriented_sign,
+    permutation_sign,
+    tiling_sign,
+)
 from .hpf import SkewSpec
-from .poly import Polynomial, Scalar, accumulate, check_integers
+from .poly import Polynomial, Scalar, accumulate, check_integers, field_width, render, unpack
 
 
 @dataclass(frozen=True)
@@ -39,6 +48,8 @@ class WeightedOrientedPartition:
 
     blocks: tuple[tuple[int, ...], ...]
     weights: tuple[tuple[int, ...], ...]
+    #: weight_of[e - 1] is the weight carried by element e
+    weight_of: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         blocks = tuple(map(tuple, self.blocks))
@@ -60,10 +71,12 @@ class WeightedOrientedPartition:
                 raise ValueError(f"weight vector {weight!r} is not strictly increasing")
             if weight[0] < 0 or sum(weight) != target:
                 raise ValueError(f"weight vector {weight!r} must be nonnegative with sum {target}")
+        weight_of = tuple(w for _, w in sorted(zip(elements, chain.from_iterable(weights))))
         # the minima are distinct, so the sort never compares blocks
         _, blocks, weights = zip(*sorted(zip(map(min, blocks), blocks, weights)))
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "weight_of", weight_of)
 
     @property
     def n(self) -> int:
@@ -77,17 +90,9 @@ class WeightedOrientedPartition:
     def sign(self) -> int:
         return oriented_sign(self.blocks)
 
-    def element_weights(self) -> dict[int, int]:
-        """The weight carried by each element of [n]."""
-        return {
-            element: weight
-            for block, vector in zip(self.blocks, self.weights)
-            for element, weight in zip(block, vector)
-        }
-
     def weight_exponents(self) -> tuple[tuple[int, int], ...]:
         """Monomial key of x_element^weight over all elements (zeros dropped)."""
-        return tuple(sorted((e, w) for e, w in self.element_weights().items() if w))
+        return tuple((e, w) for e, w in enumerate(self.weight_of, start=1) if w)
 
     def weight_monomial(self) -> Polynomial:
         return Polynomial({self.weight_exponents(): 1})
@@ -109,13 +114,8 @@ def weighted_oriented_partitions(n: int, k: int) -> Iterator[WeightedOrientedPar
     with every choice of weight vectors, one per block."""
     oriented = oriented_partitions(n, k)
     vectors = tuple(increasing_compositions(n, k))
-
-    def weight() -> Iterator[WeightedOrientedPartition]:
-        for blocks in oriented:
-            for assignment in product(vectors, repeat=n // k):
-                yield WeightedOrientedPartition(blocks, assignment)
-
-    return weight()
+    return (WeightedOrientedPartition(blocks, assignment)
+            for blocks in oriented for assignment in product(vectors, repeat=n // k))
 
 
 def has_distinct_weights(wop: WeightedOrientedPartition) -> bool:
@@ -125,19 +125,16 @@ def has_distinct_weights(wop: WeightedOrientedPartition) -> bool:
     nonnegative integers cannot total less, so distinct weights are
     necessarily exactly 0, ..., n-1.
     """
-    weights = wop.element_weights()
-    return len(set(weights.values())) == len(weights)
+    weights = wop.weight_of
+    return len(set(weights)) == len(weights)
 
 
 def smallest_repeated_pair(wop) -> Optional[tuple[int, int]]:
     """The lexicographically least pair (i, j), i < j, with equal weights."""
-    weights = wop.element_weights()
-    n = wop.n
-    for i in range(1, n + 1):
-        wi = weights[i]
-        for j in range(i + 1, n + 1):
-            if weights[j] == wi:
-                return i, j
+    weights = wop.weight_of
+    for i, weight in enumerate(weights):  # the first repeated weight met is at i
+        if weights.count(weight) > 1:
+            return i + 1, weights.index(weight, i + 1) + 1
     return None
 
 
@@ -170,8 +167,7 @@ def decompose_distinct(
     """
     if not has_distinct_weights(wop):
         raise ValueError("weights are repeated; the decomposition needs distinct weights")
-    weights = wop.element_weights()
-    perm = tuple(weights[element] + 1 for element in range(1, wop.n + 1))
+    perm = tuple(weight + 1 for weight in wop.weight_of)
     tiling = tuple(sorted(wop.weights))
     return perm, tiling
 
@@ -194,29 +190,65 @@ def compose_distinct(
     return WeightedOrientedPartition(blocks, tuple(tiling))
 
 
-def signed_weighted_sum(
-    spec: SkewSpec, restrict: str | None = None
-) -> Polynomial:
-    """Sum of sign * coefficient * monomial over weighted oriented
-    partitions; equals the partition-sum hyperpfaffian of the spec.
+@dataclass(frozen=True)
+class InvolutionCheck:
+    """One walk over W(n, k): counts, signed sums and the first failure, or None."""
 
-    ``restrict`` limits the sum to the "repeated" class (which cancels to
-    zero under the pairing involution) or the "distinct" class (which
-    yields the closed form).
-    """
-    if restrict not in (None, "repeated", "distinct"):
-        raise ValueError(f"restrict must be None, 'repeated' or 'distinct', got {restrict!r}")
+    elements: int
+    repeated: int
+    distinct: int
+    tilings: int
+    repeated_sum: Polynomial
+    distinct_sum: Polynomial
+    failure: Optional[str]
+
+
+def check_involution(spec: SkewSpec) -> InvolutionCheck:
+    """Check the pairing and the factorization on every weighted oriented
+    partition of a full-degree spec, then that the repeated class cancels
+    and the distinct class counts n! times the tilings.  Elements are
+    checked until the first failure, but both sums cover every element."""
     if spec.degree != spec.full_degree:
         raise ValueError(
             f"weighted expansion needs degree k/2*(n-1) = {spec.full_degree}, got {spec.degree}"
         )
-
-    def terms():
-        for wop in weighted_oriented_partitions(spec.n, spec.k):
-            if restrict is not None and (restrict == "distinct") != has_distinct_weights(wop):
-                continue
-            coeff = wop.coefficient(spec)
-            if coeff:
-                yield wop.weight_exponents(), coeff * wop.sign
-
-    return Polynomial(accumulate({}, terms()))
+    n, k = spec.n, spec.k
+    width = field_width(spec.degree)  # monomials packed as in poly; no weight exceeds the degree
+    counts = [0, 0]  # repeated, distinct
+    sums: tuple[dict, dict] = ({}, {})
+    factorizations = set()
+    failure = None
+    for wop in weighted_oriented_partitions(n, k):
+        is_distinct = has_distinct_weights(wop)
+        counts[is_distinct] += 1
+        key = sum(w << width * i for i, w in enumerate(wop.weight_of))
+        accumulate(sums[is_distinct], [(key, wop.coefficient(spec) * wop.sign)])
+        if failure is not None:
+            continue
+        if is_distinct:
+            perm, tiling = decompose_distinct(wop)
+            factorizations.add((perm, tiling))
+            if wop.sign != tiling_sign(tiling) * permutation_sign(perm):
+                failure = f"sign factorization fails on {wop}"
+            elif compose_distinct(perm, tiling) != wop:
+                failure = f"factorization does not round-trip on {wop}"
+            continue
+        image = pairing_involution(wop)
+        if (
+            image == wop
+            or has_distinct_weights(image)
+            or pairing_involution(image) != wop
+            or image.sign != -wop.sign
+            or image.weight_exponents() != wop.weight_exponents()
+            or image.coefficient(spec) != wop.coefficient(spec)
+        ):
+            failure = f"pairing involution misbehaves on {wop}"
+    repeated, distinct = counts
+    tilings = sum(1 for _ in composition_tilings(n, k))
+    repeated_sum, distinct_sum = (unpack(terms, width) for terms in sums)
+    expected = factorial(n) * tilings
+    if failure is None and (repeated_sum or distinct != expected or len(factorizations) != distinct):
+        failure = (f"repeated-weight sum {render(repeated_sum)}, "
+                   f"distinct count {distinct} vs n! * tilings = {expected}")
+    return InvolutionCheck(repeated + distinct, repeated, distinct, tilings,
+                           repeated_sum, distinct_sum, failure)

@@ -192,7 +192,7 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "Polynomial":
-        if not isinstance(exponent, int) or exponent < 0:
+        if not is_integer(exponent) or exponent < 0:
             raise ValueError(f"polynomial exponent must be a nonnegative integer, got {exponent!r}")
         result = Polynomial.one()
         for _ in range(exponent):
@@ -215,14 +215,16 @@ class Polynomial:
 
     def evaluate(self, point: Mapping[int, Scalar]) -> Scalar:
         """Exact value at a point assigning every variable of the polynomial."""
+        for var in sorted(self.variables()):
+            if var not in point:
+                raise ValueError(f"no value assigned to variable x{var}")
+            if not is_scalar(point[var]):
+                raise ValueError(f"point coordinate {var} is not an exact rational: {point[var]!r}")
         total: Scalar = 0
         for mono, coeff in self.terms.items():
             value = coeff
             for var, exp in mono:
-                try:
-                    value = value * point[var] ** exp
-                except KeyError:
-                    raise ValueError(f"no value assigned to variable x{var}") from None
+                value = value * point[var] ** exp
             total += value
         return total
 
@@ -279,19 +281,23 @@ def _div_scalar(value: Scalar, divisor: int) -> Scalar:
 
 def div_exact(value: Scalar | Polynomial, divisor: int):
     """Divide a scalar or polynomial by an integer, insisting on exactness."""
+    if not is_integer(divisor):
+        raise ValueError(f"divisor {divisor!r} is not an integer")
     if isinstance(value, Polynomial):
         return Polynomial._raw({m: _div_scalar(c, divisor) for m, c in value.terms.items()})
+    if not is_scalar(value):
+        raise ValueError(f"dividend {value!r} is not an exact rational")
     return _div_scalar(value, divisor)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed, so a cached order 1 does not answer True
 def vandermonde(n: int) -> Polynomial:
     """The expanded product of ``x_j - x_i`` over all pairs 1 <= i < j <= n,
     built as the Leibniz expansion of det[x_i^(j-1)]: the term
     sign(s) * x_1^(s(1)-1) * ... * x_n^(s(n)-1) for each permutation s of [n].
     So n! terms, all +1 or -1.  Cached; treat the result as immutable.
     """
-    if not isinstance(n, int) or n < 1:
+    if not is_integer(n) or n < 1:
         raise ValueError(f"vandermonde requires a positive integer order, got {n!r}")
     level = [((), tuple(range(n)), 1)]  # (monomial in x_1..x_v, sorted unused exponents, sign)
     for v in range(1, n + 1):
@@ -458,11 +464,16 @@ def parse_polynomial(text: str) -> Polynomial:
             value: Scalar = take_number()
             if peek() == "/":
                 take()
-                value = Fraction(value, take_number())
+                denominator = take_number()
+                if not denominator:
+                    raise ValueError(f"zero denominator in {value}/{denominator}")
+                value = Fraction(value, denominator)
             return coeff * value
         if token.startswith("x"):
             take()
             var = int(token[1:])
+            if var < 1:
+                raise ValueError(f"variable index must be a positive integer, got {token!r}")
             exp = 1
             if peek() == "^":
                 take()

@@ -20,6 +20,7 @@ from itertools import combinations
 
 from .combinat import increasing_compositions
 from .hpf import SkewFunction, SkewSpec
+from .poly import is_integer
 
 
 class Lcg:
@@ -77,6 +78,8 @@ def random_point(n: int, rng: Lcg) -> tuple[int, ...]:
     whole points are redrawn until the coordinates are distinct.  The range
     holds 201 integers, so larger n is refused rather than redrawn forever.
     """
+    if not is_integer(n) or n < 0:
+        raise ValueError(f"number of coordinates must be a nonnegative integer, got {n!r}")
     if n > 201:
         raise ValueError(f"a point has at most 201 distinct coordinates in [-100, 100], got n={n}")
     while True:

@@ -213,20 +213,72 @@ class TestTorelli:
         assert code == 2
 
 
+# The first repeated-weight and the first distinct-weight element of W(4, 2).
+FIRST_REPEATED = "WeightedOrientedPartition(blocks=((1, 2), (3, 4)), weights=((0, 3), (0, 3)))"
+FIRST_DISTINCT = "WeightedOrientedPartition(blocks=((1, 2), (3, 4)), weights=((0, 3), (1, 2)))"
+
+
+def patch_involution(monkeypatch, name, wrap):
+    """Replace an involution function with ``wrap(original)``."""
+    import hyperpfaffian.involution as involution
+
+    monkeypatch.setattr(involution, name, wrap(getattr(involution, name)))
+
+
+# Misbehaving stand-ins for the suite's steps, one check caught by each.
+def fixed_point_pairing(wop):
+    return wop
+
+
+def sign_flipping_decomposition(decompose):
+    def swap_first_two(wop):
+        perm, tiling = decompose(wop)
+        return (perm[1], perm[0]) + perm[2:], tiling
+    return swap_first_two
+
+
+def reversing_composition(compose):
+    return lambda perm, tiling: compose(perm[::-1], tiling)
+
+
+def doubled_tilings(tilings):
+    return lambda n, k: [*tilings(n, k), *tilings(n, k)]
+
+
 class TestInvolution:
     def test_four_two(self, capsys):
         code, out, _ = run(capsys, "involution", "--n", "4", "--k", "2")
         assert code == 0
-        assert "|W| = 48" in out
-        assert "24 repeated, 24 distinct" in out
-        assert "W^r sum = 0, phi^2 = id on 24 elements" in out
-        assert out.rstrip().endswith("verified")
+        assert out == (
+            "|W| = 48 (n=4, k=2): 24 repeated, 24 distinct = 24 * 1\n"
+            "W^r sum = 0, phi^2 = id on 24 elements, "
+            "sign factorization ok on 24 elements, verified\n"
+        )
 
     def test_four_four(self, capsys):
         code, out, _ = run(capsys, "involution", "--n", "4", "--k", "4")
         assert code == 0
-        assert "|W| = 24" in out
-        assert "0 repeated, 24 distinct" in out
+        assert out == (
+            "|W| = 24 (n=4, k=4): 0 repeated, 24 distinct = 24 * 1\n"
+            "W^r sum = 0, phi^2 = id on 0 elements, "
+            "sign factorization ok on 24 elements, verified\n"
+        )
+
+    @pytest.mark.parametrize("name,wrap,line", [
+        ("pairing_involution", lambda pairing: fixed_point_pairing,
+         f"MISMATCH: pairing involution misbehaves on {FIRST_REPEATED}"),
+        ("decompose_distinct", sign_flipping_decomposition,
+         f"MISMATCH: sign factorization fails on {FIRST_DISTINCT}"),
+        ("compose_distinct", reversing_composition,
+         f"MISMATCH: factorization does not round-trip on {FIRST_DISTINCT}"),
+        ("composition_tilings", doubled_tilings,
+         "MISMATCH: repeated-weight sum 0, distinct count 24 vs n! * tilings = 48"),
+    ], ids=["pairing", "sign", "round-trip", "count"])
+    def test_mismatch_exits_one(self, capsys, monkeypatch, name, wrap, line):
+        patch_involution(monkeypatch, name, wrap)
+        code, out, _ = run(capsys, "involution", "--n", "4", "--k", "2")
+        assert code == 1
+        assert out == line + "\n"
 
     def test_guard(self, capsys):
         code, _, err = run(capsys, "involution", "--n", "8", "--k", "2")
@@ -234,16 +286,35 @@ class TestInvolution:
         assert "--force" in err
 
     def test_guard_at_arity_four(self, capsys, monkeypatch):
-        import hyperpfaffian.cli as cli
+        def no_enumeration(original):  # fail fast instead of walking 4,536,000 elements
+            def enumerate_w(n, k):
+                raise AssertionError("the guard let the enumeration start")
+            return enumerate_w
 
-        def no_enumeration(n, k):  # fail fast instead of walking 4,536,000 elements
-            raise AssertionError("the guard let the enumeration start")
-
-        monkeypatch.setattr(cli, "weighted_oriented_partitions", no_enumeration)
+        patch_involution(monkeypatch, "weighted_oriented_partitions", no_enumeration)
         code, _, err = run(capsys, "involution", "--n", "8", "--k", "4")
         assert code == 2
         assert "|W| = 4536000" in err
         assert "--force" in err
+
+    @pytest.mark.parametrize("argv,message", [
+        (("involution", "--n", "80", "--k", "8"), "refusing n=80, k=8: |W| = 1582644362015575891"),
+        (("coeffs", "--n", "100", "--k", "10"),
+         "refusing n=100: up to C(975062016054,10) combinations of the 975062016054 admissible"),
+    ], ids=["involution", "coeffs"])
+    def test_refusals_count_without_enumerating(self, capsys, monkeypatch, argv, message):
+        import hyperpfaffian.cli as cli
+        import hyperpfaffian.combinat as combinat
+
+        def no_enumeration(*args):  # |Gamma| is about 10^12 at (100, 10)
+            raise AssertionError("the refusal enumerated the weight vectors")
+
+        monkeypatch.setattr(cli, "increasing_compositions", no_enumeration)
+        monkeypatch.setattr(combinat, "increasing_compositions_summing", no_enumeration)
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith(f"error: {message}")
+        assert err.endswith("; pass --force to override\n")
 
 
 class TestCompose:

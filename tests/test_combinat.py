@@ -8,6 +8,7 @@ import pytest
 from hyperpfaffian.combinat import (
     composition_tilings,
     equal_block_partitions,
+    increasing_composition_count,
     increasing_compositions,
     increasing_compositions_summing,
     inversion_sign,
@@ -193,6 +194,44 @@ class TestIncreasingCompositions:
             increasing_compositions(4, 3)
         with pytest.raises(ValueError):
             increasing_compositions(0, 2)
+
+    @pytest.mark.parametrize("total,parts,message", [
+        (True, 1, "total must be a nonnegative integer, got True"),
+        (3.0, 1, "total must be a nonnegative integer, got 3.0"),
+        (3, True, "parts must be a positive integer, got True"),
+    ])
+    def test_summing_rejects_bool_and_float(self, total, parts, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            increasing_compositions_summing(total, parts)
+
+    def test_count_is_the_enumerated_count(self):
+        for k in (2, 4, 6, 8):
+            for n in range(1, 21):
+                expected = sum(1 for _ in increasing_compositions(n, k))
+                assert increasing_composition_count(n, k) == expected, (n, k)
+
+    @pytest.mark.parametrize("n,k", [(80, 8), (100, 10), (41, 40)])
+    def test_count_at_sizes_too_large_to_enumerate(self, n, k):
+        # partitions of m into at most k parts: p(m, j) = p(m, j - 1) + p(m - j, j)
+        table: dict = {}
+
+        def p(m, j):
+            if m == 0:
+                return 1
+            if m < 0 or j == 0:
+                return 0
+            if (m, j) not in table:
+                table[m, j] = p(m, j - 1) + p(m - j, j)
+            return table[m, j]
+
+        assert increasing_composition_count(n, k) == p(k * (n - 1) // 2 - k * (k - 1) // 2, k)
+
+    def test_count_validates_like_the_enumerator(self):
+        for n, k in [(4, 3), (0, 2), (True, 2), (4, True)]:
+            with pytest.raises(ValueError) as enumerated:
+                increasing_compositions(n, k)
+            with pytest.raises(ValueError, match=re.escape(str(enumerated.value))):
+                increasing_composition_count(n, k)
 
 
 class TestCompositionTilings:

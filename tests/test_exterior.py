@@ -1,4 +1,5 @@
 import random
+import re
 from functools import reduce
 from itertools import combinations
 
@@ -51,6 +52,16 @@ class TestBasics:
     def test_mismatched_generator_counts(self):
         with pytest.raises(ValueError):
             gen(2, 1).wedge(gen(3, 1))
+
+    @pytest.mark.parametrize("build,message", [
+        (lambda: ExteriorElement(True), "number of generators must be a nonnegative integer, got True"),
+        (lambda: ExteriorElement(2, {True: 5}), "mask True is not a subset of [2]"),
+        (lambda: ExteriorElement.from_subset_values(2, {(True, 2): 5}),
+         "subset element True is not in 1..2"),
+    ], ids=["order", "mask", "subset"])
+    def test_rejects_bool(self, build, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build()
 
     def test_top_coefficient(self):
         five = ExteriorElement.from_subset_values(3, {(1, 2, 3): 5})
@@ -134,6 +145,11 @@ class TestWedgePower:
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
             gen(2, 1).wedge_power(-1)
+
+    def test_bool_power_rejected(self):
+        message = "wedge power must be a nonnegative integer, got True"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            gen(2, 1).wedge_power(True)
 
 
 class TestPolynomialCoefficients:

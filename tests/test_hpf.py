@@ -150,6 +150,18 @@ class TestSkewFunction:
         with pytest.raises(ValueError, match=re.escape(message)):
             SkewFunction(2, 2, {(1, 2): value})
 
+    @pytest.mark.parametrize("subset,bad", [((1.0, 2.0), 1.0), ((True, 2), True)])
+    def test_rejects_inexact_subset_elements(self, subset, bad):
+        values = {s: 1 for s in combinations(range(1, 5), 2)}
+        del values[1, 2]
+        values[subset] = 1
+        with pytest.raises(ValueError, match=re.escape(f"subset element {bad!r} is not an integer")):
+            SkewFunction(4, 2, values)
+
+    def test_rejects_bool_order(self):
+        with pytest.raises(ValueError, match="order n must be a positive integer, got True"):
+            SkewFunction(True, 2, {})
+
     def test_value_at_reorders_with_sign(self):
         f = symbolic_skew_function(4, 2)
         assert f.value_at((3, 1)) == -f[(1, 3)]
@@ -413,6 +425,12 @@ class TestPointEvaluation:
         spec = random_skew_spec(4, 2, Lcg(1))
         with pytest.raises(ValueError):
             skew_function_from_spec_at(spec, (1, 2, 3))
+
+    @pytest.mark.parametrize("n", [True, 2.0, -1])
+    def test_random_point_refuses_a_bad_coordinate_count(self, n):
+        message = f"number of coordinates must be a nonnegative integer, got {n!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            random_point(n, Lcg(1))
 
     def test_random_point_refuses_more_than_201_coordinates(self, monkeypatch):
         def no_draw(rng, low, high):  # fail instead of redrawing forever

@@ -11,13 +11,14 @@ from hyperpfaffian.combinat import (
     tiling_sign,
 )
 from hyperpfaffian.hpf import SkewSpec, pf_closed_form, pf_definition, skew_function_from_spec
+import hyperpfaffian.involution as involution
 from hyperpfaffian.involution import (
     WeightedOrientedPartition,
+    check_involution,
     compose_distinct,
     decompose_distinct,
     has_distinct_weights,
     pairing_involution,
-    signed_weighted_sum,
     smallest_repeated_pair,
     weighted_oriented_partitions,
 )
@@ -83,8 +84,8 @@ class TestConstruction:
         wop = worked_example()
         assert (wop.n, wop.k) == (12, 4)
         assert wop.sign == -1
-        assert wop.element_weights()[9] == 1
-        assert wop.element_weights()[5] == 0
+        assert wop.weight_of[9 - 1] == 1
+        assert wop.weight_of[5 - 1] == 0
         expected = Polynomial.monomial(
             {1: 4, 2: 5, 3: 1, 4: 12, 6: 10, 7: 6, 8: 7, 9: 1, 10: 14, 11: 2, 12: 4}
         )
@@ -135,7 +136,7 @@ class TestClassification:
     def test_distinct_weights_are_exactly_the_range(self):
         for wop in weighted_oriented_partitions(6, 2):
             if has_distinct_weights(wop):
-                assert sorted(wop.element_weights().values()) == list(range(6))
+                assert sorted(wop.weight_of) == list(range(6))
 
 
 class TestPairingInvolution:
@@ -256,39 +257,62 @@ class TestDecomposition:
 
 
 class TestSignedWeightedSum:
+    """The two class sums of check_involution: together the partition sum,
+    the repeated class zero, the distinct class the closed form."""
+
     def test_smallest_case(self):
         spec = SkewSpec(2, 2, {(0, 1): 4})
         x1, x2 = Polynomial.variable(1), Polynomial.variable(2)
-        assert signed_weighted_sum(spec) == 4 * (x2 - x1)
+        check = check_involution(spec)
+        assert check.repeated_sum + check.distinct_sum == 4 * (x2 - x1)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_full_sum_is_the_partition_sum(self, seed):
         spec = random_skew_spec(4, 2, Lcg(seed))
         expected = pf_definition(skew_function_from_spec(spec))
-        assert signed_weighted_sum(spec) == expected
+        check = check_involution(spec)
+        assert check.repeated_sum + check.distinct_sum == expected
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_repeated_class_cancels(self, seed):
         spec = random_skew_spec(4, 2, Lcg(seed))
-        assert signed_weighted_sum(spec, restrict="repeated").is_zero()
+        assert check_involution(spec).repeated_sum.is_zero()
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_distinct_class_gives_closed_form(self, seed):
         spec = random_skew_spec(4, 2, Lcg(seed))
-        assert signed_weighted_sum(spec, restrict="distinct") == pf_closed_form(spec)
+        assert check_involution(spec).distinct_sum == pf_closed_form(spec)
 
     def test_six_two_split(self):
         spec = random_skew_spec(6, 2, Lcg(8))
-        full = signed_weighted_sum(spec)
-        assert signed_weighted_sum(spec, restrict="repeated").is_zero()
-        assert signed_weighted_sum(spec, restrict="distinct") == full == pf_closed_form(spec)
+        check = check_involution(spec)
+        full = check.repeated_sum + check.distinct_sum
+        assert check.repeated_sum.is_zero()
+        assert check.distinct_sum == full == pf_closed_form(spec)
 
     def test_rejects_deficient_degree(self):
         spec = SkewSpec(4, 2, {(0, 1): 1}, degree=1)
         with pytest.raises(ValueError):
-            signed_weighted_sum(spec)
+            check_involution(spec)
 
-    def test_rejects_unknown_restriction(self):
-        spec = SkewSpec(2, 2, {(0, 1): 1})
-        with pytest.raises(ValueError):
-            signed_weighted_sum(spec, restrict="everything")
+
+class TestCheckInvolution:
+    @pytest.mark.parametrize("n,k", [(4, 2), (4, 4), (6, 2)])
+    def test_counts_are_the_closed_forms(self, n, k):
+        check = check_involution(random_skew_spec(n, k, Lcg(n + k)))
+        gamma = sum(1 for _ in increasing_compositions(n, k))
+        tilings = sum(1 for _ in composition_tilings(n, k))
+        elements = factorial(n) // factorial(n // k) * gamma ** (n // k)
+        assert check.failure is None
+        assert (check.elements, check.tilings) == (elements, tilings)
+        assert check.distinct == factorial(n) * tilings
+        assert check.repeated == elements - check.distinct
+
+    def test_sums_cover_every_element_after_a_failure(self, monkeypatch):
+        spec = random_skew_spec(4, 2, Lcg(3))
+        monkeypatch.setattr(involution, "pairing_involution", lambda wop: wop)
+        check = check_involution(spec)
+        assert check.failure.startswith("pairing involution misbehaves on ")
+        assert (check.elements, check.repeated, check.distinct) == (48, 24, 24)
+        assert check.repeated_sum.is_zero()
+        assert check.distinct_sum == pf_definition(skew_function_from_spec(spec))

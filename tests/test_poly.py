@@ -86,6 +86,11 @@ class TestArithmetic:
         with pytest.raises(ValueError, match=re.escape(message)):
             Polynomial.monomial(exponents)
 
+    def test_power_rejects_bool_exponent(self):
+        message = "polynomial exponent must be a nonnegative integer, got True"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            x(1) ** True
+
     def test_monomial_with_a_zero_exponent(self):
         assert Polynomial.monomial({3: 0, 2: 1, 1: 2}, 5).terms == {((1, 2), (2, 1)): 5}
         assert Polynomial.monomial({1: 0}, 4).terms == {(): 4}
@@ -317,6 +322,12 @@ class TestVandermonde:
         with pytest.raises(ValueError, match=re.escape(message)):
             vandermonde_at(values)
 
+    def test_rejects_bool_order_even_after_order_one(self):
+        assert vandermonde(1) == Polynomial.one()
+        message = "vandermonde requires a positive integer order, got True"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            vandermonde(True)
+
 
 class TestEvaluation:
     def test_vandermonde_at_arithmetic_progression(self):
@@ -332,6 +343,12 @@ class TestEvaluation:
     def test_unassigned_variable_error(self):
         with pytest.raises(ValueError, match="x2"):
             (x(1) * x(2)).evaluate({1: 1})
+
+    @pytest.mark.parametrize("value", [0.5, True])
+    def test_rejects_inexact_coordinates(self, value):
+        message = f"point coordinate 2 is not an exact rational: {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            (x(1) + x(2)).evaluate({1: 1, 2: value})
 
 
 class TestVariableMapping:
@@ -363,6 +380,16 @@ class TestExactDivision:
             div_exact(5, 3)
         with pytest.raises(ArithmeticError):
             div_exact(5 * x(1), 3)
+
+    @pytest.mark.parametrize("value,divisor,message", [
+        (4, 2.0, "divisor 2.0 is not an integer"),
+        (5, 2.0, "divisor 2.0 is not an integer"),
+        (2 * x(1), True, "divisor True is not an integer"),
+        (4.0, 2, "dividend 4.0 is not an exact rational"),
+    ])
+    def test_rejects_inexact_operands(self, value, divisor, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            div_exact(value, divisor)
 
 
 class TestRendering:
@@ -403,3 +430,13 @@ class TestRendering:
         for bad in ["", "x", "1 +", "x1 ^", "@", "1..2"]:
             with pytest.raises(ValueError):
                 parse_polynomial(bad)
+
+    @pytest.mark.parametrize("text,message", [
+        ("x0^2 + x1", "variable index must be a positive integer, got 'x0'"),
+        ("3*x00", "variable index must be a positive integer, got 'x00'"),
+        ("1/0", "zero denominator in 1/0"),
+        ("x1 - 2/0*x2", "zero denominator in 2/0"),
+    ])
+    def test_parse_rejects_variable_zero_and_zero_denominators(self, text, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_polynomial(text)

@@ -3,9 +3,10 @@ and exterior arithmetic, the render/parse round trip, and the weighted
 oriented partition sum against the partition-sum hyperpfaffian; for the
 spec-at-point evaluator against the symbolic values; for the
 partition-sum route against the exterior route on rational values; for
-the wedge product's associativity and graded commutativity; and for the
-partition sum being of degree one in each block value and obeying the
-relabeling sign law.
+the wedge product's associativity and graded commutativity; for the
+partition sum being of degree one in each block value; and for the
+relabeling sign law on the partition-sum and exterior routes and the
+closed form.
 
 They need Hypothesis and are skipped when it is not installed.  Examples
 are derandomized, so a run is reproducible, and no example database is
@@ -24,6 +25,7 @@ from hyperpfaffian.exterior import ExteriorElement  # noqa: E402
 from hyperpfaffian.hpf import (  # noqa: E402
     SkewFunction,
     SkewSpec,
+    pf_closed_form,
     pf_definition,
     pf_exterior,
     relabel,
@@ -31,7 +33,7 @@ from hyperpfaffian.hpf import (  # noqa: E402
     skew_function_from_spec,
     skew_function_from_spec_at,
 )
-from hyperpfaffian.involution import signed_weighted_sum  # noqa: E402
+from hyperpfaffian.involution import check_involution  # noqa: E402
 from hyperpfaffian.poly import Polynomial, parse_polynomial, render  # noqa: E402
 
 VARIABLES = 4
@@ -134,7 +136,11 @@ def test_weighted_sum_is_the_partition_sum(n, k, examples):
     @settings(bounded, max_examples=examples)
     @given(specs(n, k))
     def check(spec):
-        assert signed_weighted_sum(spec) == pf_definition(skew_function_from_spec(spec))
+        result = check_involution(spec)
+        assert result.failure is None
+        assert result.repeated_sum + result.distinct_sum == pf_definition(
+            skew_function_from_spec(spec)
+        )
 
     check()
 
@@ -194,5 +200,26 @@ def test_relabeling_multiplies_by_the_permutation_sign(n, k):
     @given(skew_functions(n, k), st.permutations(range(1, n + 1)))
     def check(f, perm):
         assert pf_definition(relabel(f, perm)) == permutation_sign(perm) * pf_definition(f)
+
+    check()
+
+
+@pytest.mark.parametrize("n,k", [(4, 2), (6, 2), (4, 4)])
+def test_relabeling_sign_law_on_the_exterior_route(n, k):
+    @settings(bounded, max_examples=20)
+    @given(skew_functions(n, k), st.permutations(range(1, n + 1)))
+    def check(f, perm):
+        assert pf_exterior(relabel(f, perm)) == permutation_sign(perm) * pf_exterior(f)
+
+    check()
+
+
+@pytest.mark.parametrize("n,k,examples", [(4, 2, 20), (4, 4, 20), (6, 2, 10)])
+def test_relabeled_spec_is_the_signed_closed_form(n, k, examples):
+    @settings(bounded, max_examples=examples)
+    @given(specs(n, k), st.permutations(range(1, n + 1)))
+    def check(spec, perm):
+        relabeled = relabel(skew_function_from_spec(spec), perm)
+        assert pf_exterior(relabeled) == permutation_sign(perm) * pf_closed_form(spec)
 
     check()
