@@ -31,15 +31,16 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, floor, lgamma, log, log10, prod
 
 from .combinat import (
+    check_composition_args,
     composition_tilings,
     increasing_composition_count,
     increasing_compositions,
     tiling_sign,
 )
-from .compose import verify_composition
+from .compose import check_orders, verify_composition
 from .hpf import (
     SkewSpec,
     pf_closed_form,
@@ -154,8 +155,44 @@ def tiling_label(compositions) -> str:
     return " ".join("a_{" + ",".join(map(str, comp)) + "}" for comp in compositions)
 
 
-def _partition_count(n: int, k: int) -> int:
-    return factorial(n) // (factorial(n // k) * factorial(k) ** (n // k))
+def _size(exact, log10_size: float) -> str:
+    """A size in a refusal: ``exact()`` when its digits fit the interpreter's
+    int-to-str limit (a size that small is also cheap to compute), else its
+    order of magnitude; ``exact`` None means ``log10_size`` only bounds the
+    size from below."""
+    if exact is None:
+        return f"at least 10^{floor(log10_size)}"
+    # Python's default limit where the limit is off (0) or absent (before 3.10.7)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    if log10_size < limit - 1:
+        return str(exact())
+    return f"about 10^{floor(log10_size)}"
+
+
+def _log10_factorial(n: int) -> float:
+    return lgamma(n + 1) / log(10)
+
+
+def _partition_count(n: int, k: int) -> str:
+    """n!/(b! k!^b) for b = n//k, as :func:`_size` text.  Exactly, it is
+    n!/(bk)! times the product of C(jk-1, k-1) over j <= b: the choices of
+    each block beside its least element."""
+    blocks = n // k
+    return _size(lambda: prod(range(blocks * k + 1, n + 1))
+                 * prod(comb(j * k - 1, k - 1) for j in range(1, blocks + 1)),
+                 _log10_factorial(n) - _log10_factorial(blocks) - blocks * _log10_factorial(k))
+
+
+def _weight_vector_count(n: int, k: int) -> tuple[int | None, float]:
+    """|Gamma(n, k)|, or None where counting the partitions of m = k(n-k)/2
+    into at most k parts takes over MAX_INVOLUTION_ELEMENTS steps; and the
+    log10 of |Gamma|, or of its lower bound C(m+k-1, k-1)/k! (each such
+    partition orders into at most k! compositions of m into k parts)."""
+    m = k * (n - k) // 2
+    if min(k, m) * m <= MAX_INVOLUTION_ELEMENTS:
+        count = increasing_composition_count(n, k)
+        return count, log10(count)
+    return None, (lgamma(m + k) - lgamma(k) - lgamma(m + 1)) / log(10) - _log10_factorial(k)
 
 
 # -- commands ---------------------------------------------------------------
@@ -166,7 +203,8 @@ def cmd_compute(args) -> int:
     if spec.n > MAX_SYMBOLIC_N and not args.force:
         return _refuse(
             f"refusing n={spec.n}: the expanded result can reach {spec.n}! = "
-            f"{factorial(spec.n)} terms; pass --force to override"
+            f"{_size(lambda: factorial(spec.n), _log10_factorial(spec.n))} terms; "
+            f"pass --force to override"
         )
     if args.method == "definition":
         result = pf_definition(skew_function_from_spec(spec))
@@ -208,17 +246,18 @@ def cmd_verify(args) -> int:
     mode = args.mode
     if mode == "auto":
         mode = "symbolic" if n <= MAX_SYMBOLIC_N else "points"
+    composition_tilings(n, k)  # validates (n, k) before the guards and the trial loop
     if mode == "symbolic" and n > MAX_SYMBOLIC_N and not args.force:
         return _refuse(
-            f"refusing symbolic mode at n={n}: results can reach {n}! = {factorial(n)} "
-            f"terms; use --mode points or pass --force"
+            f"refusing symbolic mode at n={n}: results can reach {n}! = "
+            f"{_size(lambda: factorial(n), _log10_factorial(n))} terms; "
+            f"use --mode points or pass --force"
         )
     if mode == "points" and n > MAX_POINTS_N and not args.force:
         return _refuse(
             f"refusing n={n}: each point sums over {_partition_count(n, k)} partitions; "
             f"pass --force to override"
         )
-    composition_tilings(n, k)  # validates (n, k) before the trial loop
     for trial in range(args.trials):
         rng = Lcg(seed + trial)
         spec = random_skew_spec(n, k, rng)
@@ -242,10 +281,12 @@ def cmd_coeffs(args) -> int:
     n, k = args.n, args.k
     if n > MAX_COEFFS_N and not args.force:
         composition_tilings(n, k)  # surface (n, k) validation first
-        gamma_count = increasing_composition_count(n, k)
+        count, log10_count = _weight_vector_count(n, k)
+        shown, bound = (count, "") if count is not None else (
+            "N", f", with N {_size(None, log10_count)}")
         return _refuse(
-            f"refusing n={n}: up to C({gamma_count},{n // k}) combinations of the "
-            f"{gamma_count} admissible weight vectors to sift; pass --force to override"
+            f"refusing n={n}: up to C({shown},{n // k}) combinations of the "
+            f"{shown} admissible weight vectors to sift{bound}; pass --force to override"
         )
     positive = negative = 0
     for tiling in composition_tilings(n, k):
@@ -284,13 +325,22 @@ def cmd_torelli(args) -> int:
 
 def cmd_involution(args) -> int:
     n, k = args.n, args.k
-    gamma_count = increasing_composition_count(n, k)  # names a bad k or n first
+    check_composition_args(n, k)  # names a bad k or n first
     composition_tilings(n, k)  # then an n that k does not divide
-    elements = factorial(n) // factorial(n // k) * gamma_count ** (n // k)
-    if elements > MAX_INVOLUTION_ELEMENTS and not args.force:
+    # |W| = n!/(n/k)! |Gamma|^(n/k).  When |Gamma| is too costly to count,
+    # m^2 >= k*m > MAX_INVOLUTION_ELEMENTS for m = k(n-k)/2 <= n^2/8, so n > 50
+    # and |W| >= n!/(n/2)! is far above the budget.
+    count, log10_count = _weight_vector_count(n, k)
+    blocks = n // k
+    log10_elements = _log10_factorial(n) - _log10_factorial(blocks) + blocks * log10_count
+    elements = None if count is None else (
+        lambda: factorial(n) // factorial(blocks) * count ** blocks)
+    over = (elements is None or log10_elements > log10(MAX_INVOLUTION_ELEMENTS) + 1
+            or elements() > MAX_INVOLUTION_ELEMENTS)
+    if over and not args.force:
         return _refuse(
-            f"refusing n={n}, k={k}: |W| = {elements} weighted oriented partitions; "
-            f"pass --force to override"
+            f"refusing n={n}, k={k}: |W| = {_size(elements, log10_elements)} weighted "
+            f"oriented partitions; pass --force to override"
         )
     # deterministic distinct coefficients: i+1 for the i-th admissible tuple
     coeffs = {r: index + 1 for index, r in enumerate(increasing_compositions(n, k))}
@@ -307,6 +357,7 @@ def cmd_involution(args) -> int:
 
 def cmd_compose(args) -> int:
     k, n, p = args.k, args.n, args.p
+    check_orders(k, n, p)
     if p > MAX_COMPOSE_P and not args.force:
         return _refuse(
             f"refusing p={p}: the outer sum runs over {_partition_count(p, n)} partitions "

@@ -156,7 +156,7 @@ def increasing_compositions_summing(total: int, parts: int) -> Iterator[Composit
     return rec(parts, 0, total)
 
 
-def _check_composition_args(n: int, k: int) -> None:
+def check_composition_args(n: int, k: int) -> None:
     if not is_integer(k) or k < 2 or k % 2:
         raise ValueError(f"block size k must be a positive even integer, got k={k!r}")
     if not is_integer(n) or n < 1:
@@ -166,7 +166,7 @@ def _check_composition_args(n: int, k: int) -> None:
 def increasing_compositions(n: int, k: int) -> Iterator[Composition]:
     """The admissible weight vectors for ground set size n and block size k:
     strictly increasing k-tuples of nonnegative integers with sum k/2*(n-1)."""
-    _check_composition_args(n, k)
+    check_composition_args(n, k)
     return increasing_compositions_summing(k * (n - 1) // 2, k)
 
 
@@ -178,7 +178,7 @@ def increasing_composition_count(n: int, k: int) -> int:
     partition of k/2*(n-1) - k(k-1)/2 into at most k parts, and conjugation
     makes it one into parts of size at most k.
     """
-    _check_composition_args(n, k)
+    check_composition_args(n, k)
     total = k * (n - 1) // 2 - k * (k - 1) // 2
     if total < 0:
         return 0

@@ -13,7 +13,7 @@ from math import factorial
 from .hpf import SkewFunction, Value, pf_definition
 
 
-def _check_orders(k: int, n: int, p: int) -> None:
+def check_orders(k: int, n: int, p: int) -> None:
     for name, value in (("k", k), ("n", n), ("p", p)):
         if not isinstance(value, int) or value < 2 or value % 2:
             raise ValueError(f"{name} must be a positive even integer, got {value!r}")
@@ -26,7 +26,7 @@ def _check_orders(k: int, n: int, p: int) -> None:
 def composition_constant(k: int, n: int, p: int) -> int:
     """(p/k choose n/k, ..., n/k) / (p/n)!: the number of ways to split p/k
     items into p/n unordered groups of n/k.  Always an exact integer."""
-    _check_orders(k, n, p)
+    check_orders(k, n, p)
     multinomial = factorial(p // k) // (factorial(n // k) ** (p // n))
     quotient, remainder = divmod(multinomial, factorial(p // n))
     if remainder:
@@ -44,7 +44,7 @@ def build_g(f: SkewFunction, n: int) -> SkewFunction:
     outer partition sum simple at desk scale.
     """
     k, p = f.k, f.n
-    _check_orders(k, n, p)
+    check_orders(k, n, p)
     inner_subsets = tuple(combinations(range(1, n + 1), k))
     values: dict[tuple[int, ...], Value] = {}
     for big in combinations(range(1, p + 1), n):
@@ -74,7 +74,7 @@ def verify_composition(f: SkewFunction, k: int, n: int, p: int) -> CompositionCh
         raise ValueError(
             f"function has arity {f.k} on [{f.n}], expected arity k={k} on [p={p}]"
         )
-    _check_orders(k, n, p)
+    check_orders(k, n, p)
     composed = build_g(f, n)
     return CompositionCheck(
         constant=composition_constant(k, n, p),

@@ -145,42 +145,26 @@ class ExteriorElement:
         return self + (-other)
 
     def wedge(self, other: "ExteriorElement") -> "ExteriorElement":
-        """Bilinear product; overlapping subset pairs contribute nothing."""
+        """Bilinear product; overlapping subset pairs contribute nothing.
+
+        A square (``other is self``) visits each unordered pair of disjoint
+        subsets once.  merge_sign(T, S) = (-1)^(|S||T|) merge_sign(S, T), so
+        a pair of odd grades cancels and any other pair counts twice.
+        """
         if not isinstance(other, ExteriorElement):
             raise TypeError(f"cannot wedge with {type(other).__name__}")
         if self.n != other.n:
             raise ValueError(f"mismatched generator counts: {self.n} vs {other.n}")
-        pairs = (
-            (s_mask, t_mask, merge_sign(s_mask, t_mask))
-            for s_mask in self.table
-            for t_mask in other.table
-            if not s_mask & t_mask
-        )
-        return self._sum_products(other, pairs)
-
-    def _wedge_square(self) -> "ExteriorElement":
-        """Wedge of the element with itself, visiting each unordered subset
-        pair once: odd-grade pairs cancel outright, others contribute twice.
-        """
-        return self._sum_products(self, self._square_pairs())
-
-    def _square_pairs(self) -> Iterator[tuple[int, int, int]]:
-        """The (S, T, factor) triples of the square, each unordered pair once."""
-        masks = list(self.table)
-        if 0 in self.table:
-            yield 0, 0, 1
-        for i, s_mask in enumerate(masks):
-            for t_mask in masks[i + 1:]:
-                if s_mask & t_mask:
-                    continue
-                factor = merge_sign(s_mask, t_mask) + merge_sign(t_mask, s_mask)
-                if factor:
-                    yield s_mask, t_mask, factor
-
-    def _sum_products(self, other: "ExteriorElement", pairs) -> "ExteriorElement":
-        """The element with ``factor * self[S] * other[T]`` summed at the
-        union of S and T over the disjoint ``(S, T, factor)`` triples."""
         left, right = self.table, other.table
+        if other is self:
+            masks = list(left)
+            pairs = chain([(0, 0, 1)] if 0 in left else [], (
+                (s, t, 2 * merge_sign(s, t))
+                for i, s in enumerate(masks) for t in masks[i + 1:]
+                if not s & t and not s.bit_count() & t.bit_count() & 1
+            ))
+        else:
+            pairs = ((s, t, merge_sign(s, t)) for s in left for t in right if not s & t)
         out: dict = {}
         if not any(isinstance(c, Polynomial) for c in chain(left.values(), right.values())):
             products = ((s | t, left[s] * right[t] * factor) for s, t, factor in pairs)
@@ -188,18 +172,19 @@ class ExteriorElement:
         # Polynomial coefficients: accumulate packed products in place, with
         # fields wide enough for the two factors' degrees added together.
         width = field_width(sum(max(map(degree, t.values()), default=0) for t in (left, right)))
-        left = {mask: pack(c, width) for mask, c in left.items()}
-        right = left if other is self else {mask: pack(c, width) for mask, c in right.items()}
-        for s_mask, t_mask, factor in pairs:
-            addmul(out.setdefault(s_mask | t_mask, {}), left[s_mask], right[t_mask], factor)
+        packed_left = {mask: pack(c, width) for mask, c in left.items()}
+        packed_right = packed_left if other is self else {
+            mask: pack(c, width) for mask, c in right.items()}
+        for s, t, factor in pairs:
+            addmul(out.setdefault(s | t, {}), packed_left[s], packed_right[t], factor)
         return ExteriorElement._raw(self.n, {m: unpack(c, width) for m, c in out.items() if c})
 
     def wedge_power(self, m: int) -> "ExteriorElement":
         """m-fold wedge of the element with itself; m = 0 gives the scalar 1.
 
         Uses binary exponentiation, which halves the number of full
-        products for the even-grade elements this library powers up, with a
-        dedicated squaring that visits each unordered subset pair once.
+        products for the even-grade elements this library powers up; each
+        squaring visits every unordered subset pair once (see :meth:`wedge`).
         """
         if not is_integer(m) or m < 0:
             raise ValueError(f"wedge power must be a nonnegative integer, got {m!r}")
@@ -212,7 +197,7 @@ class ExteriorElement:
                 result = base if result is None else result.wedge(base)
             m >>= 1
             if m:
-                base = base._wedge_square()
+                base = base.wedge(base)
         return result
 
     def __repr__(self) -> str:

@@ -30,7 +30,7 @@ integer points.
 from __future__ import annotations
 
 from itertools import combinations, permutations
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import Mapping, Sequence, Union
 
 from .combinat import (
@@ -292,14 +292,8 @@ def pf_definition(f: SkewFunction) -> Value:
     products of block values."""
     values = f.values
     if not any(isinstance(v, Polynomial) for v in values.values()):
-        total: Scalar = 0
-        for sign, blocks in signed_equal_block_partitions(f.n, f.k):
-            term: Scalar | None = None
-            for block in blocks:
-                value = values[block]
-                term = value if term is None else term * value
-            total += term if sign > 0 else -term
-        return total
+        return sum(sign * prod(map(values.__getitem__, blocks))
+                   for sign, blocks in signed_equal_block_partitions(f.n, f.k))
     # A partition's product has total degree at most n/k times the largest
     # block degree, which bounds every exponent of every partial product.
     width = field_width(f.n // f.k * max(map(degree, values.values())))
@@ -337,19 +331,8 @@ def theorem_coefficient(spec: SkewSpec) -> Scalar:
         raise ValueError(
             f"closed form needs degree k/2*(n-1) = {spec.full_degree}, got {spec.degree}"
         )
-    coeffs = spec.coeffs
-    total: Scalar = 0
-    for tiling in composition_tilings(spec.n, spec.k):
-        product: Scalar = 1
-        for composition in tiling:
-            value = coeffs.get(composition)
-            if value is None:
-                product = 0
-                break
-            product *= value
-        if product:
-            total += tiling_sign(tiling) * product
-    return total
+    return sum(tiling_sign(tiling) * prod(map(spec.coefficient, tiling))
+               for tiling in composition_tilings(spec.n, spec.k))
 
 
 def pf_closed_form(spec: SkewSpec) -> Polynomial:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain, product
-from math import factorial
+from math import factorial, prod
 from typing import Iterator, Optional
 
 from .combinat import (
@@ -100,13 +100,7 @@ class WeightedOrientedPartition:
     def coefficient(self, spec: SkewSpec) -> Scalar:
         """Product of the spec coefficients of the weight vectors (0 if any
         vector is absent from the spec)."""
-        result: Scalar = 1
-        for weight in self.weights:
-            value = spec.coefficient(weight)
-            if not value:
-                return 0
-            result *= value
-        return result
+        return prod(map(spec.coefficient, self.weights))
 
 
 def weighted_oriented_partitions(n: int, k: int) -> Iterator[WeightedOrientedPartition]:

@@ -69,6 +69,16 @@ def accumulate(out: dict, items) -> dict:
     return out
 
 
+def _check_pairs(pairs) -> None:
+    """Refuse a ``(variable, exponent)`` pair that is not a positive and a
+    nonnegative int, naming the value."""
+    for var, exp in pairs:
+        if not is_integer(var) or var < 1:
+            raise ValueError(f"variable index must be a positive integer, got {var!r}")
+        if not is_integer(exp) or exp < 0:
+            raise ValueError(f"exponent of x{var} must be a nonnegative integer, got {exp!r}")
+
+
 def _monomial(pairs) -> Monomial:
     """The canonical key of the product of ``(variable, exponent)`` pairs:
     exponents of a repeated variable added, zero exponents dropped, sorted
@@ -90,14 +100,14 @@ class Polynomial:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
-        cleaned: dict[Monomial, Scalar] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                if not is_scalar(coeff):
-                    raise ValueError(f"coefficient of {mono!r} is not an exact rational: {coeff!r}")
-                if coeff:
-                    cleaned[mono] = coeff
-        self.terms = cleaned
+        """Every term is checked and its key made canonical; terms whose keys
+        then coincide are summed."""
+        terms = terms or {}
+        for mono, coeff in terms.items():
+            if not is_scalar(coeff):
+                raise ValueError(f"coefficient of {mono!r} is not an exact rational: {coeff!r}")
+            _check_pairs(mono)
+        self.terms = accumulate({}, ((_monomial(m), c) for m, c in terms.items()))
 
     @classmethod
     def _raw(cls, terms: dict) -> "Polynomial":
@@ -126,12 +136,7 @@ class Polynomial:
     @classmethod
     def monomial(cls, exponents: Mapping[int, int], coeff: Scalar = 1) -> "Polynomial":
         """Build ``coeff * prod x_v^e`` from an exponent map (zeros dropped)."""
-        for var, exp in exponents.items():
-            if not is_integer(var) or var < 1:
-                raise ValueError(f"variable index must be a positive integer, got {var!r}")
-            if not is_integer(exp) or exp < 0:
-                raise ValueError(f"exponent of x{var} must be a nonnegative integer, got {exp!r}")
-        return cls({_monomial(exponents.items()): coeff})
+        return cls({tuple(exponents.items()): coeff})
 
     # -- ring structure -------------------------------------------------
 
@@ -185,9 +190,10 @@ class Polynomial:
             return Polynomial._raw({m: c * other for m, c in self.terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
-        b = other.terms.items()
-        products = ((_monomial(m1 + m2), c1 * c2) for m1, c1 in self.terms.items() for m2, c2 in b)
-        return Polynomial._raw(accumulate({}, products))
+        width = field_width(self.degree() + other.degree())
+        product: dict[int, Scalar] = {}
+        addmul(product, pack(self, width), pack(other, width))
+        return unpack(product, width)
 
     __rmul__ = __mul__
 
@@ -309,8 +315,9 @@ def vandermonde(n: int) -> Polynomial:
 
 # -- packed-exponent multiply-accumulate kernel -----------------------------
 #
-# The hot loops of the definition and exterior routes multiply block values
-# and sum the products.  There a monomial is packed into one int, with the
+# Every polynomial product goes through addmul: Polynomial.__mul__, and the
+# hot loops of the definition and exterior routes, which multiply block
+# values and sum the products.  A monomial is packed into one int, with the
 # exponent of x_v in the W-bit field at offset W*(v-1), so multiplying two
 # monomials is one integer addition (the packing of Monagan & Pearce, CASC
 # 2007).  A packed polynomial is a plain dict from packed monomial to

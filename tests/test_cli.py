@@ -1,4 +1,8 @@
+import ast
 import json
+import time
+from math import factorial, floor, log10
+from pathlib import Path
 
 import pytest
 
@@ -338,6 +342,109 @@ class TestCompose:
         code, _, err = run(capsys, "compose", "--k", "2", "--n", "2", "--p", "10")
         assert code == 2
         assert "--force" in err
+
+
+class TestRefusalsAtEverySize:
+    """A refusal names the size it refuses, exactly while the size fits the
+    int-to-str digit limit and as an order of magnitude (or a lower bound)
+    beyond it, and answers at once."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (("involution", "--n", "3000", "--k", "2"),
+         "refusing n=3000, k=2: |W| = about 10^9780 weighted oriented partitions"),
+        (("involution", "--n", "2000", "--k", "1000"),
+         "refusing n=2000, k=1000: |W| = at least 10^6858 weighted oriented partitions"),
+        (("verify", "--n", "2000", "--k", "2", "--mode", "symbolic"),
+         "refusing symbolic mode at n=2000: results can reach 2000! = about 10^5735 terms"),
+        (("verify", "--n", "3000", "--k", "2"),
+         "refusing n=3000: each point sums over about 10^4564 partitions"),
+        (("verify", "--n", "1000000", "--k", "2"),
+         "refusing n=1000000: each point sums over about 10^2782852 partitions"),
+        (("torelli", "--n", "3000"),
+         "refusing n=3000: brute force sums over about 10^4564 matchings"),
+        (("compose", "--k", "2", "--n", "4", "--p", "4000"),
+         "refusing p=4000: the outer sum runs over about 10^8725 partitions"),
+        (("coeffs", "--n", "2000", "--k", "1000"),
+         "refusing n=2000: up to C(N,2) combinations of the N admissible weight vectors "
+         "to sift, with N at least 10^561"),
+    ], ids=["involution", "involution-gamma-bound", "verify-symbolic", "verify-points",
+            "verify-million", "torelli", "compose", "coeffs-gamma-bound"])
+    def test_refuses_at_once(self, capsys, argv, message):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}")
+
+    def test_compute_refuses_at_once(self, tmp_path, capsys):
+        path = write_spec(tmp_path, {"n": 3000, "k": 2, "terms": []})
+        start = time.perf_counter()
+        code, _, err = run(capsys, "compute", "--input", path, "--method", "theorem")
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert err == ("error: refusing n=3000: the expanded result can reach "
+                       "3000! = about 10^9130 terms; pass --force to override\n")
+
+    def test_orders_of_magnitude_match_the_exact_counts(self):
+        # log10 of the exact big integers, which never go through str
+        assert floor(log10(factorial(2000))) == 5735
+        assert floor(log10(factorial(3000) // (factorial(1500) * 2 ** 1500))) == 4564
+        assert floor(log10(factorial(3000) // factorial(1500) * 1500 ** 1500)) == 9780
+        assert floor(log10(factorial(4000) // (factorial(1000) * 24 ** 1000))) == 8725
+
+    @pytest.mark.parametrize("n,k", [(8, 4), (12, 4), (20, 4), (30, 6), (24, 8), (40, 20)])
+    def test_weight_vector_bound_is_a_lower_bound(self, monkeypatch, n, k):
+        import hyperpfaffian.cli as cli
+        from hyperpfaffian.combinat import increasing_composition_count
+
+        monkeypatch.setattr(cli, "MAX_INVOLUTION_ELEMENTS", 0)  # never count
+        count, log10_bound = cli._weight_vector_count(n, k)
+        assert count is None
+        assert log10_bound <= log10(increasing_composition_count(n, k)) + 1e-9
+
+    @pytest.mark.parametrize("argv,error", [
+        (("verify", "--n", "20", "--k", "0"),
+         "error: block size k must be a positive even integer, got k=0\n"),
+        (("verify", "--n", "15", "--k", "2", "--mode", "points"),
+         "error: n must be a positive multiple of k, got n=15, k=2\n"),
+        (("compose", "--k", "2", "--n", "-2", "--p", "10"),
+         "error: n must be a positive even integer, got -2\n"),
+    ], ids=["verify-k-zero", "verify-indivisible", "compose-negative"])
+    def test_invalid_orders_are_named_before_the_guard(self, capsys, argv, error):
+        assert run(capsys, *argv) == (2, "", error)
+
+
+class TestTraceContract:
+    """perfbench/trace_op.py traces a verify op by wrapping, on the cli
+    module, each name in its VERIFY_CALLS; cmd_verify must call every one
+    of them through the cli module."""
+
+    def test_verify_calls_every_traced_name_on_cli(self, capsys, monkeypatch):
+        import hyperpfaffian.cli as cli
+
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "trace_op.py"
+        if not path.exists():
+            pytest.skip("perfbench/trace_op.py is absent")
+        names = next(
+            ast.literal_eval(node.value) for node in ast.parse(path.read_text("utf-8")).body
+            if isinstance(node, ast.Assign)
+            and any(getattr(target, "id", None) == "VERIFY_CALLS" for target in node.targets)
+        )
+        called = set()
+
+        def traced(name, fn):
+            def call(*args):
+                called.add(name)
+                return fn(*args)
+            return call
+
+        for name in names:
+            monkeypatch.setattr(cli, name, traced(name, getattr(cli, name)))
+        for mode in ("symbolic", "points"):
+            code, _, _ = run(capsys, "verify", "--n", "4", "--k", "2", "--trials", "1",
+                             "--mode", mode)
+            assert code == 0
+        assert called == set(names)
 
 
 class TestForceFlag:

@@ -134,13 +134,19 @@ class TestWedgePower:
         rng = random.Random(40 + m)
         for grade in (2, 4):
             a = random_element(rng, 6, grade=grade)
-            fold = reduce(ExteriorElement.wedge, [a] * m)
+            # distinct copies, so that no step of the fold takes the square path
+            copies = [ExteriorElement(a.n, dict(a.table)) for _ in range(m)]
+            fold = reduce(ExteriorElement.wedge, copies)
             assert a.wedge_power(m) == fold
 
     def test_odd_grade_square_vanishes(self):
         rng = random.Random(50)
         a = random_element(rng, 5, grade=3)
         assert not a.wedge_power(2)
+        # two pairs of disjoint 3-subsets, so the square has pairs to cancel
+        b = ExteriorElement.from_subset_values(
+            6, {(1, 2, 3): 2, (4, 5, 6): -3, (1, 4, 5): 1, (2, 3, 6): 5})
+        assert not b.wedge_power(2)
 
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):

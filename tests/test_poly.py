@@ -41,9 +41,22 @@ def vandermonde_by_determinant(n):
 
 def vandermonde_by_binomials(n):
     """Independent oracle: the binomials x_j - x_i, i < j, multiplied out
-    one by one with the tuple-monomial ``Polynomial.__mul__``."""
+    one by one with ``Polynomial.__mul__``."""
     factors = [x(j) - x(i) for j in range(2, n + 1) for i in range(1, j)]
     return reduce(lambda p, q: p * q, factors, Polynomial.one())
+
+
+def schoolbook_product(a, b):
+    """Independent oracle for products: term by term, each monomial built
+    from the merged exponent maps of its two factors."""
+    total = Polynomial.zero()
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            exponents = dict(m1)
+            for var, exp in m2:
+                exponents[var] = exponents.get(var, 0) + exp
+            total += Polynomial.monomial(exponents, c1 * c2)
+    return total
 
 
 def random_polynomial(rng, max_vars=3, max_terms=4, max_exp=3):
@@ -85,6 +98,30 @@ class TestArithmetic:
     def test_monomial_rejects_bool_variables_and_exponents(self, exponents, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             Polynomial.monomial(exponents)
+
+    @pytest.mark.parametrize("mono,message", [
+        (((1.5, 2),), "variable index must be a positive integer, got 1.5"),
+        (((1, True),), "exponent of x1 must be a nonnegative integer, got True"),
+        (((0, 2),), "variable index must be a positive integer, got 0"),
+        (((1, -1),), "exponent of x1 must be a nonnegative integer, got -1"),
+    ], ids=["float-variable", "bool-exponent", "variable-zero", "negative-exponent"])
+    def test_constructor_rejects_bad_keys(self, mono, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Polynomial({mono: 1})
+
+    def test_constructor_sorts_variables(self):
+        p = Polynomial({((2, 1), (1, 1)): 3})
+        assert p.terms == {((1, 1), (2, 1)): 3}
+        assert p == 3 * x(1) * x(2)
+
+    def test_constructor_drops_zero_exponents(self):
+        p = Polynomial({((1, 0),): 5, ((2, 0), (3, 1)): 2})
+        assert p.terms == {(): 5, ((3, 1),): 2}
+        assert p == 2 * x(3) + 5
+
+    def test_constructor_sums_keys_that_coincide(self):
+        assert Polynomial({((1, 1), (2, 1)): 2, ((2, 1), (1, 1)): 5}) == 7 * x(1) * x(2)
+        assert not Polynomial({((1, 2),): 4, ((1, 1), (1, 1)): -4})
 
     def test_power_rejects_bool_exponent(self):
         message = "polynomial exponent must be a nonnegative integer, got True"
@@ -214,11 +251,11 @@ class TestPackedKernel:
         for _ in range(60):
             acc, a, b = (random_polynomial(rng, max_vars=4, max_terms=6) for _ in range(3))
             sign = rng.choice([1, -1, 2, -2])
-            assert packed_addmul(acc, a, b, sign) == acc + sign * (a * b)
+            assert packed_addmul(acc, a, b, sign) == acc + sign * schoolbook_product(a, b)
 
     def test_width_covers_the_sum_of_factor_degrees(self):
         a, b = x(1) ** 200 + x(2), x(1) ** 100 - 3 * x(2) ** 5
-        expected = a * b
+        expected = schoolbook_product(a, b)
         assert packed_addmul(Polynomial.zero(), a, b, 1) == expected
         # a width taken from one factor overflows x1's field into x2's
         narrow = field_width(a.degree())
@@ -233,14 +270,14 @@ class TestPackedKernel:
         acc = 7 * x(40) ** 2
         a = x(40) ** 3 + x(1)
         b = x(40) * x(2) - 5
-        assert packed_addmul(acc, a, b, -1) == acc - a * b
+        assert packed_addmul(acc, a, b, -1) == acc - schoolbook_product(a, b)
         assert packed_addmul(acc, a, b, -1).coefficient({40: 4, 2: 1}) == -1
 
     def test_fraction_coefficients(self):
         acc = Fraction(1, 3) * x(1) * x(2)
         a = Fraction(2, 5) * x(1) - Fraction(1, 2)
         b = Fraction(5, 6) * x(2) + x(1) ** 2
-        assert packed_addmul(acc, a, b, 1) == acc + a * b
+        assert packed_addmul(acc, a, b, 1) == acc + schoolbook_product(a, b)
 
     def test_cancellation_removes_the_entry(self):
         acc = 6 * x(1) * x(2) + x(3)
@@ -259,6 +296,35 @@ class TestPackedKernel:
         assert pack(Fraction(-3, 4), width) == {0: Fraction(-3, 4)}
         assert unpack({0: 5}, width) == 5
         assert pack(Polynomial.constant(5), width) == {0: 5}
+
+    def test_mul_at_a_full_exponent_field(self):
+        # degrees 16 + 15 = 31 = 2^5 - 1: the product fills its 5-bit field
+        assert field_width(31) == 5
+        assert (x(1) ** 16 * x(1) ** 15).terms == {((1, 31),): 1}
+        a, b = x(1) ** 16 - x(2), x(1) ** 15 + 2 * x(2) ** 15
+        assert a * b == schoolbook_product(a, b)
+        assert (a * b).coefficient({1: 16, 2: 15}) == 2
+
+    def test_mul_of_constants_and_zero(self):
+        p = 3 * x(1) - x(2) ** 2
+        assert Polynomial.constant(3) * Polynomial.constant(-4) == -12
+        assert (Polynomial.zero() * p).terms == {}
+        assert (p * Polynomial.zero()).terms == {}
+        assert Polynomial.constant(Fraction(1, 2)) * p == p * Fraction(1, 2)
+        assert Polynomial.one() * p == p
+
+    def test_mul_with_fraction_coefficients(self):
+        a = Fraction(1, 2) * x(1) + Fraction(2, 3)
+        b = Fraction(3, 4) * x(2) - 1
+        assert (a * b).terms == {
+            ((1, 1), (2, 1)): Fraction(3, 8), ((1, 1),): Fraction(-1, 2),
+            ((2, 1),): Fraction(1, 2), (): Fraction(-2, 3),
+        }
+
+    def test_mul_cancels_cross_terms(self):
+        assert ((x(1) + x(2)) * (x(1) - x(2))).terms == {((1, 2),): 1, ((2, 2),): -1}
+        a, b = x(1) ** 2 + x(1) * x(2) + x(2) ** 2, x(1) - x(2)
+        assert (a * b).terms == {((1, 3),): 1, ((2, 3),): -1}
 
     def test_round_trip_keeps_monomials_canonical(self):
         rng = random.Random(41)

@@ -3,7 +3,8 @@ and exterior arithmetic, the render/parse round trip, and the weighted
 oriented partition sum against the partition-sum hyperpfaffian; for the
 spec-at-point evaluator against the symbolic values; for the
 partition-sum route against the exterior route on rational values; for
-the wedge product's associativity and graded commutativity; for the
+the wedge product's associativity and graded commutativity, and its
+square against the product with a copy; for the
 partition sum being of degree one in each block value; and for the
 relabeling sign law on the partition-sum and exterior routes and the
 closed form.
@@ -120,6 +121,29 @@ def test_wedge_is_graded_commutative(values):
         (p, a), (q, b) = first, second
         swapped = b.wedge(a)
         assert a.wedge(b) == (-swapped if p * q % 2 else swapped)
+
+    check()
+
+
+@wedge_coefficients
+def test_square_matches_the_product_with_a_copy(values):
+    nonzero = values.filter(bool)
+
+    def grade_parity(parity):
+        return st.sampled_from(
+            [m for m in range(1, 1 << VARIABLES) if m.bit_count() % 2 == parity])
+
+    # a scalar (mask 0) part and subsets of both odd and even grade
+    elements = st.tuples(
+        nonzero,
+        st.dictionaries(grade_parity(1), nonzero, min_size=1, max_size=3),
+        st.dictionaries(grade_parity(0), nonzero, min_size=1, max_size=3),
+    ).map(lambda parts: ExteriorElement(VARIABLES, {0: parts[0], **parts[1], **parts[2]}))
+
+    @settings(bounded, max_examples=40)
+    @given(elements)
+    def check(a):
+        assert a.wedge(a) == a.wedge(ExteriorElement(a.n, dict(a.table)))
 
     check()
 
