@@ -30,11 +30,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from math import comb, factorial, floor, lgamma, log, log10, prod
 
 from .combinat import (
-    check_composition_args,
     composition_tilings,
     increasing_composition_count,
     increasing_compositions,
@@ -53,7 +53,7 @@ from .hpf import (
     torelli_spec,
 )
 from .involution import check_involution
-from .poly import Polynomial, is_integer, render, vandermonde, vandermonde_at
+from .poly import is_integer, vandermonde, vandermonde_at
 from .randgen import Lcg, random_point, random_skew_function, random_skew_spec
 
 MAX_SYMBOLIC_N = 8
@@ -146,8 +146,13 @@ def _refuse(message: str) -> int:
     return 2
 
 
-def _show(value) -> str:
-    return render(value) if isinstance(value, Polynomial) else str(value)
+@contextmanager
+def _sizing(order: str):
+    """Refuse ``order`` (exit 2) where sizing it overflows a float or a factorial."""
+    try:
+        yield
+    except OverflowError:
+        raise ValueError(f"refusing {order}: too large to size") from None
 
 
 def tiling_label(compositions) -> str:
@@ -201,18 +206,19 @@ def _weight_vector_count(n: int, k: int) -> tuple[int | None, float]:
 def cmd_compute(args) -> int:
     spec = load_spec_file(args.input)
     if spec.n > MAX_SYMBOLIC_N and not args.force:
-        return _refuse(
-            f"refusing n={spec.n}: the expanded result can reach {spec.n}! = "
-            f"{_size(lambda: factorial(spec.n), _log10_factorial(spec.n))} terms; "
-            f"pass --force to override"
-        )
+        with _sizing(f"n={spec.n}"):
+            return _refuse(
+                f"refusing n={spec.n}: the expanded result can reach {spec.n}! = "
+                f"{_size(lambda: factorial(spec.n), _log10_factorial(spec.n))} terms; "
+                f"pass --force to override"
+            )
     if args.method == "definition":
         result = pf_definition(skew_function_from_spec(spec))
     elif args.method == "exterior":
         result = pf_exterior(skew_function_from_spec(spec))
     else:
         result = pf_closed_form(spec)
-    print(render(result))
+    print(result)
     return 0
 
 
@@ -247,17 +253,18 @@ def cmd_verify(args) -> int:
     if mode == "auto":
         mode = "symbolic" if n <= MAX_SYMBOLIC_N else "points"
     composition_tilings(n, k)  # validates (n, k) before the guards and the trial loop
-    if mode == "symbolic" and n > MAX_SYMBOLIC_N and not args.force:
-        return _refuse(
-            f"refusing symbolic mode at n={n}: results can reach {n}! = "
-            f"{_size(lambda: factorial(n), _log10_factorial(n))} terms; "
-            f"use --mode points or pass --force"
-        )
-    if mode == "points" and n > MAX_POINTS_N and not args.force:
-        return _refuse(
-            f"refusing n={n}: each point sums over {_partition_count(n, k)} partitions; "
-            f"pass --force to override"
-        )
+    with _sizing(f"n={n}"):
+        if mode == "symbolic" and n > MAX_SYMBOLIC_N and not args.force:
+            return _refuse(
+                f"refusing symbolic mode at n={n}: results can reach {n}! = "
+                f"{_size(lambda: factorial(n), _log10_factorial(n))} terms; "
+                f"use --mode points or pass --force"
+            )
+        if mode == "points" and n > MAX_POINTS_N and not args.force:
+            return _refuse(
+                f"refusing n={n}: each point sums over {_partition_count(n, k)} partitions; "
+                f"pass --force to override"
+            )
     for trial in range(args.trials):
         rng = Lcg(seed + trial)
         spec = random_skew_spec(n, k, rng)
@@ -269,7 +276,7 @@ def cmd_verify(args) -> int:
                 if point is not None:
                     print(f"point: {list(point)}")
                 for name, value in sides:
-                    print(f"{name}: {_show(value)}")
+                    print(f"{name}: {value}")
                 return 1
         checked = "symbolic" if mode == "symbolic" else f"{args.points} points"
         print(f"trial {trial + 1}: ok ({checked})")
@@ -281,13 +288,14 @@ def cmd_coeffs(args) -> int:
     n, k = args.n, args.k
     if n > MAX_COEFFS_N and not args.force:
         composition_tilings(n, k)  # surface (n, k) validation first
-        count, log10_count = _weight_vector_count(n, k)
-        shown, bound = (count, "") if count is not None else (
-            "N", f", with N {_size(None, log10_count)}")
-        return _refuse(
-            f"refusing n={n}: up to C({shown},{n // k}) combinations of the "
-            f"{shown} admissible weight vectors to sift{bound}; pass --force to override"
-        )
+        with _sizing(f"n={n}"):
+            count, log10_count = _weight_vector_count(n, k)
+            shown, bound = (count, "") if count is not None else (
+                "N", f", with N {_size(None, log10_count)}")
+            return _refuse(
+                f"refusing n={n}: up to C({shown},{n // k}) combinations of the "
+                f"{shown} admissible weight vectors to sift{bound}; pass --force to override"
+            )
     positive = negative = 0
     for tiling in composition_tilings(n, k):
         sign = tiling_sign(tiling)
@@ -305,10 +313,11 @@ def cmd_coeffs(args) -> int:
 def cmd_torelli(args) -> int:
     n = args.n
     if n > MAX_TORELLI_N and not args.force:
-        return _refuse(
-            f"refusing n={n}: brute force sums over {_partition_count(n, 2)} matchings "
-            f"of degree-{n - 1} polynomials; pass --force to override"
-        )
+        with _sizing(f"n={n}"):
+            return _refuse(
+                f"refusing n={n}: brute force sums over {_partition_count(n, 2)} matchings "
+                f"of degree-{n - 1} polynomials; pass --force to override"
+            )
     constant = torelli_constant(n)
     spec = torelli_spec(n)
     brute = pf_definition(skew_function_from_spec(spec))
@@ -317,7 +326,7 @@ def cmd_torelli(args) -> int:
         print(f"MISMATCH at n={n}")
         print(f"constant: {constant}")
         print(f"tiling coefficient: {theorem_coefficient(spec)}")
-        print(f"brute force: {render(brute)}")
+        print(f"brute force: {brute}")
         return 1
     print(f"constant = {constant}, verified")
     return 0
@@ -325,23 +334,23 @@ def cmd_torelli(args) -> int:
 
 def cmd_involution(args) -> int:
     n, k = args.n, args.k
-    check_composition_args(n, k)  # names a bad k or n first
-    composition_tilings(n, k)  # then an n that k does not divide
+    composition_tilings(n, k)  # validates (n, k)
     # |W| = n!/(n/k)! |Gamma|^(n/k).  When |Gamma| is too costly to count,
     # m^2 >= k*m > MAX_INVOLUTION_ELEMENTS for m = k(n-k)/2 <= n^2/8, so n > 50
     # and |W| >= n!/(n/2)! is far above the budget.
-    count, log10_count = _weight_vector_count(n, k)
-    blocks = n // k
-    log10_elements = _log10_factorial(n) - _log10_factorial(blocks) + blocks * log10_count
-    elements = None if count is None else (
-        lambda: factorial(n) // factorial(blocks) * count ** blocks)
-    over = (elements is None or log10_elements > log10(MAX_INVOLUTION_ELEMENTS) + 1
-            or elements() > MAX_INVOLUTION_ELEMENTS)
-    if over and not args.force:
-        return _refuse(
-            f"refusing n={n}, k={k}: |W| = {_size(elements, log10_elements)} weighted "
-            f"oriented partitions; pass --force to override"
-        )
+    with _sizing(f"n={n}, k={k}"):
+        count, log10_count = _weight_vector_count(n, k)
+        blocks = n // k
+        log10_elements = _log10_factorial(n) - _log10_factorial(blocks) + blocks * log10_count
+        elements = None if count is None else (
+            lambda: factorial(n) // factorial(blocks) * count ** blocks)
+        over = (elements is None or log10_elements > log10(MAX_INVOLUTION_ELEMENTS) + 1
+                or elements() > MAX_INVOLUTION_ELEMENTS)
+        if over and not args.force:
+            return _refuse(
+                f"refusing n={n}, k={k}: |W| = {_size(elements, log10_elements)} weighted "
+                f"oriented partitions; pass --force to override"
+            )
     # deterministic distinct coefficients: i+1 for the i-th admissible tuple
     coeffs = {r: index + 1 for index, r in enumerate(increasing_compositions(n, k))}
     check = check_involution(SkewSpec(n, k, coeffs))
@@ -359,10 +368,11 @@ def cmd_compose(args) -> int:
     k, n, p = args.k, args.n, args.p
     check_orders(k, n, p)
     if p > MAX_COMPOSE_P and not args.force:
-        return _refuse(
-            f"refusing p={p}: the outer sum runs over {_partition_count(p, n)} partitions "
-            f"with C({p},{n}) inner hyperpfaffians; pass --force to override"
-        )
+        with _sizing(f"p={p}"):
+            return _refuse(
+                f"refusing p={p}: the outer sum runs over {_partition_count(p, n)} partitions "
+                f"with C({p},{n}) inner hyperpfaffians; pass --force to override"
+            )
     constant = None
     for trial in range(args.trials):
         rng = Lcg(args.seed + trial)
@@ -372,8 +382,8 @@ def cmd_compose(args) -> int:
         if not check.ok:
             print(f"MISMATCH trial {trial + 1} (seed={args.seed + trial})")
             print(f"constant: {check.constant}")
-            print(f"composed: {_show(check.pf_composed)}")
-            print(f"original: {_show(check.pf_original)}")
+            print(f"composed: {check.pf_composed}")
+            print(f"original: {check.pf_original}")
             return 1
     print(f"constant = {constant}, verified")
     return 0

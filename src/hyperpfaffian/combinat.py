@@ -71,12 +71,16 @@ def concatenation_sign(blocks: Sequence[Sequence]) -> int:
 partition_sign = oriented_sign = tiling_sign = concatenation_sign
 
 
+def check_composition_args(n: int, k: int) -> None:
+    if not is_integer(k) or k < 2 or k % 2:
+        raise ValueError(f"block size k must be a positive even integer, got k={k!r}")
+    if not is_integer(n) or n < 1:
+        raise ValueError(f"n must be a positive integer, got n={n!r}")
+
+
 def _check_block_args(n: int, k: int) -> None:
-    if not isinstance(n, int) or not isinstance(k, int):
-        raise ValueError(f"n and k must be integers, got n={n!r}, k={k!r}")
-    if k < 2 or k % 2:
-        raise ValueError(f"block size k must be a positive even integer, got k={k}")
-    if n < k or n % k:
+    check_composition_args(n, k)
+    if n % k:
         raise ValueError(f"n must be a positive multiple of k, got n={n}, k={k}")
 
 
@@ -89,7 +93,7 @@ def signed_equal_block_partitions(n: int, k: int) -> Iterator[tuple[int, Blocks]
     """
     _check_block_args(n, k)
 
-    def rec(remaining: tuple[int, ...]) -> Iterator[tuple[int, Blocks]]:
+    def rec(remaining: Sequence[int]) -> Iterator[tuple[int, Blocks]]:
         if not remaining:
             yield 1, ()
             return
@@ -105,7 +109,7 @@ def signed_equal_block_partitions(n: int, k: int) -> Iterator[tuple[int, Blocks]
             for tail_sign, tail in rec(residue):
                 yield head_sign * tail_sign, (block,) + tail
 
-    return rec(tuple(range(1, n + 1)))
+    return rec(range(1, n + 1))  # a lazy range: validating allocates nothing of size n
 
 
 def equal_block_partitions(n: int, k: int) -> Iterator[Blocks]:
@@ -156,13 +160,6 @@ def increasing_compositions_summing(total: int, parts: int) -> Iterator[Composit
     return rec(parts, 0, total)
 
 
-def check_composition_args(n: int, k: int) -> None:
-    if not is_integer(k) or k < 2 or k % 2:
-        raise ValueError(f"block size k must be a positive even integer, got k={k!r}")
-    if not is_integer(n) or n < 1:
-        raise ValueError(f"n must be a positive integer, got n={n!r}")
-
-
 def increasing_compositions(n: int, k: int) -> Iterator[Composition]:
     """The admissible weight vectors for ground set size n and block size k:
     strictly increasing k-tuples of nonnegative integers with sum k/2*(n-1)."""
@@ -198,7 +195,7 @@ def composition_tilings(n: int, k: int) -> Iterator[tuple[Composition, ...]]:
     _check_block_args(n, k)
     total = k * (n - 1) // 2
 
-    def rec(remaining: tuple[int, ...]) -> Iterator[tuple[Composition, ...]]:
+    def rec(remaining: Sequence[int]) -> Iterator[tuple[Composition, ...]]:
         if not remaining:
             yield ()
             return
@@ -213,4 +210,4 @@ def composition_tilings(n: int, k: int) -> Iterator[tuple[Composition, ...]]:
             for tail in rec(residue):
                 yield (composition,) + tail
 
-    return rec(tuple(range(n)))
+    return rec(range(n))  # a lazy range: validating allocates nothing of size n

@@ -29,7 +29,7 @@ integer points.
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import combinations
 from math import comb, factorial, prod
 from typing import Mapping, Sequence, Union
 
@@ -45,6 +45,7 @@ from .poly import (
     Polynomial,
     Scalar,
     addmul,
+    alternant,
     check_integers,
     check_point,
     degree,
@@ -184,29 +185,17 @@ class SkewFunction:
         value = self.values[tuple(sorted(ordered))]
         return value if sign > 0 else -value
 
-    def map_values(self, transform) -> "SkewFunction":
-        return SkewFunction(self.n, self.k, {s: transform(v) for s, v in self.values.items()})
-
 
 def skew_expand(spec: SkewSpec) -> Polynomial:
-    """The full k-variable polynomial: antisymmetrize each coefficient's
-    monomial over all k! argument orders with the permutation sign.
+    """The full k-variable polynomial: the sum over the spec of a_r times
+    the alternant det[x_i^(r_j)], each monomial antisymmetrized over all k!
+    argument orders.
 
-    Since exponent tuples have distinct parts, the k! rearranged monomials
-    are distinct and the result has exactly k! * len(coeffs) terms.
+    Different tuples r are different sets of exponents, so their alternants
+    share no monomial and the result has exactly k! * len(coeffs) terms.
     """
-    terms: dict[tuple, Scalar] = {}
-    k = spec.k
-    for exponents, coeff in spec.coeffs.items():
-        for order in permutations(range(k)):
-            sign = inversion_sign(order)
-            mono = tuple(
-                (position + 1, exponents[order[position]])
-                for position in range(k)
-                if exponents[order[position]]
-            )
-            terms[mono] = sign * coeff
-    return Polynomial(terms)
+    return Polynomial._raw({mono: sign * a for r, a in spec.coeffs.items()
+                            for mono, sign in alternant(r).terms.items()})
 
 
 def instantiate(p: Polynomial, block: Sequence[int]) -> Polynomial:
@@ -284,7 +273,8 @@ def skew_function_at(f: SkewFunction, point: Sequence[Scalar]) -> SkewFunction:
     """Evaluate polynomial-valued subset values at a point."""
     check_point(point)
     mapping = dict(enumerate(point, start=1))
-    return f.map_values(lambda v: v.evaluate(mapping) if isinstance(v, Polynomial) else v)
+    return SkewFunction(f.n, f.k, {s: v.evaluate(mapping) if isinstance(v, Polynomial) else v
+                                   for s, v in f.values.items()})
 
 
 def pf_definition(f: SkewFunction) -> Value:
@@ -347,10 +337,7 @@ def torelli_constant(n: int) -> int:
     if not isinstance(n, int) or n < 2 or n % 2:
         raise ValueError(f"order must be a positive even integer, got {n!r}")
     sign = -1 if comb(n // 2, 2) & 1 else 1
-    product = 1
-    for i in range(n // 2):
-        product *= comb(n - 1, i)
-    return sign * product
+    return sign * prod(comb(n - 1, i) for i in range(n // 2))
 
 
 def torelli_spec(n: int) -> SkewSpec:

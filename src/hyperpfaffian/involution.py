@@ -35,7 +35,7 @@ from .combinat import (
     tiling_sign,
 )
 from .hpf import SkewSpec
-from .poly import Polynomial, Scalar, accumulate, check_integers, field_width, render, unpack
+from .poly import Polynomial, Scalar, accumulate, check_integers
 
 
 @dataclass(frozen=True)
@@ -90,12 +90,9 @@ class WeightedOrientedPartition:
     def sign(self) -> int:
         return oriented_sign(self.blocks)
 
-    def weight_exponents(self) -> tuple[tuple[int, int], ...]:
-        """Monomial key of x_element^weight over all elements (zeros dropped)."""
-        return tuple((e, w) for e, w in enumerate(self.weight_of, start=1) if w)
-
     def weight_monomial(self) -> Polynomial:
-        return Polynomial({self.weight_exponents(): 1})
+        """x_element^weight over all elements, fixed by ``weight_of``."""
+        return Polynomial.monomial(dict(enumerate(self.weight_of, 1)))
 
     def coefficient(self, spec: SkewSpec) -> Scalar:
         """Product of the spec coefficients of the weight vectors (0 if any
@@ -207,16 +204,14 @@ def check_involution(spec: SkewSpec) -> InvolutionCheck:
             f"weighted expansion needs degree k/2*(n-1) = {spec.full_degree}, got {spec.degree}"
         )
     n, k = spec.n, spec.k
-    width = field_width(spec.degree)  # monomials packed as in poly; no weight exceeds the degree
     counts = [0, 0]  # repeated, distinct
-    sums: tuple[dict, dict] = ({}, {})
+    sums: tuple[dict, dict] = ({}, {})  # keyed by weight_of, which fixes the monomial
     factorizations = set()
     failure = None
     for wop in weighted_oriented_partitions(n, k):
         is_distinct = has_distinct_weights(wop)
         counts[is_distinct] += 1
-        key = sum(w << width * i for i, w in enumerate(wop.weight_of))
-        accumulate(sums[is_distinct], [(key, wop.coefficient(spec) * wop.sign)])
+        accumulate(sums[is_distinct], [(wop.weight_of, wop.coefficient(spec) * wop.sign)])
         if failure is not None:
             continue
         if is_distinct:
@@ -233,16 +228,17 @@ def check_involution(spec: SkewSpec) -> InvolutionCheck:
             or has_distinct_weights(image)
             or pairing_involution(image) != wop
             or image.sign != -wop.sign
-            or image.weight_exponents() != wop.weight_exponents()
+            or image.weight_of != wop.weight_of
             or image.coefficient(spec) != wop.coefficient(spec)
         ):
             failure = f"pairing involution misbehaves on {wop}"
     repeated, distinct = counts
     tilings = sum(1 for _ in composition_tilings(n, k))
-    repeated_sum, distinct_sum = (unpack(terms, width) for terms in sums)
+    repeated_sum, distinct_sum = (Polynomial({tuple(enumerate(w, 1)): c for w, c in terms.items()})
+                                  for terms in sums)
     expected = factorial(n) * tilings
     if failure is None and (repeated_sum or distinct != expected or len(factorizations) != distinct):
-        failure = (f"repeated-weight sum {render(repeated_sum)}, "
+        failure = (f"repeated-weight sum {repeated_sum}, "
                    f"distinct count {distinct} vs n! * tilings = {expected}")
     return InvolutionCheck(repeated + distinct, repeated, distinct, tilings,
                            repeated_sum, distinct_sum, failure)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 from typing import Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -296,21 +297,29 @@ def div_exact(value: Scalar | Polynomial, divisor: int):
     return _div_scalar(value, divisor)
 
 
-@lru_cache(maxsize=None, typed=True)  # typed, so a cached order 1 does not answer True
-def vandermonde(n: int) -> Polynomial:
-    """The expanded product of ``x_j - x_i`` over all pairs 1 <= i < j <= n,
-    built as the Leibniz expansion of det[x_i^(j-1)]: the term
-    sign(s) * x_1^(s(1)-1) * ... * x_n^(s(n)-1) for each permutation s of [n].
-    So n! terms, all +1 or -1.  Cached; treat the result as immutable.
-    """
-    if not is_integer(n) or n < 1:
-        raise ValueError(f"vandermonde requires a positive integer order, got {n!r}")
-    level = [((), tuple(range(n)), 1)]  # (monomial in x_1..x_v, sorted unused exponents, sign)
-    for v in range(1, n + 1):
-        pair = [(v, e) for e in range(n)]  # one shared (variable, exponent) tuple, as in unpack
+def alternant(exponents: Sequence[int]) -> Polynomial:
+    """The Leibniz expansion of det[x_i^(e_j)] for strictly increasing
+    nonnegative ints e: sign(s) * x_1^(e_s(1)) * ... * x_m^(e_s(m)) for each
+    permutation s of [m], so m! terms, all +1 or -1."""
+    exponents = tuple(exponents)
+    if not all(map(is_integer, exponents)) or any(
+            a >= b for a, b in zip((-1,) + exponents, exponents)):
+        raise ValueError(f"exponents {exponents!r} are not strictly increasing nonnegative integers")
+    level = [((), exponents, 1)]  # (monomial in x_1..x_v, sorted unused exponents, sign)
+    for v in range(1, len(exponents) + 1):
+        pair = {e: (v, e) for e in exponents}  # one shared (variable, exponent) tuple, as in unpack
         level = [(mono + (pair[e],) if e else mono, left[:i] + left[i + 1:], -s if i & 1 else s)
                  for mono, left, s in level for i, e in enumerate(left)]  # left[i]: i inversions
     return Polynomial._raw({mono: s for mono, _, s in level})
+
+
+@lru_cache(maxsize=None, typed=True)  # typed, so a cached order 1 does not answer True
+def vandermonde(n: int) -> Polynomial:
+    """The expanded product of ``x_j - x_i`` over all pairs 1 <= i < j <= n,
+    the alternant det[x_i^(j-1)].  Cached; treat the result as immutable."""
+    if not is_integer(n) or n < 1:
+        raise ValueError(f"vandermonde requires a positive integer order, got {n!r}")
+    return alternant(range(n))
 
 
 # -- packed-exponent multiply-accumulate kernel -----------------------------
@@ -391,11 +400,7 @@ def addmul(acc: dict[int, Scalar], a: Mapping[int, Scalar], b: Mapping[int, Scal
 def vandermonde_at(values: Sequence[Scalar]) -> Scalar:
     """Evaluate the Vandermonde product at a point without expanding it."""
     check_point(values)
-    total: Scalar = 1
-    for j in range(1, len(values)):
-        for i in range(j):
-            total *= values[j] - values[i]
-    return total
+    return prod(values[j] - values[i] for j in range(1, len(values)) for i in range(j))
 
 
 # -- canonical text form ---------------------------------------------------

@@ -33,7 +33,7 @@ class Lcg:
     __slots__ = ("state",)
 
     def __init__(self, seed: int):
-        if not isinstance(seed, int):
+        if not is_integer(seed):
             raise ValueError(f"seed must be an integer, got {seed!r}")
         self.state = seed % self.MODULUS
 

@@ -402,6 +402,44 @@ class TestRefusalsAtEverySize:
         assert count is None
         assert log10_bound <= log10(increasing_composition_count(n, k)) + 1e-9
 
+    HUGE = "1" + "0" * 400  # an order whose sizes have a log10 beyond a float
+
+    @pytest.mark.parametrize("argv,order", [
+        (("verify", "--n", HUGE, "--k", "2"), f"n={HUGE}"),
+        (("verify", "--n", HUGE, "--k", "2", "--mode", "symbolic"), f"n={HUGE}"),
+        (("involution", "--n", HUGE, "--k", "2"), f"n={HUGE}, k=2"),
+        (("involution", "--n", HUGE, "--k", HUGE), f"n={HUGE}, k={HUGE}"),
+        (("coeffs", "--n", HUGE, "--k", "2"), f"n={HUGE}"),
+        (("torelli", "--n", HUGE), f"n={HUGE}"),
+        (("compose", "--k", "2", "--n", "2", "--p", HUGE), f"p={HUGE}"),
+    ], ids=["verify", "verify-symbolic", "involution", "involution-k-equals-n", "coeffs",
+            "torelli", "compose"])
+    def test_orders_beyond_a_float_refuse_at_once(self, capsys, argv, order):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out, err) == (2, "", f"error: refusing {order}: too large to size\n")
+
+    def test_compute_order_beyond_a_float_refuses_at_once(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(f'{{"n": {self.HUGE}, "k": 2, "terms": []}}', encoding="utf-8")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "compute", "--input", str(path), "--method", "theorem")
+        assert time.perf_counter() - start < 1
+        assert (code, out, err) == (2, "", f"error: refusing n={self.HUGE}: too large to size\n")
+
+    def test_validation_allocates_nothing_of_size_n(self, capsys):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            code, _, err = run(capsys, "verify", "--n", str(10**7), "--k", "2")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and err.startswith("error: refusing n=10000000:")
+        assert peak < 10 * 2**20
+
     @pytest.mark.parametrize("argv,error", [
         (("verify", "--n", "20", "--k", "0"),
          "error: block size k must be a positive even integer, got k=0\n"),
@@ -409,15 +447,27 @@ class TestRefusalsAtEverySize:
          "error: n must be a positive multiple of k, got n=15, k=2\n"),
         (("compose", "--k", "2", "--n", "-2", "--p", "10"),
          "error: n must be a positive even integer, got -2\n"),
-    ], ids=["verify-k-zero", "verify-indivisible", "compose-negative"])
+        (("verify", "--n", "0", "--k", "2"), "error: n must be a positive integer, got n=0\n"),
+        (("coeffs", "--n", "-2", "--k", "2"), "error: n must be a positive integer, got n=-2\n"),
+    ], ids=["verify-k-zero", "verify-indivisible", "compose-negative", "verify-zero",
+            "coeffs-negative"])
     def test_invalid_orders_are_named_before_the_guard(self, capsys, argv, error):
         assert run(capsys, *argv) == (2, "", error)
 
 
 class TestTraceContract:
     """perfbench/trace_op.py traces a verify op by wrapping, on the cli
-    module, each name in its VERIFY_CALLS; cmd_verify must call every one
-    of them through the cli module."""
+    module, each name in its VERIFY_CALLS; in each mode cmd_verify must call
+    through the cli module exactly the names perfbench/test_perfbench.py
+    pins as that mode's spans."""
+
+    MODE_CALLS = {
+        "symbolic": {"composition_tilings", "random_skew_spec", "skew_function_from_spec",
+                     "pf_definition", "pf_exterior", "pf_closed_form"},
+        "points": {"composition_tilings", "random_skew_spec", "theorem_coefficient",
+                   "random_point", "skew_function_from_spec_at", "pf_definition",
+                   "pf_exterior", "vandermonde_at"},
+    }
 
     def test_verify_calls_every_traced_name_on_cli(self, capsys, monkeypatch):
         import hyperpfaffian.cli as cli
@@ -430,6 +480,7 @@ class TestTraceContract:
             if isinstance(node, ast.Assign)
             and any(getattr(target, "id", None) == "VERIFY_CALLS" for target in node.targets)
         )
+        assert set().union(*self.MODE_CALLS.values()) == set(names)
         called = set()
 
         def traced(name, fn):
@@ -440,11 +491,12 @@ class TestTraceContract:
 
         for name in names:
             monkeypatch.setattr(cli, name, traced(name, getattr(cli, name)))
-        for mode in ("symbolic", "points"):
+        for mode, expected in self.MODE_CALLS.items():
+            called.clear()
             code, _, _ = run(capsys, "verify", "--n", "4", "--k", "2", "--trials", "1",
                              "--mode", mode)
             assert code == 0
-        assert called == set(names)
+            assert called == expected, mode
 
 
 class TestForceFlag:

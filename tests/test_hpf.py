@@ -432,6 +432,10 @@ class TestPointEvaluation:
         with pytest.raises(ValueError, match=re.escape(message)):
             random_point(n, Lcg(1))
 
+    def test_lcg_refuses_a_bool_seed(self):
+        with pytest.raises(ValueError, match="seed must be an integer, got True"):
+            Lcg(True)
+
     def test_random_point_refuses_more_than_201_coordinates(self, monkeypatch):
         def no_draw(rng, low, high):  # fail instead of redrawing forever
             raise AssertionError("a coordinate was drawn for an impossible point")

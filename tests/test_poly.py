@@ -11,6 +11,7 @@ from hyperpfaffian.combinat import inversion_sign
 from hyperpfaffian.poly import (
     Polynomial,
     addmul,
+    alternant,
     degree,
     div_exact,
     field_width,
@@ -44,6 +45,19 @@ def vandermonde_by_binomials(n):
     one by one with ``Polynomial.__mul__``."""
     factors = [x(j) - x(i) for j in range(2, n + 1) for i in range(1, j)]
     return reduce(lambda p, q: p * q, factors, Polynomial.one())
+
+
+def alternant_by_permutations(exponents):
+    """Independent oracle: the signed sum over the orders of the exponents,
+    x_1^(e_s(1)) * ... * x_m^(e_s(m)) with the sign of the order s."""
+    m = len(exponents)
+    total = Polynomial.zero()
+    for order in permutations(range(m)):
+        total += Polynomial.monomial(
+            {position + 1: exponents[order[position]] for position in range(m)},
+            inversion_sign(order),
+        )
+    return total
 
 
 def schoolbook_product(a, b):
@@ -393,6 +407,29 @@ class TestVandermonde:
         message = "vandermonde requires a positive integer order, got True"
         with pytest.raises(ValueError, match=re.escape(message)):
             vandermonde(True)
+
+
+class TestAlternant:
+    @pytest.mark.parametrize("exponents", [
+        (0,), (3,), (0, 1), (2, 5), (0, 2, 3), (1, 4, 6), (0, 1, 5, 7), (2, 3, 4, 9),
+        (0, 2, 3, 6, 8), (1, 2, 4, 7, 8), (0, 1, 3, 4, 6, 9), (1, 2, 3, 5, 8, 13),
+    ])
+    def test_matches_signed_sum_over_permutations(self, exponents):
+        expected = alternant_by_permutations(exponents)
+        assert alternant(exponents) == expected
+        assert len(alternant(exponents).terms) == factorial(len(exponents))
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_range_is_the_vandermonde_product(self, n):
+        assert alternant(range(n)) == vandermonde_by_binomials(n)
+
+    @pytest.mark.parametrize("exponents", [
+        (1, 1), (0, 3, 2), (-1, 2), (0, 1.0), (True, 2),
+    ], ids=["repeated", "decreasing", "negative", "float", "bool"])
+    def test_refuses_exponents_that_are_not_strictly_increasing_naturals(self, exponents):
+        message = f"exponents {exponents!r} are not strictly increasing nonnegative integers"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            alternant(exponents)
 
 
 class TestEvaluation:
