@@ -25,7 +25,6 @@ from .exterior import ExteriorElement, merge_sign
 from .hpf import (
     SkewFunction,
     SkewSpec,
-    instantiate,
     pf_closed_form,
     pf_definition,
     pf_exterior,
@@ -82,7 +81,6 @@ __all__ = [
     "equal_block_partitions",
     "has_distinct_weights",
     "increasing_compositions",
-    "instantiate",
     "inversion_sign",
     "merge_sign",
     "oriented_partitions",

@@ -43,6 +43,7 @@ from .combinat import (
 from .compose import check_orders, verify_composition
 from .hpf import (
     SkewSpec,
+    check_torelli_order,
     pf_closed_form,
     pf_definition,
     pf_exterior,
@@ -100,7 +101,7 @@ def load_spec_file(path: str) -> SkewSpec:
             document = json.load(handle)
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ValueError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(document, dict):
         raise ValueError(f"{path}: spec file must contain a JSON object")
@@ -312,6 +313,7 @@ def cmd_coeffs(args) -> int:
 
 def cmd_torelli(args) -> int:
     n = args.n
+    check_torelli_order(n)
     if n > MAX_TORELLI_N and not args.force:
         with _sizing(f"n={n}"):
             return _refuse(
@@ -366,6 +368,8 @@ def cmd_involution(args) -> int:
 
 def cmd_compose(args) -> int:
     k, n, p = args.k, args.n, args.p
+    if args.trials < 1:
+        return _refuse("--trials must be positive")
     check_orders(k, n, p)
     if p > MAX_COMPOSE_P and not args.force:
         with _sizing(f"p={p}"):
@@ -373,7 +377,6 @@ def cmd_compose(args) -> int:
                 f"refusing p={p}: the outer sum runs over {_partition_count(p, n)} partitions "
                 f"with C({p},{n}) inner hyperpfaffians; pass --force to override"
             )
-    constant = None
     for trial in range(args.trials):
         rng = Lcg(args.seed + trial)
         f = random_skew_function(p, k, rng)
@@ -462,6 +465,9 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:
         print(f"error: internal: {exc}", file=sys.stderr)
         return 1
+    except RecursionError as exc:  # the enumerators recurse once per block or part
+        print(f"error: too large to enumerate: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

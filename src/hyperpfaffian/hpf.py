@@ -186,37 +186,24 @@ class SkewFunction:
         return value if sign > 0 else -value
 
 
-def skew_expand(spec: SkewSpec) -> Polynomial:
-    """The full k-variable polynomial: the sum over the spec of a_r times
-    the alternant det[x_i^(r_j)], each monomial antisymmetrized over all k!
-    argument orders.
-
-    Different tuples r are different sets of exponents, so their alternants
-    share no monomial and the result has exactly k! * len(coeffs) terms.
-    """
+def _spec_value(spec: SkewSpec, block: Sequence[int]) -> Polynomial:
+    """The spec's polynomial on the variables of a block B: the sum over the
+    spec of a_r times the alternant det[x_(B_i)^(r_j)].  Different tuples r
+    are different sets of exponents, so their alternants share no monomial."""
     return Polynomial._raw({mono: sign * a for r, a in spec.coeffs.items()
-                            for mono, sign in alternant(r).terms.items()})
+                            for mono, sign in alternant(r, block).terms.items()})
 
 
-def instantiate(p: Polynomial, block: Sequence[int]) -> Polynomial:
-    """Substitute x_j -> x_{block[j-1]}: the polynomial on a block's variables."""
-    width = len(block)
-    high = [v for v in p.variables() if v > width]
-    if high:
-        raise ValueError(
-            f"polynomial uses variable x{max(high)} but the block has only {width} slots"
-        )
-    return p.map_variables({j + 1: block[j] for j in range(width)})
+def skew_expand(spec: SkewSpec) -> Polynomial:
+    """The full polynomial on x_1..x_k, with exactly k! * len(coeffs) terms:
+    each monomial of the spec antisymmetrized over all k! argument orders."""
+    return _spec_value(spec, range(1, spec.k + 1))
 
 
 def skew_function_from_spec(spec: SkewSpec) -> SkewFunction:
     """Materialize a spec's polynomial values on all sorted k-subsets of [n]."""
-    expanded = skew_expand(spec)
-    values = {
-        subset: instantiate(expanded, subset)
-        for subset in combinations(range(1, spec.n + 1), spec.k)
-    }
-    return SkewFunction(spec.n, spec.k, values)
+    blocks = combinations(range(1, spec.n + 1), spec.k)
+    return SkewFunction(spec.n, spec.k, {block: _spec_value(spec, block) for block in blocks})
 
 
 def skew_function_from_spec_at(spec: SkewSpec, point: Sequence[Scalar]) -> SkewFunction:
@@ -331,19 +318,23 @@ def pf_closed_form(spec: SkewSpec) -> Polynomial:
     return theorem_coefficient(spec) * vandermonde(spec.n)
 
 
+def check_torelli_order(n: int) -> None:
+    """Refuse an order that is not a positive even int, naming it."""
+    if not is_integer(n) or n < 2 or n % 2:
+        raise ValueError(f"order must be a positive even integer, got {n!r}")
+
+
 def torelli_constant(n: int) -> int:
     """The order-n Pfaffian of (y - x)^(n-1) divided by the Vandermonde
     product: a signed product of the first n/2 binomial coefficients."""
-    if not isinstance(n, int) or n < 2 or n % 2:
-        raise ValueError(f"order must be a positive even integer, got {n!r}")
+    check_torelli_order(n)
     sign = -1 if comb(n // 2, 2) & 1 else 1
     return sign * prod(comb(n - 1, i) for i in range(n // 2))
 
 
 def torelli_spec(n: int) -> SkewSpec:
     """The binomial coefficient spec of f(x, y) = (y - x)^(n-1)."""
-    if not isinstance(n, int) or n < 2 or n % 2:
-        raise ValueError(f"order must be a positive even integer, got {n!r}")
+    check_torelli_order(n)
     coeffs = {
         (i, n - 1 - i): (-1) ** i * comb(n - 1, i)
         for i in range(n // 2)

@@ -297,16 +297,21 @@ def div_exact(value: Scalar | Polynomial, divisor: int):
     return _div_scalar(value, divisor)
 
 
-def alternant(exponents: Sequence[int]) -> Polynomial:
-    """The Leibniz expansion of det[x_i^(e_j)] for strictly increasing
-    nonnegative ints e: sign(s) * x_1^(e_s(1)) * ... * x_m^(e_s(m)) for each
+def alternant(exponents: Sequence[int], variables: Sequence[int] | None = None) -> Polynomial:
+    """The Leibniz expansion of det[x_(v_i)^(e_j)] for strictly increasing
+    nonnegative ints e on strictly increasing positive ints v, by default
+    1..m: sign(s) * x_(v_1)^(e_s(1)) * ... * x_(v_m)^(e_s(m)) for each
     permutation s of [m], so m! terms, all +1 or -1."""
     exponents = tuple(exponents)
-    if not all(map(is_integer, exponents)) or any(
-            a >= b for a, b in zip((-1,) + exponents, exponents)):
+    variables = tuple(range(1, len(exponents) + 1) if variables is None else variables)
+    if not all(is_integer(b) and a < b for a, b in zip((-1,) + exponents, exponents)):
         raise ValueError(f"exponents {exponents!r} are not strictly increasing nonnegative integers")
-    level = [((), exponents, 1)]  # (monomial in x_1..x_v, sorted unused exponents, sign)
-    for v in range(1, len(exponents) + 1):
+    if len(variables) != len(exponents) or not all(
+            is_integer(b) and a < b for a, b in zip((0,) + variables, variables)):
+        raise ValueError(f"variables {variables!r} are not {len(exponents)} strictly increasing "
+                         f"positive integers")
+    level = [((), exponents, 1)]  # (monomial in the first variables, sorted unused exponents, sign)
+    for v in variables:
         pair = {e: (v, e) for e in exponents}  # one shared (variable, exponent) tuple, as in unpack
         level = [(mono + (pair[e],) if e else mono, left[:i] + left[i + 1:], -s if i & 1 else s)
                  for mono, left, s in level for i, e in enumerate(left)]  # left[i]: i inversions

@@ -1,5 +1,8 @@
 import ast
 import json
+import os
+import subprocess
+import sys
 import time
 from math import factorial, floor, log10
 from pathlib import Path
@@ -343,6 +346,12 @@ class TestCompose:
         assert code == 2
         assert "--force" in err
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trials_must_be_positive(self, capsys, trials):
+        code, out, err = run(capsys, "compose", "--k", "2", "--n", "2", "--p", "4",
+                             "--trials", trials)
+        assert (code, out, err) == (2, "", "error: --trials must be positive\n")
+
 
 class TestRefusalsAtEverySize:
     """A refusal names the size it refuses, exactly while the size fits the
@@ -449,10 +458,50 @@ class TestRefusalsAtEverySize:
          "error: n must be a positive even integer, got -2\n"),
         (("verify", "--n", "0", "--k", "2"), "error: n must be a positive integer, got n=0\n"),
         (("coeffs", "--n", "-2", "--k", "2"), "error: n must be a positive integer, got n=-2\n"),
+        (("torelli", "--n", "9"), "error: order must be a positive even integer, got 9\n"),
     ], ids=["verify-k-zero", "verify-indivisible", "compose-negative", "verify-zero",
-            "coeffs-negative"])
+            "coeffs-negative", "torelli-odd"])
     def test_invalid_orders_are_named_before_the_guard(self, capsys, argv, error):
         assert run(capsys, *argv) == (2, "", error)
+
+
+class TestTooDeep:
+    """Input that nests or recurses past Python's recursion limit ends in
+    one error line and exit 2, not a traceback."""
+
+    def test_spec_file_nested_too_deep_is_invalid_json(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000, encoding="utf-8")
+        code, out, err = run(capsys, "compute", "--input", str(path), "--method", "theorem")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: invalid JSON: maximum recursion depth exceeded")
+        assert err.count("\n") == 1
+
+    def test_coeffs_beyond_the_recursion_limit(self, capsys):
+        code, out, err = run(capsys, "coeffs", "--n", "2400", "--k", "2", "--force")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: too large to enumerate: maximum recursion depth exceeded")
+        assert err.count("\n") == 1
+
+
+class TestModuleEntryPoint:
+    """``python -m hyperpfaffian.cli`` exits with the code ``main`` returns."""
+
+    @staticmethod
+    def run_module(*argv):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+        done = subprocess.run([sys.executable, "-m", "hyperpfaffian.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        return done.returncode, done.stdout, done.stderr
+
+    def test_exit_codes_and_output(self):
+        assert self.run_module("coeffs", "--n", "4", "--k", "2") == (
+            0, "+ a_{0,3} a_{1,2}\n1 term (1 positive, 0 negative)\n", "")
+        code, out, err = self.run_module("verify", "--n", "3", "--k", "2")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestTraceContract:

@@ -10,7 +10,6 @@ from hyperpfaffian.combinat import increasing_compositions_summing, permutation_
 from hyperpfaffian.hpf import (
     SkewFunction,
     SkewSpec,
-    instantiate,
     pf_closed_form,
     pf_definition,
     pf_exterior,
@@ -123,20 +122,34 @@ class TestSkewExpand:
             assert expanded.map_variables(swap) == -expanded
 
 
-class TestInstantiate:
-    def test_relabeling(self):
-        assert instantiate(x(2) - x(1), (3, 7)) == x(7) - x(3)
+def expand_and_rename(spec):
+    """The spec values as an oracle builds them: the expansion on x_1..x_k,
+    renamed onto each sorted k-subset with map_variables."""
+    expanded = skew_expand(spec)
+    return {block: expanded.map_variables(dict(enumerate(block, start=1)))
+            for block in combinations(range(1, spec.n + 1), spec.k)}
 
-    def test_identity_block(self):
-        assert instantiate(x(2) - x(1), (1, 2)) == x(2) - x(1)
 
-    def test_binomial_block(self):
-        f = skew_expand(torelli_spec(4))
-        assert instantiate(f, (2, 4)) == (x(4) - x(2)) ** 3
+SPEC_VALUE_CASES = {
+    **{f"{n}-{k}": random_skew_spec(n, k, Lcg(n * 10 + k))
+       for n, k in [(2, 2), (4, 2), (6, 2), (8, 2), (4, 4), (8, 4), (6, 6)]},
+    "fraction-coefficients": SkewSpec(6, 2, {(0, 5): Fraction(3, 2), (1, 4): -2,
+                                             (2, 3): Fraction(-5, 7)}),
+    "below-full-degree": SkewSpec(6, 2, {(0, 3): 2, (1, 2): -5}, degree=3),
+    "empty": SkewSpec(6, 4, {}),
+    "binomial": torelli_spec(4),
+}
 
-    def test_wrong_size_block(self):
-        with pytest.raises(ValueError):
-            instantiate(x(2) - x(1), (5,))
+
+class TestSpecValues:
+    @pytest.mark.parametrize("case", SPEC_VALUE_CASES)
+    def test_matches_the_expand_and_rename_oracle(self, case):
+        spec = SPEC_VALUE_CASES[case]
+        values = skew_function_from_spec(spec).values
+        oracle = expand_and_rename(spec)
+        assert list(values) == list(oracle)
+        for block, value in values.items():
+            assert list(value.terms.items()) == list(oracle[block].terms.items()), block
 
 
 class TestSkewFunction:
@@ -435,6 +448,18 @@ class TestPointEvaluation:
     def test_lcg_refuses_a_bool_seed(self):
         with pytest.raises(ValueError, match="seed must be an integer, got True"):
             Lcg(True)
+
+    @pytest.mark.parametrize("draw,message", [
+        (lambda rng: rng.below(2.5), "bound must be an integer in 1..65536, got 2.5"),
+        (lambda rng: rng.below(True), "bound must be an integer in 1..65536, got True"),
+        (lambda rng: rng.int_between(-100, 100.0), "bound 100.0 is not an integer"),
+        (lambda rng: rng.int_between(True, 3), "bound True is not an integer"),
+    ], ids=["below-float", "below-bool", "int-between-float", "int-between-bool"])
+    def test_lcg_refuses_a_bound_that_is_not_an_int(self, draw, message):
+        rng = Lcg(1)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            draw(rng)
+        assert rng.state == 1  # nothing was drawn
 
     def test_random_point_refuses_more_than_201_coordinates(self, monkeypatch):
         def no_draw(rng, low, high):  # fail instead of redrawing forever

@@ -47,14 +47,16 @@ def vandermonde_by_binomials(n):
     return reduce(lambda p, q: p * q, factors, Polynomial.one())
 
 
-def alternant_by_permutations(exponents):
+def alternant_by_permutations(exponents, variables=None):
     """Independent oracle: the signed sum over the orders of the exponents,
-    x_1^(e_s(1)) * ... * x_m^(e_s(m)) with the sign of the order s."""
+    x_(v_1)^(e_s(1)) * ... * x_(v_m)^(e_s(m)) with the sign of the order s,
+    on the variables v (by default 1..m)."""
     m = len(exponents)
+    variables = variables or range(1, m + 1)
     total = Polynomial.zero()
     for order in permutations(range(m)):
         total += Polynomial.monomial(
-            {position + 1: exponents[order[position]] for position in range(m)},
+            {variables[position]: exponents[order[position]] for position in range(m)},
             inversion_sign(order),
         )
     return total
@@ -430,6 +432,30 @@ class TestAlternant:
         message = f"exponents {exponents!r} are not strictly increasing nonnegative integers"
         with pytest.raises(ValueError, match=re.escape(message)):
             alternant(exponents)
+
+    @pytest.mark.parametrize("exponents,variables", [
+        ((3,), (5,)), ((0, 1), (2, 7)), ((2, 5), (1, 2)), ((1, 4, 6), (1, 3, 4)),
+        ((0, 2, 3), (4, 5, 9)), ((0, 1, 5, 7), (2, 5, 6, 9)), ((1, 2, 4, 7, 8), (3, 4, 6, 7, 11)),
+    ])
+    def test_on_given_variables(self, exponents, variables):
+        on_block = alternant(exponents, variables)
+        assert on_block == alternant_by_permutations(exponents, variables)
+        renamed = alternant(exponents).map_variables(dict(enumerate(variables, start=1)))
+        assert list(on_block.terms.items()) == list(renamed.terms.items())
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_default_variables_are_one_to_m(self, m):
+        exponents = tuple(range(1, 2 * m, 2))
+        explicit = alternant(exponents, range(1, m + 1))
+        assert list(alternant(exponents).terms.items()) == list(explicit.terms.items())
+
+    @pytest.mark.parametrize("variables", [
+        (2, 1), (3, 3), (0, 1), (-1, 2), (1, 2.0), (True, 2), (1,), (1, 2, 3),
+    ], ids=["decreasing", "repeated", "zero", "negative", "float", "bool", "short", "long"])
+    def test_refuses_variables_that_are_not_strictly_increasing_positive(self, variables):
+        message = f"variables {variables!r} are not 2 strictly increasing positive integers"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            alternant((0, 1), variables)
 
 
 class TestEvaluation:
