@@ -16,9 +16,9 @@ The three routes:
 
 * :func:`pf_definition` -- the signed sum over equal-block partitions of
   the products of block values;
-* :func:`pf_exterior` -- the coefficient of the full wedge in the
-  (n/k)-th wedge power of the subset-weighted generator sum, divided
-  exactly by (n/k)!;
+* :func:`pf_exterior` -- the top coefficient of E1 ^ R^(n/k-1), divided
+  exactly by (n/k-1)!, where E1 holds the subsets with 1 of the
+  subset-weighted generator sum E = E1 + R;
 * :func:`pf_closed_form` -- for a SkewSpec of full degree k/2*(n-1), the
   closed form: a signed sum of coefficient products over composition
   tilings times the Vandermonde product.
@@ -40,11 +40,10 @@ from .combinat import (
     signed_equal_block_partitions,
     tiling_sign,
 )
-from .exterior import ExteriorElement
+from .exterior import ExteriorElement, merge_sign
 from .poly import (
     Polynomial,
     Scalar,
-    addmul,
     alternant,
     check_integers,
     check_point,
@@ -54,7 +53,7 @@ from .poly import (
     is_integer,
     is_scalar,
     pack,
-    unpack,
+    sum_by_low_exponent,
     vandermonde,
 )
 
@@ -266,7 +265,7 @@ def skew_function_at(f: SkewFunction, point: Sequence[Scalar]) -> SkewFunction:
 
 def pf_definition(f: SkewFunction) -> Value:
     """Hyperpfaffian as the signed sum over equal-block partitions of the
-    products of block values."""
+    products of block values, summed per exponent of x1 in the block with 1."""
     values = f.values
     if not any(isinstance(v, Polynomial) for v in values.values()):
         return sum(sign * prod(map(values.__getitem__, blocks))
@@ -275,30 +274,32 @@ def pf_definition(f: SkewFunction) -> Value:
     # block degree, which bounds every exponent of every partial product.
     width = field_width(f.n // f.k * max(map(degree, values.values())))
     packed = {block: pack(value, width) for block, value in values.items()}
-    acc: dict[int, Scalar] = {}
-    for sign, blocks in signed_equal_block_partitions(f.n, f.k):
-        term = {0: 1}
-        for block in blocks[:-1]:
-            product: dict[int, Scalar] = {}
-            addmul(product, term, packed[block])
-            term = product
-        addmul(acc, term, packed[blocks[-1]], sign)
-    return unpack(acc, width)
+    # the enumerator puts the block holding 1 first
+    terms = [(sign, blocks[0], [packed[block] for block in blocks[1:]] or [{0: 1}])
+             for sign, blocks in signed_equal_block_partitions(f.n, f.k)]
+    return sum_by_low_exponent({b: p for b, p in packed.items() if b[0] == 1}, width, terms)
 
 
 def pf_exterior(f: SkewFunction) -> Value:
-    """Hyperpfaffian extracted from the (n/k)-th wedge power of the
-    subset-weighted generator sum; the division by (n/k)! must be exact."""
+    """Hyperpfaffian from wedge powers of E = E1 + R, where E1 holds the subsets
+    with 1.  E1 ^ E1 = 0 and even grades commute, so E^m = R^m + m E1 ^ R^(m-1)
+    for m = n/k, and R^m has no top coefficient: top(E^m) / m! is the exact
+    top(E1 ^ R^(m-1)) / (m-1)!, one product per subset with 1 and its complement."""
     blocks = f.n // f.k
     if f.n % f.k:
         raise ValueError(f"arity {f.k} does not divide order {f.n}")
-    element = ExteriorElement.from_subset_values(f.n, f.values)
-    top = element.wedge_power(blocks).top_coefficient()
-    if not isinstance(top, Polynomial) and any(
-        isinstance(v, Polynomial) for v in f.values.values()
-    ):
-        top = Polynomial.constant(top)
-    return div_exact(top, factorial(blocks))
+    table = ExteriorElement.from_subset_values(f.n, f.values).table
+    first = {mask: value for mask, value in table.items() if mask & 1}
+    rest = ExteriorElement(f.n, {mask: value for mask, value in table.items() if not mask & 1})
+    power = rest.wedge_power(blocks - 1).table
+    pairs = [(merge_sign(s, t), s, t) for s in first if (t := s ^ ((1 << f.n) - 1)) in power]
+    if any(isinstance(v, Polynomial) for v in f.values.values()):
+        width = field_width(blocks * max(map(degree, f.values.values())))  # as in pf_definition
+        top = sum_by_low_exponent({s: pack(value, width) for s, value in first.items()}, width,
+                                  [(sign, s, [pack(power[t], width)]) for sign, s, t in pairs])
+    else:
+        top = sum(sign * first[s] * power[t] for sign, s, t in pairs)
+    return div_exact(top, factorial(blocks - 1))
 
 
 def theorem_coefficient(spec: SkewSpec) -> Scalar:

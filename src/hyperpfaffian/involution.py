@@ -234,8 +234,8 @@ def check_involution(spec: SkewSpec) -> InvolutionCheck:
             failure = f"pairing involution misbehaves on {wop}"
     repeated, distinct = counts
     tilings = sum(1 for _ in composition_tilings(n, k))
-    repeated_sum, distinct_sum = (Polynomial({tuple(enumerate(w, 1)): c for w, c in terms.items()})
-                                  for terms in sums)
+    repeated_sum, distinct_sum = (Polynomial({tuple(p for p in enumerate(w, 1) if p[1]): c
+                                              for w, c in terms.items()}) for terms in sums)
     expected = factorial(n) * tilings
     if failure is None and (repeated_sum or distinct != expected or len(factorizations) != distinct):
         failure = (f"repeated-weight sum {repeated_sum}, "

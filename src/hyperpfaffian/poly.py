@@ -19,6 +19,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations
 from math import prod
 from typing import Mapping, Sequence, Union
 
@@ -83,12 +84,13 @@ def _check_pairs(pairs) -> None:
 def _monomial(pairs) -> Monomial:
     """The canonical key of the product of ``(variable, exponent)`` pairs:
     exponents of a repeated variable added, zero exponents dropped, sorted
-    by variable."""
+    by variable.  A canonical key is returned as it is, not copied."""
     exps: dict[int, int] = {}
     get = exps.get
     for var, exp in pairs:
         exps[var] = get(var, 0) + exp
-    return tuple(sorted([pair for pair in exps.items() if pair[1]]))
+    key = tuple(sorted([pair for pair in exps.items() if pair[1]]))
+    return pairs if key == pairs else key
 
 
 class Polynomial:
@@ -310,12 +312,12 @@ def alternant(exponents: Sequence[int], variables: Sequence[int] | None = None) 
             is_integer(b) and a < b for a, b in zip((0,) + variables, variables)):
         raise ValueError(f"variables {variables!r} are not {len(exponents)} strictly increasing "
                          f"positive integers")
-    level = [((), exponents, 1)]  # (monomial in the first variables, sorted unused exponents, sign)
-    for v in variables:
-        pair = {e: (v, e) for e in exponents}  # one shared (variable, exponent) tuple, as in unpack
-        level = [(mono + (pair[e],) if e else mono, left[:i] + left[i + 1:], -s if i & 1 else s)
-                 for mono, left, s in level for i, e in enumerate(left)]  # left[i]: i inversions
-    return Polynomial._raw({mono: s for mono, _, s in level})
+    signs = [1]  # lexicographic permutations: the d-th smallest exponent next adds d inversions
+    for size in range(2, len(exponents) + 1):
+        signs = [-s if d & 1 else s for d in range(size) for s in signs]
+    pairs = [{e: (v, e) if e else None for e in exponents} for v in variables]  # shared tuples
+    return Polynomial._raw({tuple(filter(None, map(dict.__getitem__, pairs, perm))): s
+                            for perm, s in zip(permutations(exponents), signs)})
 
 
 @lru_cache(maxsize=None, typed=True)  # typed, so a cached order 1 does not answer True
@@ -400,6 +402,30 @@ def addmul(acc: dict[int, Scalar], a: Mapping[int, Scalar], b: Mapping[int, Scal
                 acc[key] = coeff
             else:
                 del acc[key]
+
+
+def sum_by_low_exponent(values: Mapping, width: int, terms) -> Polynomial:
+    """Sum sign * values[key] * f_1 * ... * f_r over the (sign, key, [f_1, ...,
+    f_r]) of ``terms``, all packed (the f_i once, for every class), one
+    exponent c of x1 in ``values`` at a time.  Classes are added with
+    cancellation: they share no monomial only if x1 occurs in no f_i."""
+    mask = (1 << width) - 1  # x1 is the low field
+    classes: dict[int, dict] = {}
+    for key, packed in values.items():
+        for mono, coeff in packed.items():
+            classes.setdefault(mono & mask, {}).setdefault(key, {})[mono] = coeff
+    result: dict[int, Scalar] = {}
+    for c in sorted(classes):
+        acc: dict[int, Scalar] = {}
+        for sign, key, factors in terms:
+            term = classes[c].get(key, {})
+            for factor in factors[:-1]:
+                product: dict[int, Scalar] = {}
+                addmul(product, term, factor)
+                term = product
+            addmul(acc, term, factors[-1], sign)
+        accumulate(result, acc.items())
+    return unpack(result, width)
 
 
 def vandermonde_at(values: Sequence[Scalar]) -> Scalar:

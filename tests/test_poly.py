@@ -18,6 +18,7 @@ from hyperpfaffian.poly import (
     pack,
     parse_polynomial,
     render,
+    sum_by_low_exponent,
     unpack,
     vandermonde,
     vandermonde_at,
@@ -252,6 +253,14 @@ class TestMonomialKeys:
             self.assert_canonical(product)
             assert product.evaluate(point) == p.evaluate(point) * q.evaluate(point)
 
+    def test_constructor_keeps_a_canonical_key_object(self):
+        key = ((1, 2), (3, 1))
+        (stored,) = Polynomial({key: 5}).terms
+        assert stored is key
+        # any other key is rebuilt, and coinciding keys are summed
+        p = Polynomial({((3, 1), (1, 2)): 1, ((1, 2), (2, 0), (3, 1)): 2, key: 3})
+        assert p.terms == {key: 6}
+
     def test_non_injective_renaming_cancels(self):
         p = x(1) ** 2 * x(2) - x(1) * x(2) ** 2 + 3 * x(3)
         renamed = p.map_variables({1: 2})
@@ -341,6 +350,27 @@ class TestPackedKernel:
         assert ((x(1) + x(2)) * (x(1) - x(2))).terms == {((1, 2),): 1, ((2, 2),): -1}
         a, b = x(1) ** 2 + x(1) * x(2) + x(2) ** 2, x(1) - x(2)
         assert (a * b).terms == {((1, 3),): 1, ((2, 3),): -1}
+
+    def test_sum_by_low_exponent_is_the_sum_of_the_products(self):
+        rng = random.Random(1408)
+        for _ in range(30):
+            values = {key: random_polynomial(rng, max_vars=3, max_terms=5) for key in "abc"}
+            chains = [(rng.choice([1, -1, 3]), rng.choice("abc"),
+                       [random_polynomial(rng, max_vars=3) for _ in range(rng.randint(1, 3))])
+                      for _ in range(4)]
+            width = field_width(4 * 9)  # four factors of total degree at most 9
+            terms = [(sign, key, [pack(p, width) for p in chain]) for sign, key, chain in chains]
+            expected = sum((sign * reduce(schoolbook_product, chain, values[key])
+                            for sign, key, chain in chains), Polynomial.zero())
+            packed = {key: pack(value, width) for key, value in values.items()}
+            assert sum_by_low_exponent(packed, width, terms) == expected
+
+    def test_sum_by_low_exponent_adds_classes_that_share_monomials(self):
+        # x1 occurs in the factor too, so the x1*x2 terms of classes 0 and 1 cancel
+        width = field_width(2)
+        values = {"a": pack(x(1) + x(2), width)}
+        result = sum_by_low_exponent(values, width, [(1, "a", [pack(x(1) - x(2), width)])])
+        assert result.terms == {((1, 2),): 1, ((2, 2),): -1}
 
     def test_round_trip_keeps_monomials_canonical(self):
         rng = random.Random(41)

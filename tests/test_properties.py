@@ -2,9 +2,10 @@
 and exterior arithmetic, the render/parse round trip, and the weighted
 oriented partition sum against the partition-sum hyperpfaffian; for the
 spec-at-point evaluator against the symbolic values; for the
-partition-sum route against the exterior route on rational values; for
-the wedge product's associativity and graded commutativity, and its
-square against the product with a copy; for the
+partition-sum route against the exterior route on rational values and on
+polynomial values that all hold x1; for the top coefficient of a wedge
+power taken along element 1; for the wedge product's associativity and
+graded commutativity, and its square against the product with a copy; for the
 partition sum being of degree one in each block value; and for the
 relabeling sign law on the partition-sum and exterior routes and the
 closed form.
@@ -15,13 +16,18 @@ written.
 """
 
 from itertools import combinations
+from math import prod
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from hyperpfaffian.combinat import increasing_compositions, permutation_sign  # noqa: E402
+from hyperpfaffian.combinat import (  # noqa: E402
+    increasing_compositions,
+    permutation_sign,
+    signed_equal_block_partitions,
+)
 from hyperpfaffian.exterior import ExteriorElement  # noqa: E402
 from hyperpfaffian.hpf import (  # noqa: E402
     SkewFunction,
@@ -148,6 +154,26 @@ def test_square_matches_the_product_with_a_copy(values):
     check()
 
 
+@wedge_coefficients
+def test_top_of_a_power_is_taken_along_element_one(values):
+    """E1 ^ E1 = 0 and even grades commute, so top(E^m) = m * top(E1 ^ R^(m-1))
+    for E = E1 + R, with E1 the subsets that hold 1: the exterior route's
+    identity."""
+    even = [m for m in range(1 << VARIABLES) if m.bit_count() % 2 == 0]
+    elements = st.dictionaries(st.sampled_from(even), values, max_size=6).map(
+        lambda table: ExteriorElement(VARIABLES, table))
+
+    @settings(bounded, max_examples=40)
+    @given(elements, st.integers(1, VARIABLES))
+    def check(e, m):
+        first = ExteriorElement(e.n, {s: c for s, c in e.table.items() if s & 1})
+        rest = ExteriorElement(e.n, {s: c for s, c in e.table.items() if not s & 1})
+        along = first.wedge(rest.wedge_power(m - 1)).top_coefficient()
+        assert e.wedge_power(m).top_coefficient() == m * along
+
+    check()
+
+
 def specs(n, k):
     vectors = tuple(increasing_compositions(n, k))
     return st.lists(coefficients, min_size=len(vectors), max_size=len(vectors)).map(
@@ -195,6 +221,30 @@ def test_partition_sum_is_the_exterior_route_on_rationals(n, k):
     @given(skew_functions(n, k))
     def check(f):
         assert pf_definition(f) == pf_exterior(f)
+
+    check()
+
+
+@pytest.mark.parametrize("n,k,examples", [(4, 2, 30), (6, 2, 15), (4, 4, 30)])
+def test_routes_agree_where_x1_occurs_in_every_block_value(n, k, examples):
+    """Both routes sum by the exponent of x1 in the block holding 1.  Here x1
+    occurs in every block value too, so the classes share monomials and must
+    be added with cancellation.  The oracle multiplies the values with `*`."""
+    subsets = list(combinations(range(1, n + 1), k))
+    # these monomials have exponents up to 3, so c * x1^e never cancels
+    x1 = Polynomial.variable(1)
+    rationals = st.fractions(-9, 9, max_denominator=6)  # unfiltered: 15 values per example
+    rest = st.dictionaries(monomials, rationals, max_size=6).map(Polynomial)
+    values = st.tuples(st.integers(1, 9), st.integers(4, 5), rest).map(
+        lambda drawn: drawn[0] * x1 ** drawn[1] + drawn[2])
+
+    @settings(bounded, max_examples=examples)
+    @given(st.lists(values, min_size=len(subsets), max_size=len(subsets)))
+    def check(block_values):
+        f = SkewFunction(n, k, dict(zip(subsets, block_values)))
+        expanded = sum(sign * prod(map(f.values.__getitem__, blocks))
+                       for sign, blocks in signed_equal_block_partitions(n, k))
+        assert pf_definition(f) == pf_exterior(f) == expanded
 
     check()
 
