@@ -465,9 +465,6 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:
         print(f"error: internal: {exc}", file=sys.stderr)
         return 1
-    except RecursionError as exc:  # the enumerators recurse once per block or part
-        print(f"error: too large to enumerate: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -84,32 +84,42 @@ def _check_block_args(n: int, k: int) -> None:
         raise ValueError(f"n must be a positive multiple of k, got n={n}, k={k}")
 
 
-def signed_equal_block_partitions(n: int, k: int) -> Iterator[tuple[int, Blocks]]:
-    """Yield (sign, partition) pairs over all equal-block partitions of [n].
+def _block_walk(ground: Sequence[int], k: int, target: int | None = None
+                ) -> Iterator[tuple[int, Blocks]]:
+    """Yield (sign, blocks) over the partitions of the sorted ground set into
+    ascending k-blocks ordered by minimum, lexicographically, keeping only
+    blocks that sum to `target` when it is given.
 
-    The sign is accumulated while blocks are peeled off: a block
-    contributes one inversion for each smaller element it jumps over, and
-    sorted blocks contribute none internally.
+    Each frame of an explicit stack peels the least remaining element off
+    with k-1 later ones.  A block adds one inversion for each remaining
+    element it jumps over; sorted blocks add none internally.
     """
-    _check_block_args(n, k)
+    def frame(remaining: Sequence[int], sign: int, blocks: Blocks) -> tuple:
+        return remaining, combinations(range(1, len(remaining)), k - 1), sign, blocks
 
-    def rec(remaining: Sequence[int]) -> Iterator[tuple[int, Blocks]]:
-        if not remaining:
-            yield 1, ()
-            return
-        first = remaining[0]
-        rest = remaining[1:]
-        size = len(rest)
-        for positions in combinations(range(size), k - 1):
-            block = (first,) + tuple(rest[p] for p in positions)
-            crossings = sum(p - offset for offset, p in enumerate(positions))
-            head_sign = -1 if crossings & 1 else 1
+    stack = [frame(ground, 1, ())]
+    while stack:
+        remaining, choices, sign, blocks = stack[-1]
+        for positions in choices:
+            block = (remaining[0], *map(remaining.__getitem__, positions))
+            if target is not None and sum(block) != target:
+                continue
+            crossings = sum(p - offset for offset, p in enumerate(positions, 1))
             chosen = set(positions)
-            residue = tuple(rest[q] for q in range(size) if q not in chosen)
-            for tail_sign, tail in rec(residue):
-                yield head_sign * tail_sign, (block,) + tail
+            residue = tuple(remaining[q] for q in range(1, len(remaining)) if q not in chosen)
+            signed = -sign if crossings & 1 else sign
+            if residue:
+                stack.append(frame(residue, signed, blocks + (block,)))
+                break
+            yield signed, blocks + (block,)
+        else:
+            stack.pop()
 
-    return rec(range(1, n + 1))  # a lazy range: validating allocates nothing of size n
+
+def signed_equal_block_partitions(n: int, k: int) -> Iterator[tuple[int, Blocks]]:
+    """Yield (sign, partition) pairs over all equal-block partitions of [n]."""
+    _check_block_args(n, k)
+    return _block_walk(range(1, n + 1), k)  # lazy: validating allocates nothing of size n
 
 
 def equal_block_partitions(n: int, k: int) -> Iterator[Blocks]:
@@ -142,22 +152,26 @@ def increasing_compositions_summing(total: int, parts: int) -> Iterator[Composit
     if not is_integer(parts) or parts < 1:
         raise ValueError(f"parts must be a positive integer, got {parts!r}")
 
-    def rec(count: int, minimum: int, left: int) -> Iterator[Composition]:
-        if count == 1:
-            if left >= minimum:
-                yield (left,)
-            return
-        value = minimum
+    def walk() -> Iterator[Composition]:
+        prefix: list[int] = []
+        value, left = 0, total  # the next part tried, and what the parts left must sum to
         while True:
-            # smallest possible strictly increasing tail above `value`
-            tail_floor = (count - 1) * (value + 1) + (count - 1) * (count - 2) // 2
-            if value + tail_floor > left:
+            count = parts - len(prefix)
+            # descend while `value` and the smallest strictly increasing tail above it fit
+            if count > 1 and count * value + count * (count - 1) // 2 <= left:
+                prefix.append(value)
+                left -= value
+                value += 1
+                continue
+            if count == 1 and left >= value:
+                yield (*prefix, left)
+            if not prefix:
                 return
-            for tail in rec(count - 1, value + 1, left - value):
-                yield (value,) + tail
+            value = prefix.pop()
+            left += value
             value += 1
 
-    return rec(parts, 0, total)
+    return walk()
 
 
 def increasing_compositions(n: int, k: int) -> Iterator[Composition]:
@@ -193,21 +207,4 @@ def composition_tilings(n: int, k: int) -> Iterator[tuple[Composition, ...]]:
     part, and tilings appear in lexicographic order on that representation.
     """
     _check_block_args(n, k)
-    total = k * (n - 1) // 2
-
-    def rec(remaining: Sequence[int]) -> Iterator[tuple[Composition, ...]]:
-        if not remaining:
-            yield ()
-            return
-        first = remaining[0]
-        rest = remaining[1:]
-        for chosen in combinations(rest, k - 1):
-            composition = (first,) + chosen
-            if sum(composition) != total:
-                continue
-            leftover = set(chosen)
-            residue = tuple(v for v in rest if v not in leftover)
-            for tail in rec(residue):
-                yield (composition,) + tail
-
-    return rec(range(n))  # a lazy range: validating allocates nothing of size n
+    return (tiling for _, tiling in _block_walk(range(n), k, k * (n - 1) // 2))

@@ -173,11 +173,16 @@ class SkewFunction:
         self.values = stored
 
     def __getitem__(self, subset: Sequence[int]) -> Value:
-        return self.values[tuple(subset)]
+        key = tuple(subset)
+        if not all(map(is_integer, key)) or key not in self.values:
+            raise ValueError(f"{key!r} is not a sorted {self.k}-subset of [{self.n}]")
+        return self.values[key]
 
     def value_at(self, args: Sequence[int]) -> Value:
         """Value at an arbitrary argument order (0 on repeated arguments)."""
         ordered = tuple(args)
+        if len(ordered) != self.k or not all(is_integer(a) and 1 <= a <= self.n for a in ordered):
+            raise ValueError(f"arguments {ordered!r} are not {self.k} integers in 1..{self.n}")
         if len(set(ordered)) != len(ordered):
             return 0
         sign = inversion_sign(ordered)

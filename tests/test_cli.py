@@ -466,8 +466,9 @@ class TestRefusalsAtEverySize:
 
 
 class TestTooDeep:
-    """Input that nests or recurses past Python's recursion limit ends in
-    one error line and exit 2, not a traceback."""
+    """A spec file nested past Python's recursion limit ends in one error
+    line and exit 2, not a traceback; an order with more blocks than that
+    limit is enumerated like any other."""
 
     def test_spec_file_nested_too_deep_is_invalid_json(self, tmp_path, capsys):
         path = tmp_path / "deep.json"
@@ -477,11 +478,16 @@ class TestTooDeep:
         assert err.startswith(f"error: {path}: invalid JSON: maximum recursion depth exceeded")
         assert err.count("\n") == 1
 
-    def test_coeffs_beyond_the_recursion_limit(self, capsys):
+    def test_coeffs_past_the_recursion_limit_lists_its_tiling(self, capsys):
         code, out, err = run(capsys, "coeffs", "--n", "2400", "--k", "2", "--force")
-        assert (code, out) == (2, "")
-        assert err.startswith("error: too large to enumerate: maximum recursion depth exceeded")
-        assert err.count("\n") == 1
+        assert (code, err) == (0, "")
+        tiling = " ".join(f"a_{{{i},{2399 - i}}}" for i in range(1200))
+        assert out == f"+ {tiling}\n1 term (1 positive, 0 negative)\n"
+
+    def test_forced_points_order_past_the_recursion_limit_meets_the_point_limit(self, capsys):
+        argv = ("verify", "--n", "1000", "--k", "1000", "--mode", "points", "--force")
+        assert run(capsys, *argv) == (
+            2, "", "error: a point has at most 201 distinct coordinates in [-100, 100], got n=1000\n")
 
 
 class TestModuleEntryPoint:

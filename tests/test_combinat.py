@@ -1,6 +1,8 @@
 import random
 import re
+import sys
 from collections import Counter
+from itertools import combinations, product
 from math import factorial
 
 import pytest
@@ -25,6 +27,19 @@ VALID_NK = [(2, 2), (4, 2), (6, 2), (8, 2), (4, 4), (8, 4), (6, 6)]
 
 def partition_count(n, k):
     return factorial(n) // (factorial(n // k) * factorial(k) ** (n // k))
+
+
+def signed_partitions_by_labelling(n, k):
+    """Every partition of [n] into k-blocks, found among all labellings of
+    the elements by n/k block labels (element 1 always in block 0), in
+    canonical form, sorted and signed."""
+    found = set()
+    for rest in product(range(n // k), repeat=n - 1):
+        labels = (0, *rest)
+        blocks = [tuple(e for e, label in enumerate(labels, 1) if label == b) for b in range(n // k)]
+        if all(len(block) == k for block in blocks):
+            found.add(tuple(sorted(blocks)))
+    return [(partition_sign(blocks), blocks) for blocks in sorted(found)]
 
 
 class TestPermutationSign:
@@ -89,6 +104,10 @@ class TestEqualBlockPartitions:
     def test_streamed_signs_match_partition_sign(self, n, k):
         for sign, blocks in signed_equal_block_partitions(n, k):
             assert sign == partition_sign(blocks)
+
+    @pytest.mark.parametrize("n,k", VALID_NK + [(12, 4)])
+    def test_signed_order_is_the_sorted_brute_force(self, n, k):
+        assert list(signed_equal_block_partitions(n, k)) == signed_partitions_by_labelling(n, k)
 
     def test_invalid_arguments(self):
         for n, k in [(3, 2), (4, 3), (2, 4), (0, 2), (4, 0)]:
@@ -204,6 +223,11 @@ class TestIncreasingCompositions:
         with pytest.raises(ValueError, match=re.escape(message)):
             increasing_compositions_summing(total, parts)
 
+    def test_more_parts_than_the_recursion_limit(self):
+        parts = 2 * sys.getrecursionlimit()
+        total = parts * (parts - 1) // 2
+        assert list(increasing_compositions_summing(total, parts)) == [tuple(range(parts))]
+
     def test_count_is_the_enumerated_count(self):
         for k in (2, 4, 6, 8):
             for n in range(1, 21):
@@ -253,6 +277,19 @@ class TestCompositionTilings:
             parts = [part for comp in tiling for part in comp]
             assert sorted(parts) == list(range(n))
             assert set(tiling) <= gamma
+
+    @pytest.mark.parametrize("n,k", [(4, 2), (8, 2), (8, 4), (12, 4)])
+    def test_order_is_the_sorted_tiling_subsets_of_gamma(self, n, k):
+        gamma = list(increasing_compositions(n, k))
+        expected = sorted(
+            subset for subset in combinations(gamma, n // k)
+            if sorted(part for comp in subset for part in comp) == list(range(n))
+        )
+        assert list(composition_tilings(n, k)) == expected
+
+    def test_more_blocks_than_the_recursion_limit(self):
+        n = 2 * (sys.getrecursionlimit() + 200)  # 2400 at the default limit of 1000
+        assert list(composition_tilings(n, 2)) == [tuple((i, n - 1 - i) for i in range(n // 2))]
 
     def test_sign_examples(self):
         assert tiling_sign(((0, 1),)) == 1

@@ -180,6 +180,20 @@ class TestSkewFunction:
         assert f.value_at((3, 1)) == -f[(1, 3)]
         assert f.value_at((1, 1)) == 0
 
+    @pytest.mark.parametrize("args", [(1.0, 2), (True, 2), (1, 2, 3), (1,), (1, 9), (0, 2)],
+                             ids=["float", "bool", "long", "short", "above-n", "zero"])
+    def test_value_at_refuses_arguments_outside_its_domain(self, args):
+        message = f"arguments {args!r} are not 2 integers in 1..4"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            symbolic_skew_function(4, 2).value_at(args)
+
+    @pytest.mark.parametrize("subset", [(1.0, 2), (True, 2), (1, 2, 3), (1,), (1, 9), (2, 1)],
+                             ids=["float", "bool", "long", "short", "above-n", "unsorted"])
+    def test_getitem_refuses_what_is_not_a_sorted_subset(self, subset):
+        message = f"{subset!r} is not a sorted 2-subset of [4]"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            symbolic_skew_function(4, 2)[subset]
+
 
 class TestPfDefinition:
     def test_single_pair(self):
