@@ -26,7 +26,7 @@ canonical representation.
 
 from __future__ import annotations
 
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 from typing import Iterator, Sequence
 
 from .poly import check_integers, is_integer
@@ -133,13 +133,26 @@ def equal_block_partitions(n: int, k: int) -> Iterator[Blocks]:
 def oriented_partitions(n: int, k: int) -> Iterator[Blocks]:
     """All oriented partitions: each block additionally carries an order.
 
-    There are n!/(n/k)! of them, (k!)^(n/k) per plain partition.
+    There are n!/(n/k)! of them, (k!)^(n/k) per plain partition, each
+    partition's orders in lexicographic order by block.  A stack holds one
+    lazy `permutations` iterator per block reached, so no block's k! orders
+    are ever built at once.
     """
     plain = equal_block_partitions(n, k)
 
     def orient() -> Iterator[Blocks]:
         for blocks in plain:
-            yield from product(*(permutations(block) for block in blocks))
+            stack, chosen = [permutations(blocks[0])], []
+            while stack:
+                del chosen[len(stack) - 1:]  # the orders of the blocks below the top
+                order = next(stack[-1], None)
+                if order is None:
+                    stack.pop()
+                elif len(stack) < len(blocks):
+                    chosen.append(order)
+                    stack.append(permutations(blocks[len(stack)]))
+                else:
+                    yield (*chosen, order)
 
     return orient()
 

@@ -11,8 +11,8 @@ subsets vanish.
 This is the performance-sensitive kernel: wedging two elements touches
 every pair of stored subsets, and the bitmask encoding keeps the
 disjointness test and the crossing count at machine speed.  Polynomial
-coefficients are multiplied and summed by the packed-exponent kernel of
-:mod:`hyperpfaffian.poly`.
+coefficients are multiplied and summed by :func:`hyperpfaffian.poly.product_sums`,
+one call per wedge; only :mod:`hyperpfaffian.poly` knows its packed format.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 from itertools import chain
 from typing import Iterator, Mapping, Sequence
 
-from .poly import Polynomial, Scalar, accumulate, addmul, degree, field_width, is_integer, pack, unpack
+from .poly import Polynomial, Scalar, accumulate, is_integer, product_sums
 
 
 def _mask_of(subset: Sequence[int], n: int) -> int:
@@ -165,19 +165,14 @@ class ExteriorElement:
             ))
         else:
             pairs = ((s, t, merge_sign(s, t)) for s in left for t in right if not s & t)
-        out: dict = {}
         if not any(isinstance(c, Polynomial) for c in chain(left.values(), right.values())):
             products = ((s | t, left[s] * right[t] * factor) for s, t, factor in pairs)
-            return ExteriorElement._raw(self.n, accumulate(out, products))
-        # Polynomial coefficients: accumulate packed products in place, with
-        # fields wide enough for the two factors' degrees added together.
-        width = field_width(sum(max(map(degree, t.values()), default=0) for t in (left, right)))
-        packed_left = {mask: pack(c, width) for mask, c in left.items()}
-        packed_right = packed_left if other is self else {
-            mask: pack(c, width) for mask, c in right.items()}
+            return ExteriorElement._raw(self.n, accumulate({}, products))
+        sums: dict = {}  # polynomial coefficients: the signed products of each union
         for s, t, factor in pairs:
-            addmul(out.setdefault(s | t, {}), packed_left[s], packed_right[t], factor)
-        return ExteriorElement._raw(self.n, {m: unpack(c, width) for m, c in out.items() if c})
+            sums.setdefault(s | t, []).append((factor, (s, t)))
+        products = product_sums(left, right, sums)
+        return ExteriorElement._raw(self.n, {m: c for m, c in products.items() if c})
 
     def wedge_power(self, m: int) -> "ExteriorElement":
         """m-fold wedge of the element with itself; m = 0 gives the scalar 1.

@@ -24,7 +24,9 @@ The three routes:
   tilings times the Vandermonde product.
 
 All three agree exactly; the test suite checks this symbolically and at
-integer points.
+integer points.  On polynomial values the first two sum their signed
+products with :func:`~hyperpfaffian.poly.product_sums`; only
+:mod:`hyperpfaffian.poly` knows its packed format.
 """
 
 from __future__ import annotations
@@ -47,13 +49,10 @@ from .poly import (
     alternant,
     check_integers,
     check_point,
-    degree,
     div_exact,
-    field_width,
     is_integer,
     is_scalar,
-    pack,
-    sum_by_low_exponent,
+    product_sums,
     vandermonde,
 )
 
@@ -275,14 +274,8 @@ def pf_definition(f: SkewFunction) -> Value:
     if not any(isinstance(v, Polynomial) for v in values.values()):
         return sum(sign * prod(map(values.__getitem__, blocks))
                    for sign, blocks in signed_equal_block_partitions(f.n, f.k))
-    # A partition's product has total degree at most n/k times the largest
-    # block degree, which bounds every exponent of every partial product.
-    width = field_width(f.n // f.k * max(map(degree, values.values())))
-    packed = {block: pack(value, width) for block, value in values.items()}
     # the enumerator puts the block holding 1 first
-    terms = [(sign, blocks[0], [packed[block] for block in blocks[1:]] or [{0: 1}])
-             for sign, blocks in signed_equal_block_partitions(f.n, f.k)]
-    return sum_by_low_exponent({b: p for b, p in packed.items() if b[0] == 1}, width, terms)
+    return product_sums(values, values, {0: signed_equal_block_partitions(f.n, f.k)})[0]
 
 
 def pf_exterior(f: SkewFunction) -> Value:
@@ -297,13 +290,11 @@ def pf_exterior(f: SkewFunction) -> Value:
     first = {mask: value for mask, value in table.items() if mask & 1}
     rest = ExteriorElement(f.n, {mask: value for mask, value in table.items() if not mask & 1})
     power = rest.wedge_power(blocks - 1).table
-    pairs = [(merge_sign(s, t), s, t) for s in first if (t := s ^ ((1 << f.n) - 1)) in power]
+    pairs = [(merge_sign(s, t), (s, t)) for s in first if (t := s ^ ((1 << f.n) - 1)) in power]
     if any(isinstance(v, Polynomial) for v in f.values.values()):
-        width = field_width(blocks * max(map(degree, f.values.values())))  # as in pf_definition
-        top = sum_by_low_exponent({s: pack(value, width) for s, value in first.items()}, width,
-                                  [(sign, s, [pack(power[t], width)]) for sign, s, t in pairs])
+        top = product_sums(first, power, {0: pairs})[0]
     else:
-        top = sum(sign * first[s] * power[t] for sign, s, t in pairs)
+        top = sum(sign * first[s] * power[t] for sign, (s, t) in pairs)
     return div_exact(top, factorial(blocks - 1))
 
 

@@ -193,10 +193,7 @@ class Polynomial:
             return Polynomial._raw({m: c * other for m, c in self.terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
-        width = field_width(self.degree() + other.degree())
-        product: dict[int, Scalar] = {}
-        addmul(product, pack(self, width), pack(other, width))
-        return unpack(product, width)
+        return product_sums({0: self}, {0: other}, {0: [(1, (0, 0))]})[0]
 
     __rmul__ = __mul__
 
@@ -331,15 +328,15 @@ def vandermonde(n: int) -> Polynomial:
 
 # -- packed-exponent multiply-accumulate kernel -----------------------------
 #
-# Every polynomial product goes through addmul: Polynomial.__mul__, and the
-# hot loops of the definition and exterior routes, which multiply block
-# values and sum the products.  A monomial is packed into one int, with the
-# exponent of x_v in the W-bit field at offset W*(v-1), so multiplying two
-# monomials is one integer addition (the packing of Monagan & Pearce, CASC
-# 2007).  A packed polynomial is a plain dict from packed monomial to
-# nonzero coefficient.  A field never overflows as long as W is wide enough
-# for the largest exponent a product can reach, which callers bound by the
-# sum of the factors' total degrees (see field_width).
+# Every polynomial product goes through product_sums, which alone knows the
+# packed format: Polynomial.__mul__, and the hot loops of the definition and
+# exterior routes, which sum signed products of block values.  A monomial is
+# packed into one int, with the exponent of x_v in the W-bit field at offset
+# W*(v-1), so multiplying two monomials is one integer addition (the packing
+# of Monagan & Pearce, CASC 2007).  A packed polynomial is a plain dict from
+# packed monomial to nonzero coefficient.  A field never overflows as long as
+# W is wide enough for the largest exponent a product can reach, which the
+# sum of the factors' total degrees bounds (see field_width).
 
 
 def degree(value: Scalar | Polynomial) -> int:
@@ -366,13 +363,14 @@ def pack(value: Scalar | Polynomial, width: int) -> dict[int, Scalar]:
 
 
 def unpack(packed: Mapping[int, Scalar], width: int) -> Polynomial:
-    """The tuple-monomial polynomial of a packed one."""
+    """The tuple-monomial polynomial of a packed one, its terms in the packed
+    order.  A key's fields split into a low and a high half, and each
+    distinct half is decoded once."""
     mask = (1 << width) - 1
     pairs: dict = {}  # one shared (variable, exponent) tuple per pair
-    terms = {}
-    for key, coeff in packed.items():
+
+    def decode(key: int, var: int) -> Monomial:
         mono = []
-        var = 1
         while key:
             exp = key & mask
             if exp:
@@ -380,8 +378,15 @@ def unpack(packed: Mapping[int, Scalar], width: int) -> Polynomial:
                 mono.append(pairs.setdefault(pair, pair))
             key >>= width
             var += 1
-        terms[tuple(mono)] = coeff
-    return Polynomial._raw(terms)
+        return tuple(mono)
+
+    half = -(-max(packed, default=0).bit_length() // width) // 2  # fields in the low half
+    shift = half * width
+    low_mask = (1 << shift) - 1
+    lows = {low: decode(low, 1) for low in {key & low_mask for key in packed}}
+    highs = {high: decode(high, half + 1) for high in {key >> shift for key in packed}}
+    return Polynomial._raw({lows[key & low_mask] + highs[key >> shift]: coeff
+                            for key, coeff in packed.items()})
 
 
 def addmul(acc: dict[int, Scalar], a: Mapping[int, Scalar], b: Mapping[int, Scalar],
@@ -404,28 +409,39 @@ def addmul(acc: dict[int, Scalar], a: Mapping[int, Scalar], b: Mapping[int, Scal
                 del acc[key]
 
 
-def sum_by_low_exponent(values: Mapping, width: int, terms) -> Polynomial:
-    """Sum sign * values[key] * f_1 * ... * f_r over the (sign, key, [f_1, ...,
-    f_r]) of ``terms``, all packed (the f_i once, for every class), one
-    exponent c of x1 in ``values`` at a time.  Classes are added with
-    cancellation: they share no monomial only if x1 occurs in no f_i."""
-    mask = (1 << width) - 1  # x1 is the low field
+def product_sums(left: Mapping, right: Mapping, sums: Mapping) -> dict:
+    """For each key u of ``sums``, the Polynomial sum of sign * left[a] *
+    right[b_1] * ... * right[b_r] over the (sign, (a, b_1, ..., b_r)) of
+    sums[u], for r >= 0 and any nonzero int sign, on polynomial or scalar
+    values.  One width covers every partial product; only the values that a
+    term names are packed, each once.  Each output is summed one exponent of
+    x1 in left at a time, the classes added with cancellation."""
+    sums = {u: [(sign, a, bs) for sign, (a, *bs) in terms] for u, terms in sums.items()}
+    named = [term for terms in sums.values() for term in terms]
+    left_degree = {a: degree(left[a]) for _, a, _ in named}
+    right_degree = {b: degree(right[b]) for _, _, bs in named for b in bs}
+    width = field_width(max((left_degree[a] + sum(map(right_degree.get, bs))
+                             for _, a, bs in named), default=0))
     classes: dict[int, dict] = {}
-    for key, packed in values.items():
-        for mono, coeff in packed.items():
-            classes.setdefault(mono & mask, {}).setdefault(key, {})[mono] = coeff
-    result: dict[int, Scalar] = {}
-    for c in sorted(classes):
-        acc: dict[int, Scalar] = {}
-        for sign, key, factors in terms:
-            term = classes[c].get(key, {})
-            for factor in factors[:-1]:
-                product: dict[int, Scalar] = {}
-                addmul(product, term, factor)
-                term = product
-            addmul(acc, term, factors[-1], sign)
-        accumulate(result, acc.items())
-    return unpack(result, width)
+    for a in left_degree:
+        for mono, coeff in pack(left[a], width).items():  # x1 is the low field
+            classes.setdefault(mono & (1 << width) - 1, {}).setdefault(a, {})[mono] = coeff
+    packed = {b: pack(right[b], width) for b in right_degree}
+    results = {}
+    for u, terms in sums.items():
+        result: dict[int, Scalar] = {}
+        for c in sorted(classes):
+            acc: dict[int, Scalar] = {}
+            for sign, a, bs in terms:
+                term = classes[c].get(a, {})
+                for b in bs[:-1]:
+                    product: dict[int, Scalar] = {}
+                    addmul(product, term, packed[b])
+                    term = product
+                addmul(acc, term, packed[bs[-1]] if bs else {0: 1}, sign)
+            result = accumulate(result, acc.items()) if result else acc
+        results[u] = unpack(result, width)
+    return results
 
 
 def vandermonde_at(values: Sequence[Scalar]) -> Scalar:

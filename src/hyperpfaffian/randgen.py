@@ -9,9 +9,9 @@ standard library: a 32-bit linear congruential generator
 where every draw advances the state once and uses the top 16 bits,
 ``(state >> 16) % bound``.  Random spec coefficients are uniform nonzero
 integers in [-9, 9], drawn in enumeration order of the admissible exponent
-tuples; random point coordinates are integers in [-100, 100], drawn
-coordinate by coordinate after the coefficients.  The README documents the
-same contract.
+tuples; random point coordinates are distinct integers in [-100, 100],
+drawn without replacement, coordinate by coordinate, after the
+coefficients.  The README documents the same contract.
 """
 
 from __future__ import annotations
@@ -75,18 +75,21 @@ def random_skew_spec(n: int, k: int, rng: Lcg) -> SkewSpec:
 def random_point(n: int, rng: Lcg) -> tuple[int, ...]:
     """Point with pairwise distinct coordinates in [-100, 100].
 
-    A repeated coordinate makes every skew identity trivially 0 = 0, so
-    whole points are redrawn until the coordinates are distinct.  The range
-    holds 201 integers, so larger n is refused rather than redrawn forever.
+    A repeated coordinate makes every skew identity trivially 0 = 0, so the
+    coordinates are drawn without replacement, by a partial Fisher-Yates
+    shuffle of -100..100: coordinate i swaps in the value at a uniform index
+    in i..200, one draw each.  The range holds 201 integers, so larger n is
+    refused.
     """
     if not is_integer(n) or n < 0:
         raise ValueError(f"number of coordinates must be a nonnegative integer, got {n!r}")
     if n > 201:
         raise ValueError(f"a point has at most 201 distinct coordinates in [-100, 100], got n={n}")
-    while True:
-        point = tuple(rng.int_between(-100, 100) for _ in range(n))
-        if len(set(point)) == n:
-            return point
+    values = list(range(-100, 101))
+    for i in range(n):
+        j = i + rng.below(201 - i)
+        values[i], values[j] = values[j], values[i]
+    return tuple(values[:n])
 
 
 def random_skew_function(n: int, k: int, rng: Lcg) -> SkewFunction:

@@ -630,9 +630,9 @@ class TestCounterexampleExitCode:
         assert out == (
             "MISMATCH trial 1 point 1 (n=4, k=2, seed=1)\n"
             f"spec: {MISMATCH_SPEC}\n"
-            "point: [22, -31, -25, -15]\n"
-            "definition: 707842560\n"
-            "exterior: 707842560\n"
+            "point: [-18, 96, 30, -37]\n"
+            "definition: -489170271744\n"
+            "exterior: -489170271744\n"
             "closed form: 0\n"
         )
 

@@ -1,8 +1,9 @@
 import random
 import re
 import sys
+import tracemalloc
 from collections import Counter
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import factorial
 
 import pytest
@@ -133,6 +134,23 @@ class TestOrientedPartitions:
     @pytest.mark.parametrize("n,k,count", [(2, 2, 2), (4, 2, 12), (4, 4, 24), (6, 2, 120), (8, 4, 20160)])
     def test_counts(self, n, k, count):
         assert sum(1 for _ in oriented_partitions(n, k)) == factorial(n) // factorial(n // k)
+
+    @pytest.mark.parametrize("n,k", [(4, 2), (6, 2), (4, 4), (8, 4)])
+    def test_orders_are_the_product_of_the_block_orders(self, n, k):
+        expected = [orders for blocks in equal_block_partitions(n, k)
+                    for orders in product(*(permutations(block) for block in blocks))]
+        assert list(oriented_partitions(n, k)) == expected
+
+    def test_first_element_builds_no_block_orders(self):
+        # all 8! orders of the one block of (8, 8) take about 5 MB
+        tracemalloc.start()
+        try:
+            first = next(oriented_partitions(8, 8))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert first == (tuple(range(1, 9)),)
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("n,k", [(4, 2), (6, 2), (4, 4)])
     def test_forgetting_orientation_is_uniform(self, n, k):

@@ -476,9 +476,25 @@ class TestPointEvaluation:
         assert rng.state == 1  # nothing was drawn
 
     def test_random_point_refuses_more_than_201_coordinates(self, monkeypatch):
-        def no_draw(rng, low, high):  # fail instead of redrawing forever
+        def no_draw(rng, bound):  # fail instead of drawing for an impossible point
             raise AssertionError("a coordinate was drawn for an impossible point")
 
-        monkeypatch.setattr(Lcg, "int_between", no_draw)
+        monkeypatch.setattr(Lcg, "below", no_draw)
         with pytest.raises(ValueError, match="at most 201 distinct coordinates"):
             random_point(202, Lcg(1))
+
+    @pytest.mark.parametrize("n", [0, 1, 40, 200, 201])
+    def test_random_point_draws_once_per_coordinate(self, n, monkeypatch):
+        draws = []
+        next_u32 = Lcg.next_u32
+
+        def counted(rng):  # fail at the first draw past one per coordinate
+            draws.append(rng.state)
+            assert len(draws) <= n, "a coordinate was redrawn"
+            return next_u32(rng)
+
+        monkeypatch.setattr(Lcg, "next_u32", counted)
+        point = random_point(n, Lcg(1))
+        assert len(draws) == n
+        assert len(point) == len(set(point)) == n
+        assert all(-100 <= value <= 100 for value in point)

@@ -1,12 +1,16 @@
+import ast
 import random
 import re
 from fractions import Fraction
 from functools import reduce
 from itertools import permutations
 from math import factorial
+from pathlib import Path
 
 import pytest
 
+import hyperpfaffian
+from hyperpfaffian import poly
 from hyperpfaffian.combinat import inversion_sign
 from hyperpfaffian.poly import (
     Polynomial,
@@ -17,8 +21,8 @@ from hyperpfaffian.poly import (
     field_width,
     pack,
     parse_polynomial,
+    product_sums,
     render,
-    sum_by_low_exponent,
     unpack,
     vandermonde,
     vandermonde_at,
@@ -351,26 +355,28 @@ class TestPackedKernel:
         a, b = x(1) ** 2 + x(1) * x(2) + x(2) ** 2, x(1) - x(2)
         assert (a * b).terms == {((1, 3),): 1, ((2, 3),): -1}
 
-    def test_sum_by_low_exponent_is_the_sum_of_the_products(self):
+    def test_product_sums_is_the_sum_of_the_products(self):
+        # each random case is one more output of a single call
         rng = random.Random(1408)
-        for _ in range(30):
-            values = {key: random_polynomial(rng, max_vars=3, max_terms=5) for key in "abc"}
-            chains = [(rng.choice([1, -1, 3]), rng.choice("abc"),
-                       [random_polynomial(rng, max_vars=3) for _ in range(rng.randint(1, 3))])
-                      for _ in range(4)]
-            width = field_width(4 * 9)  # four factors of total degree at most 9
-            terms = [(sign, key, [pack(p, width) for p in chain]) for sign, key, chain in chains]
-            expected = sum((sign * reduce(schoolbook_product, chain, values[key])
-                            for sign, key, chain in chains), Polynomial.zero())
-            packed = {key: pack(value, width) for key, value in values.items()}
-            assert sum_by_low_exponent(packed, width, terms) == expected
+        left, right, sums, expected = {}, {}, {}, {}
+        for case in range(30):
+            for key in "abc":
+                left[case, key] = random_polynomial(rng, max_vars=3, max_terms=5)
+            sums[case], expected[case] = [], Polynomial.zero()
+            for chain in range(4):
+                sign, key = rng.choice([1, -1, 3]), (case, rng.choice("abc"))
+                factors = [(case, chain, i) for i in range(rng.randint(1, 3))]
+                for factor in factors:
+                    right[factor] = random_polynomial(rng, max_vars=3)
+                sums[case].append((sign, (key, *factors)))
+                expected[case] += sign * reduce(schoolbook_product, map(right.get, factors),
+                                                left[key])
+        assert product_sums(left, right, sums) == expected
 
-    def test_sum_by_low_exponent_adds_classes_that_share_monomials(self):
-        # x1 occurs in the factor too, so the x1*x2 terms of classes 0 and 1 cancel
-        width = field_width(2)
-        values = {"a": pack(x(1) + x(2), width)}
-        result = sum_by_low_exponent(values, width, [(1, "a", [pack(x(1) - x(2), width)])])
-        assert result.terms == {((1, 2),): 1, ((2, 2),): -1}
+    def test_product_sums_adds_classes_that_share_monomials(self):
+        # x1 occurs in the right factor too, so the x1*x2 terms of classes 0 and 1 cancel
+        result = product_sums({"a": x(1) + x(2)}, {"b": x(1) - x(2)}, {0: [(1, ("a", "b"))]})
+        assert result[0].terms == {((1, 2),): 1, ((2, 2),): -1}
 
     def test_round_trip_keeps_monomials_canonical(self):
         rng = random.Random(41)
@@ -378,6 +384,38 @@ class TestPackedKernel:
             p = random_polynomial(rng, max_vars=5, max_terms=8, max_exp=9)
             q = unpack(pack(p, field_width(p.degree())), field_width(p.degree()))
             assert q.terms == p.terms
+
+    @pytest.mark.parametrize("variables", [1, 3, 5, 7])
+    def test_round_trip_at_an_odd_number_of_variables(self, variables):
+        # unpack splits the fields of a key into a low and a high half
+        rng = random.Random(variables)
+        top = Polynomial.monomial({1: 2, variables: 3}, -4)  # keys reach the last field
+        for _ in range(10):
+            p = top + random_polynomial(rng, max_vars=variables, max_terms=12, max_exp=9)
+            width = field_width(p.degree())
+            assert list(unpack(pack(p, width), width).terms.items()) == list(p.terms.items())
+
+
+class TestPackedFormatStaysInPoly:
+    """Only poly knows the packed format: every other module under src/
+    multiplies through product_sums or Polynomial.__mul__."""
+
+    KERNEL = {"pack", "unpack", "addmul", "field_width"}
+
+    def test_no_other_module_reaches_the_packed_kernel(self):
+        package = Path(hyperpfaffian.__file__).parent
+        modules = sorted(path for path in package.rglob("*.py") if path.name != "poly.py")
+        assert modules
+        for path in modules:
+            tree = ast.parse(path.read_text("utf-8"))
+            imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                        for alias in node.names}
+            attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+            assert not imported & (self.KERNEL | {"degree"}), path.name
+            assert not attributes & self.KERNEL, path.name
+
+    def test_sum_by_low_exponent_is_gone(self):
+        assert not hasattr(poly, "sum_by_low_exponent")
 
 
 class TestVandermonde:

@@ -1,5 +1,6 @@
 """Property tests for the accumulate-with-cancellation paths: polynomial
-and exterior arithmetic, the render/parse round trip, and the weighted
+and exterior arithmetic, the signed product sums of poly against schoolbook
+sums of products, the render/parse round trip, and the weighted
 oriented partition sum against the partition-sum hyperpfaffian; for the
 spec-at-point evaluator against the symbolic values; for the
 partition-sum route against the exterior route on rational values and on
@@ -41,7 +42,7 @@ from hyperpfaffian.hpf import (  # noqa: E402
     skew_function_from_spec_at,
 )
 from hyperpfaffian.involution import check_involution  # noqa: E402
-from hyperpfaffian.poly import Polynomial, parse_polynomial, render  # noqa: E402
+from hyperpfaffian.poly import Polynomial, parse_polynomial, product_sums, render  # noqa: E402
 
 VARIABLES = 4
 
@@ -89,6 +90,44 @@ def test_render_parse_round_trip(p):
 def test_sum_and_product_agree_with_evaluation(p, q, point):
     assert (p + q).evaluate(point) == p.evaluate(point) + q.evaluate(point)
     assert (p * q).evaluate(point) == p.evaluate(point) * q.evaluate(point)
+
+
+def schoolbook(factors):
+    """The product of polynomials term by term, exponents merged by hand."""
+    terms = {(): 1}
+    for factor in factors:
+        merged = {}
+        for m1, c1 in terms.items():
+            for m2, c2 in factor.terms.items():
+                exponents = dict(m1)
+                for var, exp in m2:
+                    exponents[var] = exponents.get(var, 0) + exp
+                key = tuple(sorted(exponents.items()))
+                merged[key] = merged.get(key, 0) + c1 * c2
+        terms = merged
+    return Polynomial(terms)
+
+
+#: (sign, left key, right keys), zero right keys being the n = k shape
+signed_chains = st.tuples(st.sampled_from([1, -1, 2, -3]), st.integers(0, 2),
+                          st.lists(st.integers(0, 3), max_size=3))
+
+
+@bounded
+@given(st.lists(polynomials, min_size=3, max_size=3),
+       st.lists(polynomials, min_size=4, max_size=4),
+       st.lists(st.lists(signed_chains, max_size=4), min_size=1, max_size=3))
+def test_product_sums_are_schoolbook_sums_of_products(left, right, outputs):
+    """Several outputs; x1 in left and right values, so the classes by x1's
+    exponent share monomials; chains with no right factor; and a right value
+    no term names, of a degree no term reaches, which must not be packed."""
+    left = dict(enumerate(left))
+    right = dict(enumerate(right), idle=Polynomial.variable(2) ** 64)
+    sums = {u: [(sign, (a, *bs)) for sign, a, bs in chains] for u, chains in enumerate(outputs)}
+    expected = {u: sum((sign * schoolbook([left[a], *map(right.get, bs)])
+                        for sign, a, bs in chains), Polynomial.zero())
+                for u, chains in enumerate(outputs)}
+    assert product_sums(left, right, sums) == expected
 
 
 @bounded
