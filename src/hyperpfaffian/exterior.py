@@ -10,9 +10,9 @@ subsets vanish.
 
 This is the performance-sensitive kernel: wedging two elements touches
 every pair of stored subsets, and the bitmask encoding keeps the
-disjointness test and the crossing count at machine speed.  Polynomial
-coefficients are multiplied and summed by :func:`hyperpfaffian.poly.product_sums`,
-one call per wedge; only :mod:`hyperpfaffian.poly` knows its packed format.
+disjointness test and the crossing count at machine speed.  Coefficients of
+either type are multiplied and summed by :func:`hyperpfaffian.poly.product_sums`,
+one call per wedge; only :mod:`hyperpfaffian.poly` knows the packed format and value types.
 """
 
 from __future__ import annotations
@@ -158,20 +158,22 @@ class ExteriorElement:
         left, right = self.table, other.table
         if other is self:
             masks = list(left)
-            pairs = chain([(0, 0, 1)] if 0 in left else [], (
-                (s, t, 2 * merge_sign(s, t))
-                for i, s in enumerate(masks) for t in masks[i + 1:]
+            pairs = chain([(0, 0)] if 0 in left else [], (
+                (s, t) for i, s in enumerate(masks) for t in masks[i + 1:]
                 if not s & t and not s.bit_count() & t.bit_count() & 1
             ))
         else:
-            pairs = ((s, t, merge_sign(s, t)) for s in left for t in right if not s & t)
-        if not any(isinstance(c, Polynomial) for c in chain(left.values(), right.values())):
-            products = ((s | t, left[s] * right[t] * factor) for s, t, factor in pairs)
-            return ExteriorElement._raw(self.n, accumulate({}, products))
-        sums: dict = {}  # polynomial coefficients: the signed products of each union
-        for s, t, factor in pairs:
-            sums.setdefault(s | t, []).append((factor, (s, t)))
-        products = product_sums(left, right, sums)
+            pairs = ((s, t) for s in left for t in right if not s & t)
+        firsts: dict = {}  # the left mask of each pair, by union
+        for s, t in pairs:
+            firsts.setdefault(s | t, []).append(s)
+        twice = 2 if other is self else 1  # but a square's pair (0, 0) counts once
+
+        def terms(union, lefts):  # made as summed: held for every union, they doubled peak memory
+            for s in lefts:
+                yield (twice if union else 1) * merge_sign(s, union ^ s), (s, union ^ s)
+
+        products = product_sums(left, right, {u: terms(u, ss) for u, ss in firsts.items()})
         return ExteriorElement._raw(self.n, {m: c for m, c in products.items() if c})
 
     def wedge_power(self, m: int) -> "ExteriorElement":

@@ -24,9 +24,9 @@ The three routes:
   tilings times the Vandermonde product.
 
 All three agree exactly; the test suite checks this symbolically and at
-integer points.  On polynomial values the first two sum their signed
-products with :func:`~hyperpfaffian.poly.product_sums`; only
-:mod:`hyperpfaffian.poly` knows its packed format.
+integer points.  The first two sum their signed products, scalar or
+polynomial, with one :func:`~hyperpfaffian.poly.product_sums` call; only
+:mod:`hyperpfaffian.poly` knows its packed format and the value types.
 """
 
 from __future__ import annotations
@@ -270,12 +270,8 @@ def skew_function_at(f: SkewFunction, point: Sequence[Scalar]) -> SkewFunction:
 def pf_definition(f: SkewFunction) -> Value:
     """Hyperpfaffian as the signed sum over equal-block partitions of the
     products of block values, summed per exponent of x1 in the block with 1."""
-    values = f.values
-    if not any(isinstance(v, Polynomial) for v in values.values()):
-        return sum(sign * prod(map(values.__getitem__, blocks))
-                   for sign, blocks in signed_equal_block_partitions(f.n, f.k))
     # the enumerator puts the block holding 1 first
-    return product_sums(values, values, {0: signed_equal_block_partitions(f.n, f.k)})[0]
+    return product_sums(f.values, f.values, {0: signed_equal_block_partitions(f.n, f.k)})[0]
 
 
 def pf_exterior(f: SkewFunction) -> Value:
@@ -286,16 +282,13 @@ def pf_exterior(f: SkewFunction) -> Value:
     blocks = f.n // f.k
     if f.n % f.k:
         raise ValueError(f"arity {f.k} does not divide order {f.n}")
-    table = ExteriorElement.from_subset_values(f.n, f.values).table
-    first = {mask: value for mask, value in table.items() if mask & 1}
+    # every value, zeros too, stays in the left table, so the top has the value type of f
+    table = {sum(1 << (e - 1) for e in subset): value for subset, value in f.values.items()}
     rest = ExteriorElement(f.n, {mask: value for mask, value in table.items() if not mask & 1})
     power = rest.wedge_power(blocks - 1).table
-    pairs = [(merge_sign(s, t), (s, t)) for s in first if (t := s ^ ((1 << f.n) - 1)) in power]
-    if any(isinstance(v, Polynomial) for v in f.values.values()):
-        top = product_sums(first, power, {0: pairs})[0]
-    else:
-        top = sum(sign * first[s] * power[t] for sign, (s, t) in pairs)
-    return div_exact(top, factorial(blocks - 1))
+    pairs = [(merge_sign(s, t), (s, t))
+             for s in table if s & 1 and (t := s ^ ((1 << f.n) - 1)) in power]
+    return div_exact(product_sums(table, power, {0: pairs})[0], factorial(blocks - 1))
 
 
 def theorem_coefficient(spec: SkewSpec) -> Scalar:

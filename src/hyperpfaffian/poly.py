@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import chain, permutations
 from math import prod
 from typing import Mapping, Sequence, Union
 
@@ -328,15 +328,15 @@ def vandermonde(n: int) -> Polynomial:
 
 # -- packed-exponent multiply-accumulate kernel -----------------------------
 #
-# Every polynomial product goes through product_sums, which alone knows the
-# packed format: Polynomial.__mul__, and the hot loops of the definition and
-# exterior routes, which sum signed products of block values.  A monomial is
-# packed into one int, with the exponent of x_v in the W-bit field at offset
-# W*(v-1), so multiplying two monomials is one integer addition (the packing
-# of Monagan & Pearce, CASC 2007).  A packed polynomial is a plain dict from
-# packed monomial to nonzero coefficient.  A field never overflows as long as
-# W is wide enough for the largest exponent a product can reach, which the
-# sum of the factors' total degrees bounds (see field_width).
+# Every signed product sum goes through product_sums, which alone tells scalar
+# from polynomial values and knows the packed format: Polynomial.__mul__, the
+# wedge and the definition and exterior routes.  A monomial is packed into one
+# int, with the exponent of x_v in the W-bit field at offset W*(v-1), so
+# multiplying two monomials is one integer addition (the packing of Monagan &
+# Pearce, CASC 2007).  A packed polynomial is a plain dict from packed monomial
+# to nonzero coefficient.  A field never overflows as long as W is wide enough
+# for the largest exponent a product can reach, which the sum of the factors'
+# total degrees bounds (see field_width).
 
 
 def degree(value: Scalar | Polynomial) -> int:
@@ -410,23 +410,28 @@ def addmul(acc: dict[int, Scalar], a: Mapping[int, Scalar], b: Mapping[int, Scal
 
 
 def product_sums(left: Mapping, right: Mapping, sums: Mapping) -> dict:
-    """For each key u of ``sums``, the Polynomial sum of sign * left[a] *
-    right[b_1] * ... * right[b_r] over the (sign, (a, b_1, ..., b_r)) of
-    sums[u], for r >= 0 and any nonzero int sign, on polynomial or scalar
-    values.  One width covers every partial product; only the values that a
-    term names are packed, each once.  Each output is summed one exponent of
-    x1 in left at a time, the classes added with cancellation."""
+    """For each key u of ``sums``, the sum of sign * left[a] * right[b_1] *
+    ... * right[b_r] over the (sign, (a, b_1, ..., b_r)) of sums[u], for
+    r >= 0 and any nonzero int sign.  Scalars in give plain scalar sums out;
+    if any value of ``left`` or ``right`` is a Polynomial, every output is
+    one, zero included.  Then one width covers every partial product, only the
+    values a term names are packed, each once, and each output is summed one
+    exponent of x1 in left at a time, the classes added with cancellation."""
+    if not any(isinstance(v, Polynomial) for v in chain(left.values(), right.values())):
+        return {u: sum(sign * left[a] * prod(map(right.__getitem__, bs))
+                       for sign, (a, *bs) in terms) for u, terms in sums.items()}
     sums = {u: [(sign, a, bs) for sign, (a, *bs) in terms] for u, terms in sums.items()}
     named = [term for terms in sums.values() for term in terms]
     left_degree = {a: degree(left[a]) for _, a, _ in named}
     right_degree = {b: degree(right[b]) for _, _, bs in named for b in bs}
     width = field_width(max((left_degree[a] + sum(map(right_degree.get, bs))
                              for _, a, bs in named), default=0))
-    classes: dict[int, dict] = {}
-    for a in left_degree:
-        for mono, coeff in pack(left[a], width).items():  # x1 is the low field
-            classes.setdefault(mono & (1 << width) - 1, {}).setdefault(a, {})[mono] = coeff
     packed = {b: pack(right[b], width) for b in right_degree}
+    shared = packed if left is right else {}  # a square packs a value named on both sides once
+    classes: dict[int, dict] = {}
+    for a in left_degree:  # x1 is the low field
+        for mono, coeff in (shared[a] if a in shared else pack(left[a], width)).items():
+            classes.setdefault(mono & (1 << width) - 1, {}).setdefault(a, {})[mono] = coeff
     results = {}
     for u, terms in sums.items():
         result: dict[int, Scalar] = {}

@@ -20,7 +20,7 @@ from itertools import combinations
 
 from .combinat import increasing_compositions
 from .hpf import SkewFunction, SkewSpec
-from .poly import check_integers, is_integer
+from .poly import is_integer
 
 
 class Lcg:
@@ -46,10 +46,6 @@ class Lcg:
         if not is_integer(bound) or not 1 <= bound <= 1 << 16:
             raise ValueError(f"bound must be an integer in 1..65536, got {bound!r}")
         return (self.next_u32() >> 16) % bound
-
-    def int_between(self, low: int, high: int) -> int:
-        check_integers((low, high), "bound")
-        return low + self.below(high - low + 1)
 
     def nonzero_coefficient(self) -> int:
         """Uniform nonzero integer in [-9, 9]."""

@@ -170,10 +170,14 @@ class TestVerify:
         assert "--force" in err
 
     def test_points_beyond_201_coordinates_refused(self, capsys, monkeypatch):
-        def no_draw(rng, low, high):  # fail instead of redrawing forever
-            raise AssertionError("a coordinate was drawn for an impossible point")
+        below = Lcg.below
 
-        monkeypatch.setattr(Lcg, "int_between", no_draw)
+        def no_coordinate_draw(rng, bound):  # coefficients draw below 18, a first coordinate 201
+            if bound == 201:
+                raise AssertionError("a coordinate was drawn for an impossible point")
+            return below(rng, bound)
+
+        monkeypatch.setattr(Lcg, "below", no_coordinate_draw)
         code, out, err = run(
             capsys, "verify", "--n", "202", "--k", "2", "--mode", "points", "--force"
         )

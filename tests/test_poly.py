@@ -418,6 +418,31 @@ class TestPackedFormatStaysInPoly:
         assert not hasattr(poly, "sum_by_low_exponent")
 
 
+class TestValueTypeStaysInPoly:
+    """Only poly tells scalar from polynomial values: the two summing routes
+    and the wedge hand either kind to product_sums alike."""
+
+    FUNCTIONS = {"hpf.py": {"pf_definition", "pf_exterior"}, "exterior.py": {"wedge"}}
+
+    def test_routes_and_wedge_do_not_test_the_value_type(self):
+        package = Path(hyperpfaffian.__file__).parent
+        seen = set()
+        for module, names in self.FUNCTIONS.items():
+            tree = ast.parse((package / module).read_text("utf-8"))
+            for function in ast.walk(tree):
+                if not isinstance(function, ast.FunctionDef) or function.name not in names:
+                    continue
+                seen.add(function.name)
+                nodes = list(ast.walk(function))
+                checked = [ast.unparse(node.args[1]) for node in nodes
+                           if isinstance(node, ast.Call) and ast.unparse(node.func) == "isinstance"]
+                # the one isinstance left refuses a wedge operand that is not an element
+                assert checked in ([], ["ExteriorElement"]), function.name
+                used = {node.id for node in nodes if isinstance(node, ast.Name)}
+                assert not used & {"Polynomial", "is_scalar"}, function.name
+        assert seen == set().union(*self.FUNCTIONS.values())
+
+
 class TestVandermonde:
     def test_empty_product(self):
         assert vandermonde(1) == Polynomial.one()

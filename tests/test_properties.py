@@ -16,6 +16,7 @@ are derandomized, so a run is reproducible, and no example database is
 written.
 """
 
+from fractions import Fraction
 from itertools import combinations
 from math import prod
 
@@ -113,21 +114,32 @@ signed_chains = st.tuples(st.sampled_from([1, -1, 2, -3]), st.integers(0, 2),
                           st.lists(st.integers(0, 3), max_size=3))
 
 
+def value_tables(values, idle):
+    """A left table of three values and a right table of four, plus ``idle``."""
+    return st.tuples(st.lists(values, min_size=3, max_size=3).map(lambda v: dict(enumerate(v))),
+                     st.lists(values, min_size=4, max_size=4).map(
+                         lambda v: dict(enumerate(v), idle=idle)))
+
+
 @bounded
-@given(st.lists(polynomials, min_size=3, max_size=3),
-       st.lists(polynomials, min_size=4, max_size=4),
+@given(st.one_of(value_tables(polynomials, Polynomial.variable(2) ** 64),
+                 value_tables(st.integers(-9, 9), 5), value_tables(coefficients, Fraction(1, 2))),
        st.lists(st.lists(signed_chains, max_size=4), min_size=1, max_size=3))
-def test_product_sums_are_schoolbook_sums_of_products(left, right, outputs):
+def test_product_sums_are_schoolbook_sums_of_products(tables, outputs):
     """Several outputs; x1 in left and right values, so the classes by x1's
     exponent share monomials; chains with no right factor; and a right value
-    no term names, of a degree no term reaches, which must not be packed."""
-    left = dict(enumerate(left))
-    right = dict(enumerate(right), idle=Polynomial.variable(2) ** 64)
+    no term names, of a degree no term reaches, which must not be packed.
+    Tables of ints, or of ints and Fractions, give scalar sums."""
+    left, right = tables
+    polynomial = isinstance(right["idle"], Polynomial)
+    lift = (lambda v: v) if polynomial else Polynomial.constant
     sums = {u: [(sign, (a, *bs)) for sign, a, bs in chains] for u, chains in enumerate(outputs)}
-    expected = {u: sum((sign * schoolbook([left[a], *map(right.get, bs)])
+    expected = {u: sum((sign * schoolbook(map(lift, [left[a], *map(right.get, bs)]))
                         for sign, a, bs in chains), Polynomial.zero())
                 for u, chains in enumerate(outputs)}
-    assert product_sums(left, right, sums) == expected
+    result = product_sums(left, right, sums)
+    assert result == expected
+    assert all(isinstance(value, Polynomial) == polynomial for value in result.values())
 
 
 @bounded
