@@ -17,6 +17,9 @@ a permutation of [n] (reading each element's weight plus one) and a
 composition tiling, with multiplicative signs; summing them yields the
 tiling coefficient times the Vandermonde determinant.
 :func:`check_involution` checks all of this in one walk over the set.
+The walk builds its elements and pairing images unchecked, since the
+enumerators and the swap make them valid by construction; the public
+constructor and :func:`compose_distinct` validate everything they are given.
 """
 
 from __future__ import annotations
@@ -50,6 +53,8 @@ class WeightedOrientedPartition:
     weights: tuple[tuple[int, ...], ...]
     #: weight_of[e - 1] is the weight carried by element e
     weight_of: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    #: oriented_sign(blocks); k is even, so the canonical order keeps it
+    sign: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         blocks = tuple(map(tuple, self.blocks))
@@ -71,12 +76,23 @@ class WeightedOrientedPartition:
                 raise ValueError(f"weight vector {weight!r} is not strictly increasing")
             if weight[0] < 0 or sum(weight) != target:
                 raise ValueError(f"weight vector {weight!r} must be nonnegative with sum {target}")
-        weight_of = tuple(w for _, w in sorted(zip(elements, chain.from_iterable(weights))))
+        self._canonicalize(blocks, weights, oriented_sign(blocks))
+
+    @classmethod
+    def _trusted(cls, blocks, weights, sign=None) -> WeightedOrientedPartition:
+        """An element from valid tuples, unchecked; `sign` is oriented_sign(blocks)."""
+        wop = object.__new__(cls)
+        wop._canonicalize(blocks, weights, oriented_sign(blocks) if sign is None else sign)
+        return wop
+
+    def _canonicalize(self, blocks, weights, sign: int) -> None:
+        weight_of = [0] * (len(blocks) * len(blocks[0]))
+        for element, weight in zip(chain(*blocks), chain(*weights)):
+            weight_of[element - 1] = weight
         # the minima are distinct, so the sort never compares blocks
         _, blocks, weights = zip(*sorted(zip(map(min, blocks), blocks, weights)))
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "weight_of", weight_of)
+        # the instance is frozen, so its fields are set past __setattr__
+        vars(self).update(blocks=blocks, weights=weights, weight_of=tuple(weight_of), sign=sign)
 
     @property
     def n(self) -> int:
@@ -85,10 +101,6 @@ class WeightedOrientedPartition:
     @property
     def k(self) -> int:
         return len(self.blocks[0])
-
-    @property
-    def sign(self) -> int:
-        return oriented_sign(self.blocks)
 
     def weight_monomial(self) -> Polynomial:
         """x_element^weight over all elements, fixed by ``weight_of``."""
@@ -102,11 +114,13 @@ class WeightedOrientedPartition:
 
 def weighted_oriented_partitions(n: int, k: int) -> Iterator[WeightedOrientedPartition]:
     """All weighted oriented partitions: every oriented partition paired
-    with every choice of weight vectors, one per block."""
+    with every choice of weight vectors, one per block.  Built unchecked
+    from the two enumerators, with one sign per oriented partition."""
     oriented = oriented_partitions(n, k)
     vectors = tuple(increasing_compositions(n, k))
-    return (WeightedOrientedPartition(blocks, assignment)
-            for blocks in oriented for assignment in product(vectors, repeat=n // k))
+    return (WeightedOrientedPartition._trusted(blocks, assignment, sign)
+            for blocks in oriented for sign in (oriented_sign(blocks),)
+            for assignment in product(vectors, repeat=n // k))
 
 
 def has_distinct_weights(wop: WeightedOrientedPartition) -> bool:
@@ -120,7 +134,7 @@ def has_distinct_weights(wop: WeightedOrientedPartition) -> bool:
     return len(set(weights)) == len(weights)
 
 
-def smallest_repeated_pair(wop) -> Optional[tuple[int, int]]:
+def smallest_repeated_pair(wop: WeightedOrientedPartition) -> Optional[tuple[int, int]]:
     """The lexicographically least pair (i, j), i < j, with equal weights."""
     weights = wop.weight_of
     for i, weight in enumerate(weights):  # the first repeated weight met is at i
@@ -130,12 +144,13 @@ def smallest_repeated_pair(wop) -> Optional[tuple[int, int]]:
 
 
 def pairing_involution(wop: WeightedOrientedPartition) -> WeightedOrientedPartition:
-    """Swap the smallest equal-weight pair of elements in place.
+    """The element with its smallest equal-weight pair of elements swapped.
 
     The two elements trade positions (everything else, including each
     block's weight vector, stays put), so the coefficient and the monomial
     are unchanged while the sign flips; applying the map twice returns the
-    original element.  Only defined on repeated-weight partitions.
+    original element.  Only defined on repeated-weight partitions.  The
+    image is a new element, built unchecked, as the swap keeps it valid.
     """
     pair = smallest_repeated_pair(wop)
     if pair is None:
@@ -144,7 +159,7 @@ def pairing_involution(wop: WeightedOrientedPartition) -> WeightedOrientedPartit
     swapped = tuple(
         tuple(i if c == j else j if c == i else c for c in block) for block in wop.blocks
     )
-    return WeightedOrientedPartition(swapped, wop.weights)
+    return WeightedOrientedPartition._trusted(swapped, wop.weights)
 
 
 def decompose_distinct(
@@ -211,7 +226,8 @@ def check_involution(spec: SkewSpec) -> InvolutionCheck:
     for wop in weighted_oriented_partitions(n, k):
         is_distinct = has_distinct_weights(wop)
         counts[is_distinct] += 1
-        accumulate(sums[is_distinct], [(wop.weight_of, wop.coefficient(spec) * wop.sign)])
+        coefficient = wop.coefficient(spec)
+        accumulate(sums[is_distinct], [(wop.weight_of, coefficient * wop.sign)])
         if failure is not None:
             continue
         if is_distinct:
@@ -229,13 +245,15 @@ def check_involution(spec: SkewSpec) -> InvolutionCheck:
             or pairing_involution(image) != wop
             or image.sign != -wop.sign
             or image.weight_of != wop.weight_of
-            or image.coefficient(spec) != wop.coefficient(spec)
+            or image.coefficient(spec) != coefficient
         ):
             failure = f"pairing involution misbehaves on {wop}"
     repeated, distinct = counts
     tilings = sum(1 for _ in composition_tilings(n, k))
-    repeated_sum, distinct_sum = (Polynomial({tuple(p for p in enumerate(w, 1) if p[1]): c
-                                              for w, c in terms.items()}) for terms in sums)
+    pair = {}  # one (variable, exponent) tuple per value, shared by every key
+    repeated_sum, distinct_sum = (
+        Polynomial({tuple(pair.setdefault(p, p) for p in enumerate(w, 1) if p[1]): c
+                    for w, c in terms.items()}) for terms in sums)
     expected = factorial(n) * tilings
     if failure is None and (repeated_sum or distinct != expected or len(factorizations) != distinct):
         failure = (f"repeated-weight sum {repeated_sum}, "

@@ -7,6 +7,7 @@ import pytest
 from hyperpfaffian.combinat import (
     composition_tilings,
     increasing_compositions,
+    oriented_sign,
     permutation_sign,
     tiling_sign,
 )
@@ -119,6 +120,58 @@ class TestEnumeration:
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             weighted_oriented_partitions(3, 2)
+
+    def test_order_is_pinned(self):
+        elements = list(weighted_oriented_partitions(6, 2))
+        assert repr(elements[0]) == ("WeightedOrientedPartition(blocks=((1, 2), (3, 4), (5, 6)), "
+                                     "weights=((0, 5), (0, 5), (0, 5)))")
+        assert repr(elements[-1]) == ("WeightedOrientedPartition(blocks=((6, 1), (5, 2), (4, 3)), "
+                                      "weights=((2, 3), (2, 3), (2, 3)))")
+
+
+class TestTrustedConstruction:
+    """The walk builds its elements and pairing images without validating;
+    each must be the element the public constructor builds from the same
+    blocks and weights."""
+
+    @staticmethod
+    def assert_validated_twin(wop):
+        twin = WeightedOrientedPartition(wop.blocks, wop.weights)
+        assert wop == twin
+        assert hash(wop) == hash(twin)
+        assert repr(wop) == repr(twin)
+        assert wop.weight_of == twin.weight_of
+        assert wop.sign == twin.sign == oriented_sign(wop.blocks)
+
+    @pytest.mark.parametrize("n,k", [(4, 2), (6, 2), (4, 4), (6, 6)])
+    def test_walk_and_images_match_the_public_constructor(self, n, k):
+        for wop in weighted_oriented_partitions(n, k):
+            self.assert_validated_twin(wop)
+            if not has_distinct_weights(wop):
+                self.assert_validated_twin(pairing_involution(wop))
+
+    def test_only_compose_distinct_validates_in_the_walk(self, monkeypatch):
+        validated = []  # per validation: whether compose_distinct asked for it
+        composing = []
+        post_init = WeightedOrientedPartition.__post_init__
+        compose = involution.compose_distinct
+
+        def counting_post_init(wop):
+            validated.append(bool(composing))
+            post_init(wop)
+
+        def counting_compose(perm, tiling):
+            composing.append(perm)
+            try:
+                return compose(perm, tiling)
+            finally:
+                composing.pop()
+
+        monkeypatch.setattr(WeightedOrientedPartition, "__post_init__", counting_post_init)
+        monkeypatch.setattr(involution, "compose_distinct", counting_compose)
+        check = check_involution(random_skew_spec(4, 2, Lcg(6)))
+        assert check.failure is None
+        assert validated == [True] * check.distinct == [True] * 24
 
 
 class TestClassification:
@@ -248,6 +301,14 @@ class TestDecomposition:
             compose_distinct((1, 1), ((0, 1),))
         with pytest.raises(ValueError):
             compose_distinct((1, 2, 3, 4), ((0, 3), (0, 3)))
+
+    @pytest.mark.parametrize("tiling,message", [
+        (((0, 1), (2, 3)), "weight vector (0, 1) must be nonnegative with sum 3"),
+        (((3, 0), (1, 2)), "weight vector (3, 0) is not strictly increasing"),
+    ], ids=["sum", "order"])
+    def test_compose_refuses_inadmissible_vectors(self, tiling, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            compose_distinct((1, 2, 3, 4), tiling)
 
     @pytest.mark.parametrize("perm,bad", [((1.0, 2.0), 1.0), ((2, True), True)])
     def test_compose_rejects_inexact_permutation_entries(self, perm, bad):
