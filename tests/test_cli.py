@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import os
 import subprocess
@@ -64,6 +65,26 @@ class TestCompute:
         code, out, _ = run(capsys, "compute", "--input", path, "--method", "definition")
         assert code == 0
         assert out == "0\n"
+
+    @pytest.mark.parametrize("method", ["definition", "exterior"])
+    def test_an_exponent_past_a_16_bit_field(self, tmp_path, capsys, method):
+        document = {"n": 2, "k": 2, "degree": 70000, "terms": [{"r": [3, 69997], "a": "2/3"}]}
+        code, out, _ = run(capsys, "compute", "--input", write_spec(tmp_path, document),
+                           "--method", method)
+        assert code == 0
+        assert out == "2/3*x1^3*x2^69997 - 2/3*x1^69997*x2^3\n"
+
+    @pytest.mark.parametrize("method", ["definition", "exterior"])
+    def test_products_whose_degree_bound_passes_a_16_bit_field(self, tmp_path, capsys, method):
+        # every exponent fits in 16 bits, but a block product reaches 79,998
+        document = {"n": 4, "k": 2, "degree": 40000,
+                    "terms": [{"r": [1, 39999], "a": 1}, {"r": [7, 39993], "a": -2}]}
+        code, out, _ = run(capsys, "compute", "--input", write_spec(tmp_path, document),
+                           "--method", method)
+        assert code == 0
+        assert len(out.encode()) == 719
+        assert hashlib.sha256(out.encode()).hexdigest().startswith("c27b2c94771b6d2a")
+        assert out.startswith("-2*x1*x2^7*x3^39993*x4^39999 + 2*x1*x2^7*x3^39999*x4^39993 + ")
 
     def test_size_guard(self, tmp_path, capsys):
         document = {"n": 10, "k": 2, "terms": [{"r": [i, 9 - i], "a": "1"} for i in range(5)]}

@@ -274,6 +274,65 @@ class TestMonomialKeys:
         assert merged == x(3) ** 2 + x(3) ** 3
 
 
+@pytest.mark.parametrize("exp", [2**16 - 1, 2**16, 2**70], ids=["field-top", "field-over", "huge"])
+class TestWideExponents:
+    """Exponents at, just past and far past a 16-bit field stay exact."""
+
+    @staticmethod
+    def wide(exp):
+        return Polynomial({((3, 2), (1, exp)): 5, ((2, exp),): -1})
+
+    def test_constructor_and_coefficient(self, exp):
+        p = self.wide(exp)
+        assert p.terms == {((1, exp), (3, 2)): 5, ((2, exp),): -1}
+        assert p.coefficient({1: exp, 3: 2}) == 5
+        assert p.coefficient({2: exp}) == -1
+        assert p.coefficient({1: exp}) == p.coefficient({2: exp - 1}) == 0
+        assert p.degree() == exp + 2
+        assert p.variables() == {1, 2, 3}
+
+    def test_product_power_and_sum(self, exp):
+        a = Polynomial.monomial({1: exp}) - x(2)
+        b = Polynomial.monomial({1: exp}) + 2 * Polynomial.monomial({2: exp})
+        product = a * b
+        assert product == schoolbook_product(a, b)
+        assert product.coefficient({1: 2 * exp}) == 1
+        assert product.coefficient({1: exp, 2: exp}) == 2
+        assert product.coefficient({2: exp + 1}) == -2
+        assert a ** 2 == a * a == schoolbook_product(a, a)
+        assert (a ** 2).coefficient({1: exp, 2: 1}) == -2
+        assert a + b == 2 * Polynomial.monomial({1: exp}) - x(2) + 2 * Polynomial.monomial({2: exp})
+        assert not (a + b) - b - a
+
+    def test_equality_of_one_value_built_two_ways(self, exp):
+        # the product's degree bound passes 2^16 even where its exponents fit
+        built = Polynomial.monomial({1: exp}) * x(2)
+        assert built == Polynomial.monomial({1: exp, 2: 1}) == parse_polynomial(f"x1^{exp}*x2")
+        assert built != Polynomial.monomial({1: exp, 3: 1})
+        assert not built - Polynomial.monomial({2: 1, 1: exp})
+
+    def test_render_parse_round_trip(self, exp):
+        p = self.wide(exp)
+        assert render(p) == f"-x2^{exp} + 5*x1^{exp}*x3^2"
+        assert parse_polynomial(render(p)) == p
+        q = self.wide(exp) * self.wide(exp)
+        assert parse_polynomial(render(q)) == q
+
+    def test_map_variables(self, exp):
+        p = self.wide(exp)
+        assert p.map_variables({1: 2, 2: 1}) == Polynomial({((2, exp), (3, 2)): 5, ((1, exp),): -1})
+        # merging x1 into x2 adds exponents past what a field of exp's width holds
+        merged = Polynomial.monomial({1: exp, 2: exp}).map_variables({1: 2})
+        assert merged == Polynomial.monomial({2: 2 * exp})
+        assert merged.coefficient({2: 2 * exp}) == 1
+
+    def test_evaluate(self, exp):
+        p = self.wide(exp)
+        assert p.evaluate({1: 1, 2: -1, 3: 2}) == 20 - (-1) ** exp
+        assert p.evaluate({1: 0, 2: 1, 3: 7}) == -1
+        assert (p * p).evaluate({1: -1, 2: 0, 3: 1}) == 25
+
+
 class TestPackedKernel:
     def test_matches_tuple_arithmetic_on_overlapping_variables(self):
         rng = random.Random(20261018)
