@@ -26,7 +26,7 @@ The three routes:
 All three agree exactly; the test suite checks this symbolically and at
 integer points.  The first two sum their signed products, scalar or
 polynomial, with one :func:`~hyperpfaffian.poly.product_sums` call; only
-:mod:`hyperpfaffian.poly` knows its packed format and the value types.
+:mod:`hyperpfaffian.poly` knows the packed monomial format and the value types.
 """
 
 from __future__ import annotations
@@ -116,7 +116,9 @@ class SkewSpec:
 
     def coefficient(self, exponents: Sequence[int]) -> Scalar:
         """Coefficient lookup; tuples absent from the spec count as 0."""
-        return self.coeffs.get(tuple(exponents), 0)
+        exponents = tuple(exponents)
+        check_integers(exponents, "exponent")
+        return self.coeffs.get(exponents, 0)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SkewSpec):
@@ -191,10 +193,8 @@ class SkewFunction:
 
 def _spec_value(spec: SkewSpec, block: Sequence[int]) -> Polynomial:
     """The spec's polynomial on the variables of a block B: the sum over the
-    spec of a_r times the alternant det[x_(B_i)^(r_j)].  Different tuples r
-    are different sets of exponents, so their alternants share no monomial."""
-    return Polynomial._raw({mono: sign * a for r, a in spec.coeffs.items()
-                            for mono, sign in alternant(r, block).terms.items()})
+    spec of a_r times the alternant det[x_(B_i)^(r_j)]."""
+    return sum((a * alternant(r, block) for r, a in spec.coeffs.items()), Polynomial.zero())
 
 
 def skew_expand(spec: SkewSpec) -> Polynomial:

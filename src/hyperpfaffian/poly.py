@@ -1,12 +1,15 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
 Variables are identified by 1-based index, so ``x1, x2, ...`` throughout.
-A monomial is a tuple of ``(variable, exponent)`` pairs sorted by variable,
-with strictly positive exponents; the empty tuple is the constant monomial.
-A :class:`Polynomial` maps monomials to nonzero coefficients, which are
-exact rationals (``int`` or :class:`fractions.Fraction`).  Every operation
-is exact, so polynomial identities are checked with plain ``==`` on term
-maps -- there is no tolerance anywhere.
+A :class:`Polynomial` maps monomials to nonzero exact rational coefficients
+(``int`` or :class:`fractions.Fraction`).  It stores a monomial as one int,
+the exponent of x_v in the W-bit field at offset W*(v-1), so multiplying two
+monomials is one integer addition (the packing of Monagan & Pearce, CASC
+2007); W is :data:`WIDTH`, or more where an exponent would not fit.  Outside
+this module a monomial is a tuple of ``(variable, exponent)`` pairs sorted by
+variable, exponents positive, () the constant: the constructor takes such
+keys and :attr:`Polynomial.terms` is a read-only view keyed by them.  Every
+operation is exact, so identities are checked with plain ``==``.
 
 The canonical text rendering sorts terms in ascending graded lexicographic
 order (total degree first, then exponents of x1, x2, ... compared
@@ -17,17 +20,19 @@ separators.  :func:`parse_polynomial` inverts :func:`render`.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import chain, permutations
 from math import prod
-from typing import Mapping, Sequence, Union
+from operator import lshift, or_
+from typing import Sequence, Union
 
 Scalar = Union[int, Fraction]
 #: sorted tuple of (variable, exponent) pairs; () is the constant monomial
 Monomial = tuple
-
-_CONST: Monomial = ()
+#: bits per exponent field of a packed monomial
+WIDTH = 16
 
 
 def is_scalar(value) -> bool:
@@ -81,98 +86,157 @@ def _check_pairs(pairs) -> None:
             raise ValueError(f"exponent of x{var} must be a nonnegative integer, got {exp!r}")
 
 
-def _monomial(pairs) -> Monomial:
-    """The canonical key of the product of ``(variable, exponent)`` pairs:
-    exponents of a repeated variable added, zero exponents dropped, sorted
-    by variable.  A canonical key is returned as it is, not copied."""
-    exps: dict[int, int] = {}
-    get = exps.get
-    for var, exp in pairs:
-        exps[var] = get(var, 0) + exp
-    key = tuple(sorted([pair for pair in exps.items() if pair[1]]))
-    return pairs if key == pairs else key
+# -- packed monomials -------------------------------------------------------
+#
+# A field never overflows into the next as long as every exponent it can hold
+# is below 2^W.  Each polynomial keeps that invariant for its own width, and a
+# product takes the width its degree bound needs (see product_sums).
+
+
+def _width(bound: int) -> int:
+    """The field width for exponents up to ``bound``."""
+    return max(WIDTH, bound.bit_length())
+
+
+def _key(pairs, width: int) -> int:
+    """The packed key of the product of ``(variable, exponent)`` pairs, whose
+    exponents of a repeated variable are added."""
+    return sum(exp << width * (var - 1) for var, exp in pairs)
+
+
+def _decode(key: int, width: int) -> Monomial:
+    mask = (1 << width) - 1
+    mono = []
+    var = 1
+    while key:
+        if key & mask:
+            mono.append((var, key & mask))
+        key >>= width
+        var += 1
+    return tuple(mono)
+
+
+def _pack(items) -> tuple[dict, int]:
+    """The packed terms of ``(pairs, coefficient)`` items, summed, and their
+    width, wide enough for the degree of every monomial."""
+    items = list(items)
+    width = _width(max((sum(exp for _, exp in pairs) for pairs, _ in items), default=0))
+    return accumulate({}, ((_key(pairs, width), coeff) for pairs, coeff in items)), width
+
+
+class _Terms(Mapping):
+    """A polynomial's terms keyed by tuple monomials: a read-only view that
+    decodes the packed keys in stored order."""
+
+    __slots__ = ("_packed", "_width")
+
+    def __init__(self, p: "Polynomial"):
+        self._packed, self._width = p._packed, p._width
+
+    def __len__(self) -> int:
+        return len(self._packed)
+
+    def __iter__(self):
+        return (_decode(key, self._width) for key in self._packed)
+
+    def __getitem__(self, mono: Monomial) -> Scalar:
+        try:
+            _check_pairs(mono)
+        except (TypeError, ValueError):
+            raise KeyError(mono) from None
+        key = _key(mono, self._width)
+        if _decode(key, self._width) != mono:  # not canonical, or an exponent overflows
+            raise KeyError(mono)
+        return self._packed[key]
+
+    def items(self) -> list[tuple[Monomial, Scalar]]:
+        return [(_decode(key, self._width), coeff) for key, coeff in self._packed.items()]
 
 
 class Polynomial:
-    """Immutable-by-convention sparse polynomial with exact coefficients.
+    """Immutable-by-convention sparse polynomial with exact coefficients;
+    all arithmetic returns fresh objects."""
 
-    Do not mutate ``terms`` of a polynomial you did not build yourself;
-    all arithmetic returns fresh objects.
-    """
-
-    __slots__ = ("terms",)
+    __slots__ = ("_packed", "_width")
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
-        """Every term is checked and its key made canonical; terms whose keys
-        then coincide are summed."""
+        """Every term is checked; exponents of a repeated variable are added,
+        zero exponents dropped, and terms whose monomials then coincide are
+        summed."""
         terms = terms or {}
         for mono, coeff in terms.items():
             if not is_scalar(coeff):
                 raise ValueError(f"coefficient of {mono!r} is not an exact rational: {coeff!r}")
             _check_pairs(mono)
-        self.terms = accumulate({}, ((_monomial(m), c) for m, c in terms.items()))
+        self._packed, self._width = _pack(terms.items())
 
     @classmethod
-    def _raw(cls, terms: dict) -> "Polynomial":
+    def _raw(cls, packed: dict, width: int) -> "Polynomial":
         p = object.__new__(cls)
-        p.terms = terms
+        p._packed, p._width = packed, width
         return p
 
     @classmethod
     def zero(cls) -> "Polynomial":
-        return cls._raw({})
+        return cls._raw({}, WIDTH)
 
     @classmethod
     def one(cls) -> "Polynomial":
-        return cls._raw({_CONST: 1})
+        return cls._raw({0: 1}, WIDTH)
 
     @classmethod
     def constant(cls, value: Scalar) -> "Polynomial":
-        return cls({_CONST: value})
+        return cls({(): value})
 
     @classmethod
     def variable(cls, index: int) -> "Polynomial":
         if not is_integer(index) or index < 1:
             raise ValueError(f"variable index must be a positive integer, got {index!r}")
-        return cls._raw({((index, 1),): 1})
+        return cls._raw({1 << WIDTH * (index - 1): 1}, WIDTH)
 
     @classmethod
     def monomial(cls, exponents: Mapping[int, int], coeff: Scalar = 1) -> "Polynomial":
         """Build ``coeff * prod x_v^e`` from an exponent map (zeros dropped)."""
         return cls({tuple(exponents.items()): coeff})
 
+    @property
+    def terms(self) -> Mapping[Monomial, Scalar]:
+        """The terms keyed by tuple monomials, read-only, in stored order."""
+        return _Terms(self)
+
     # -- ring structure -------------------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._packed)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._packed
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Polynomial):
-            return self.terms == other.terms
+            width = max(self._width, other._width)
+            return _packed(self, width) == _packed(other, width)
         if is_scalar(other):
-            if not other:
-                return not self.terms
-            return self.terms == {_CONST: other}
+            return self._packed == _packed(other, self._width)
         return NotImplemented
 
     __hash__ = None  # mutable mapping inside
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._raw({m: -c for m, c in self.terms.items()})
+        return Polynomial._raw({m: -c for m, c in self._packed.items()}, self._width)
 
     def __add__(self, other) -> "Polynomial":
         if is_scalar(other):
             other = Polynomial.constant(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        if not self.terms:
+        if not self._packed:
             return other
-        if not other.terms:
+        if not other._packed:
             return self
-        return Polynomial._raw(accumulate(dict(self.terms), other.terms.items()))
+        width = max(self._width, other._width)
+        return Polynomial._raw(accumulate(dict(_packed(self, width)),
+                                          _packed(other, width).items()), width)
 
     __radd__ = __add__
 
@@ -190,7 +254,7 @@ class Polynomial:
         if is_scalar(other):
             if not other:
                 return Polynomial.zero()
-            return Polynomial._raw({m: c * other for m, c in self.terms.items()})
+            return Polynomial._raw({m: c * other for m, c in self._packed.items()}, self._width)
         if not isinstance(other, Polynomial):
             return NotImplemented
         return product_sums({0: self}, {0: other}, {0: [(1, (0, 0))]})[0]
@@ -212,12 +276,13 @@ class Polynomial:
 
     def degree(self) -> int:
         """Total degree; the zero polynomial has degree 0 by convention."""
-        if not self.terms:
-            return 0
-        return max(sum(e for _, e in mono) for mono in self.terms)
+        return max((sum(e for _, e in mono) for mono in self.terms), default=0)
 
     def coefficient(self, exponents: Mapping[int, int]) -> Scalar:
-        return self.terms.get(_monomial(exponents.items()), 0)
+        _check_pairs(exponents.items())
+        if any(exp >> self._width for exp in exponents.values()):
+            return 0  # no stored monomial has an exponent that large
+        return self._packed.get(_key(exponents.items(), self._width), 0)
 
     def evaluate(self, point: Mapping[int, Scalar]) -> Scalar:
         """Exact value at a point assigning every variable of the polynomial."""
@@ -246,24 +311,22 @@ class Polynomial:
             if not is_integer(target) or target < 1:
                 raise ValueError(f"variable index must be a positive integer, got {target!r}")
             image[var] = target
-        renamed = ((_monomial([(image[v], e) for v, e in m]), c) for m, c in self.terms.items())
-        return Polynomial._raw(accumulate({}, renamed))
+        return Polynomial._raw(*_pack(([(image[v], e) for v, e in m], c)
+                                      for m, c in self.terms.items()))
 
     # -- rendering --------------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[Monomial, Scalar]]:
         """Terms in ascending graded lexicographic order."""
-        if not self.terms:
-            return []
-        occurring = self.variables()
-        top = max(occurring) if occurring else 0
+        items = self.terms.items()
+        top = max((mono[-1][0] for mono, _ in items if mono), default=0)
 
         def key(item):
             mono, _ = item
             exps = dict(mono)
             return (sum(exps.values()), tuple(exps.get(v, 0) for v in range(1, top + 1)))
 
-        return sorted(self.terms.items(), key=key)
+        return sorted(items, key=key)
 
     def __str__(self) -> str:
         return render(self)
@@ -290,7 +353,8 @@ def div_exact(value: Scalar | Polynomial, divisor: int):
     if not is_integer(divisor):
         raise ValueError(f"divisor {divisor!r} is not an integer")
     if isinstance(value, Polynomial):
-        return Polynomial._raw({m: _div_scalar(c, divisor) for m, c in value.terms.items()})
+        return Polynomial._raw({m: _div_scalar(c, divisor) for m, c in value._packed.items()},
+                               value._width)
     if not is_scalar(value):
         raise ValueError(f"dividend {value!r} is not an exact rational")
     return _div_scalar(value, divisor)
@@ -312,9 +376,10 @@ def alternant(exponents: Sequence[int], variables: Sequence[int] | None = None) 
     signs = [1]  # lexicographic permutations: the d-th smallest exponent next adds d inversions
     for size in range(2, len(exponents) + 1):
         signs = [-s if d & 1 else s for d in range(size) for s in signs]
-    pairs = [{e: (v, e) if e else None for e in exponents} for v in variables]  # shared tuples
-    return Polynomial._raw({tuple(filter(None, map(dict.__getitem__, pairs, perm))): s
-                            for perm, s in zip(permutations(exponents), signs)})
+    width = _width(exponents[-1] if exponents else 0)
+    shifts = [width * (v - 1) for v in variables]
+    return Polynomial._raw({sum(map(lshift, perm, shifts)): s
+                            for perm, s in zip(permutations(exponents), signs)}, width)
 
 
 @lru_cache(maxsize=None, typed=True)  # typed, so a cached order 1 does not answer True
@@ -326,72 +391,37 @@ def vandermonde(n: int) -> Polynomial:
     return alternant(range(n))
 
 
-# -- packed-exponent multiply-accumulate kernel -----------------------------
+# -- multiply-accumulate kernel ----------------------------------------------
 #
 # Every signed product sum goes through product_sums, which alone tells scalar
-# from polynomial values and knows the packed format: Polynomial.__mul__, the
-# wedge and the definition and exterior routes.  A monomial is packed into one
-# int, with the exponent of x_v in the W-bit field at offset W*(v-1), so
-# multiplying two monomials is one integer addition (the packing of Monagan &
-# Pearce, CASC 2007).  A packed polynomial is a plain dict from packed monomial
-# to nonzero coefficient.  A field never overflows as long as W is wide enough
-# for the largest exponent a product can reach, which the sum of the factors'
-# total degrees bounds (see field_width).
+# from polynomial values: Polynomial.__mul__, the wedge and the definition and
+# exterior routes.  It multiplies the stored packed terms with addmul, at the
+# default width unless a product's degree bound needs more.
 
 
-def degree(value: Scalar | Polynomial) -> int:
-    """Total degree of a polynomial; 0 for a scalar."""
-    return value.degree() if isinstance(value, Polynomial) else 0
-
-
-def field_width(degree_bound: int) -> int:
-    """Bits per exponent field so that every exponent up to ``degree_bound``
-    fits; pass the sum of the total degrees of the factors to be multiplied."""
-    return max(degree_bound, 1).bit_length()
-
-
-def pack(value: Scalar | Polynomial, width: int) -> dict[int, Scalar]:
-    """The packed form of a polynomial or scalar, with ``width``-bit fields."""
+def _packed(value: Scalar | Polynomial, width: int) -> dict[int, Scalar]:
+    """The packed terms of a polynomial or scalar at ``width`` bits, which
+    must hold each of its exponents: a polynomial's own map at its own width,
+    a repacked copy at another."""
     if not isinstance(value, Polynomial):
         return {0: value} if value else {}
-    packed = {}
-    for mono, coeff in value.terms.items():
-        if max((e for _, e in mono), default=0) >> width:
-            raise ValueError(f"exponent in {mono!r} does not fit a {width}-bit field")
-        packed[sum(e << width * (v - 1) for v, e in mono)] = coeff
-    return packed
+    if value._width == width:
+        return value._packed
+    return {_key(_decode(key, value._width), width): coeff
+            for key, coeff in value._packed.items()}
 
 
-def unpack(packed: Mapping[int, Scalar], width: int) -> Polynomial:
-    """The tuple-monomial polynomial of a packed one, its terms in the packed
-    order.  A key's fields split into a low and a high half, and each
-    distinct half is decoded once."""
-    mask = (1 << width) - 1
-    pairs: dict = {}  # one shared (variable, exponent) tuple per pair
-
-    def decode(key: int, var: int) -> Monomial:
-        mono = []
-        while key:
-            exp = key & mask
-            if exp:
-                pair = (var, exp)
-                mono.append(pairs.setdefault(pair, pair))
-            key >>= width
-            var += 1
-        return tuple(mono)
-
-    half = -(-max(packed, default=0).bit_length() // width) // 2  # fields in the low half
-    shift = half * width
-    low_mask = (1 << shift) - 1
-    lows = {low: decode(low, 1) for low in {key & low_mask for key in packed}}
-    highs = {high: decode(high, half + 1) for high in {key >> shift for key in packed}}
-    return Polynomial._raw({lows[key & low_mask] + highs[key >> shift]: coeff
-                            for key, coeff in packed.items()})
+def _top(value: Scalar | Polynomial) -> int:
+    """A bound on every exponent of a value: the largest field of the OR of
+    its keys."""
+    if not isinstance(value, Polynomial):
+        return 0
+    return max((e for _, e in _decode(reduce(or_, value._packed, 0), value._width)), default=0)
 
 
 def addmul(acc: dict[int, Scalar], a: Mapping[int, Scalar], b: Mapping[int, Scalar],
            sign: int = 1) -> None:
-    """In place, ``acc += sign * a * b`` on packed polynomials of one width.
+    """In place, ``acc += sign * a * b`` on packed terms of one width.
 
     ``sign`` may be any nonzero integer multiplier.  Entries that cancel to
     zero are removed, so ``acc`` never stores a zero coefficient.
@@ -414,23 +444,23 @@ def product_sums(left: Mapping, right: Mapping, sums: Mapping) -> dict:
     ... * right[b_r] over the (sign, (a, b_1, ..., b_r)) of sums[u], for
     r >= 0 and any nonzero int sign.  Scalars in give plain scalar sums out;
     if any value of ``left`` or ``right`` is a Polynomial, every output is
-    one, zero included.  Then one width covers every partial product, only the
-    values a term names are packed, each once, and each output is summed one
-    exponent of x1 in left at a time, the classes added with cancellation."""
+    one, zero included.  Then every product is taken at one width, the
+    default unless the exponent bounds of some term's factors add up past
+    it, and each output is summed one exponent of x1 in left at a time, the
+    classes added with cancellation."""
     if not any(isinstance(v, Polynomial) for v in chain(left.values(), right.values())):
         return {u: sum(sign * left[a] * prod(map(right.__getitem__, bs))
                        for sign, (a, *bs) in terms) for u, terms in sums.items()}
     sums = {u: [(sign, a, bs) for sign, (a, *bs) in terms] for u, terms in sums.items()}
     named = [term for terms in sums.values() for term in terms]
-    left_degree = {a: degree(left[a]) for _, a, _ in named}
-    right_degree = {b: degree(right[b]) for _, _, bs in named for b in bs}
-    width = field_width(max((left_degree[a] + sum(map(right_degree.get, bs))
-                             for _, a, bs in named), default=0))
-    packed = {b: pack(right[b], width) for b in right_degree}
-    shared = packed if left is right else {}  # a square packs a value named on both sides once
+    left_top = {a: _top(left[a]) for _, a, _ in named}
+    right_top = {b: _top(right[b]) for _, _, bs in named for b in bs}
+    width = _width(max((left_top[a] + sum(map(right_top.get, bs)) for _, a, bs in named),
+                       default=0))
+    factors = {b: _packed(right[b], width) for b in right_top}
     classes: dict[int, dict] = {}
-    for a in left_degree:  # x1 is the low field
-        for mono, coeff in (shared[a] if a in shared else pack(left[a], width)).items():
+    for a in left_top:  # x1 is the low field
+        for mono, coeff in _packed(left[a], width).items():
             classes.setdefault(mono & (1 << width) - 1, {}).setdefault(a, {})[mono] = coeff
     results = {}
     for u, terms in sums.items():
@@ -441,11 +471,11 @@ def product_sums(left: Mapping, right: Mapping, sums: Mapping) -> dict:
                 term = classes[c].get(a, {})
                 for b in bs[:-1]:
                     product: dict[int, Scalar] = {}
-                    addmul(product, term, packed[b])
+                    addmul(product, term, factors[b])
                     term = product
-                addmul(acc, term, packed[bs[-1]] if bs else {0: 1}, sign)
-            result = accumulate(result, acc.items()) if result else acc
-        results[u] = unpack(result, width)
+                addmul(acc, term, factors[bs[-1]] if bs else {0: 1}, sign)
+            accumulate(result, acc.items())
+        results[u] = Polynomial._raw(result, width)
     return results
 
 
@@ -483,88 +513,41 @@ def render(p: Polynomial) -> str:
     return "".join(pieces)
 
 
-_TOKEN = re.compile(r"\s*(x\d+|\d+|[*/^+\-])")
-
-
-def _tokenize(text: str) -> list[str]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN.match(text, pos)
-        if match is None:
-            raise ValueError(f"cannot parse polynomial near {text[pos:]!r}")
-        tokens.append(match.group(1))
-        pos = match.end()
-    return tokens
+_SIGN = re.compile(r"\s*([+-])")
+_TIMES = re.compile(r"\s*\*")
+_FACTOR = re.compile(r"\s*(?:(\d+)(?:\s*/\s*(\d+))?|(x(\d+))(?:\s*\^\s*(\d+))?)")
 
 
 def parse_polynomial(text: str) -> Polynomial:
-    """Parse the canonical rendering back into a polynomial."""
-    tokens = _tokenize(text)
-    if not tokens:
-        raise ValueError("empty polynomial text")
-    pos = 0
-
-    def peek() -> str | None:
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take() -> str:
-        nonlocal pos
-        token = tokens[pos]
-        pos += 1
-        return token
-
-    def take_number() -> int:
-        token = peek()
-        if token is None or not token.isdigit():
-            raise ValueError(f"expected a number, got {token!r}")
-        return int(take())
-
-    def parse_factor(coeff: Scalar, pairs: list) -> Scalar:
-        token = peek()
-        if token is None:
-            raise ValueError("unexpected end of polynomial text")
-        if token.isdigit():
-            value: Scalar = take_number()
-            if peek() == "/":
-                take()
-                denominator = take_number()
-                if not denominator:
-                    raise ValueError(f"zero denominator in {value}/{denominator}")
-                value = Fraction(value, denominator)
-            return coeff * value
-        if token.startswith("x"):
-            take()
-            var = int(token[1:])
-            if var < 1:
-                raise ValueError(f"variable index must be a positive integer, got {token!r}")
-            exp = 1
-            if peek() == "^":
-                take()
-                exp = take_number()
-            pairs.append((var, exp))
-            return coeff
-        raise ValueError(f"unexpected token {token!r} in polynomial text")
-
-    def parse_terms():
-        sign = 1
-        token = peek()
-        if token in ("+", "-"):
-            take()
-            sign = -1 if token == "-" else 1
+    """Parse the canonical rendering back into a polynomial: terms joined by
+    ``+`` or ``-``, each a ``*`` product of numbers, fractions ``p/q`` and
+    powers ``x<v>`` or ``x<v>^<e>``."""
+    terms, pos = [], 0
+    while True:
+        joint = _SIGN.match(text, pos)  # optional before the first term only
+        if joint is None and terms:
+            break
+        pos = joint.end() if joint else pos
+        coeff, pairs = -1 if joint and joint[1] == "-" else 1, []
         while True:
-            pairs: list = []
-            coeff = parse_factor(1, pairs)
-            while peek() == "*":
-                take()
-                coeff = parse_factor(coeff, pairs)
-            yield _monomial(pairs), sign * coeff
-            token = peek()
-            if token is None:
-                return
-            if token not in ("+", "-"):
-                raise ValueError(f"unexpected token {token!r} in polynomial text")
-            take()
-            sign = -1 if token == "-" else 1
-
-    return Polynomial(accumulate({}, parse_terms()))
+            factor = _FACTOR.match(text, pos)
+            if factor is None:
+                raise ValueError(f"cannot parse polynomial near {text[pos:]!r}")
+            number, denominator, name, var, exp = factor.groups()
+            if name and int(var) < 1:
+                raise ValueError(f"variable index must be a positive integer, got {name!r}")
+            if denominator and not int(denominator):
+                raise ValueError(f"zero denominator in {int(number)}/0")
+            if name:
+                pairs.append((int(var), int(exp or 1)))
+            else:
+                coeff *= Fraction(int(number), int(denominator)) if denominator else int(number)
+            pos = factor.end()
+            times = _TIMES.match(text, pos)
+            if times is None:
+                break
+            pos = times.end()
+        terms.append((pairs, coeff))
+    if pos != len(text):
+        raise ValueError(f"cannot parse polynomial near {text[pos:]!r}")
+    return Polynomial._raw(*_pack(terms))

@@ -218,13 +218,14 @@ class TestIncreasingCompositions:
     def test_exhaustive_against_brute_force(self):
         from itertools import combinations
 
-        for total, parts in [(3, 2), (6, 3), (14, 4)]:
+        for total, parts in [(3, 2), (6, 3), (14, 4), (5, 1)]:
             brute = [
                 combo
                 for combo in combinations(range(total + 1), parts)
                 if sum(combo) == total
             ]
             assert list(increasing_compositions_summing(total, parts)) == brute
+        assert list(increasing_compositions_summing(5, 1)) == [(5,)]
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,6 @@ from itertools import combinations
 
 import pytest
 
-from hyperpfaffian import poly
 from hyperpfaffian.exterior import ExteriorElement, merge_sign
 from hyperpfaffian.poly import Polynomial
 
@@ -63,6 +62,10 @@ class TestBasics:
     def test_rejects_bool(self, build, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             build()
+
+    def test_repr_lists_subsets_in_mask_order(self):
+        element = ExteriorElement(3, {0b101: 2, 0b010: 3})
+        assert repr(element) == "ExteriorElement(n=3, {(2,): 3, (1, 3): 2})"
 
     def test_top_coefficient(self):
         five = ExteriorElement.from_subset_values(3, {(1, 2, 3): 5})
@@ -160,26 +163,6 @@ class TestWedgePower:
 
 
 class TestPolynomialCoefficients:
-    def test_square_packs_each_named_coefficient_once(self, monkeypatch):
-        # each 2-subset of [6] is disjoint from subsets before and after it,
-        # so it is named on both sides of the square, as is the empty set
-        values = {subset: Polynomial.variable(subset[0]) - subset[1]
-                  for subset in combinations(range(1, 7), 2)}
-        element = ExteriorElement.from_subset_values(6, {(): Polynomial.variable(7), **values})
-        copy = ExteriorElement(6, dict(element.table))
-        pack, packed = poly.pack, []
-
-        def counting_pack(value, width):
-            packed.append(value)
-            return pack(value, width)
-
-        monkeypatch.setattr(poly, "pack", counting_pack)
-        square = element.wedge(element)
-        assert len(packed) == len(element.table) == 16
-        assert {id(value) for value in packed} == {id(value) for value in element.table.values()}
-        monkeypatch.undo()
-        assert square == element.wedge(copy)
-
     def test_wedge_with_polynomial_values(self):
         p = Polynomial.variable(9)
         q = Polynomial.variable(10) + 1

@@ -81,6 +81,14 @@ class TestSkewSpec:
     def test_rejects_bool_exponents(self):
         with pytest.raises(ValueError, match=re.escape("[False, True] is not a 2-tuple of integers")):
             SkewSpec(2, 2, {(False, True): 1})
+        with pytest.raises(ValueError, match=re.escape("exponent False is not an integer")):
+            torelli_spec(4).coefficient((False, 3))
+
+    def test_rejects_float_exponents(self):
+        with pytest.raises(ValueError, match=re.escape("[0.0, 3.0] is not a 2-tuple of integers")):
+            SkewSpec(4, 2, {(0.0, 3.0): 1})
+        with pytest.raises(ValueError, match=re.escape("exponent 0.0 is not an integer")):
+            torelli_spec(4).coefficient((0.0, 3.0))
 
     @pytest.mark.parametrize(
         "n,degree,message",
@@ -268,7 +276,7 @@ def test_routes_leave_block_values_unchanged(route, n, k):
     assert {subset: str(value) for subset, value in f.values.items()} == before
     # the result is a fresh polynomial, never one of the caller's values
     assert all(result is not value for value in f.values.values())
-    assert all(result.terms is not value.terms for value in f.values.values())
+    assert all(result._packed is not value._packed for value in f.values.values())
 
 
 class TestClosedForm:

@@ -13,17 +13,14 @@ import hyperpfaffian
 from hyperpfaffian import poly
 from hyperpfaffian.combinat import inversion_sign
 from hyperpfaffian.poly import (
+    WIDTH,
     Polynomial,
     addmul,
     alternant,
-    degree,
     div_exact,
-    field_width,
-    pack,
     parse_polynomial,
     product_sums,
     render,
-    unpack,
     vandermonde,
     vandermonde_at,
 )
@@ -159,6 +156,17 @@ class TestArithmetic:
         assert p.coefficient({1: 0}) == -7
         assert p.coefficient({1: 2}) == 0
 
+    @pytest.mark.parametrize("exponents,message", [
+        ({1: True}, "exponent of x1 must be a nonnegative integer, got True"),
+        ({1: 1.0}, "exponent of x1 must be a nonnegative integer, got 1.0"),
+        ({2: -1, 1: 1}, "exponent of x2 must be a nonnegative integer, got -1"),
+        ({0: 1}, "variable index must be a positive integer, got 0"),
+    ], ids=["bool-exponent", "float-exponent", "negative-exponent", "variable-zero"])
+    def test_coefficient_refuses_bad_exponent_maps(self, exponents, message):
+        p = parse_polynomial("3*x1 + 5*x2^2")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            p.coefficient(exponents)
+
     def test_add_cancellation(self):
         assert (x(1) + x(2)) + (-x(2)) == x(1)
 
@@ -208,15 +216,14 @@ class TestArithmetic:
             assert direct == p * q
 
 
-def packed_addmul(acc, a, b, sign, width=None):
-    """acc + sign*a*b through the packed kernel, with the width callers use:
-    wide enough for the accumulator and for the sum of the factor degrees."""
-    if width is None:
-        width = field_width(max(degree(acc), degree(a) + degree(b)))
-    packed = pack(acc, width)
-    addmul(packed, pack(a, width), pack(b, width), sign)
+def packed_addmul(acc, a, b, sign):
+    """acc + sign*a*b by addmul on the stored packed terms, all of the
+    default width, whether or not the product fits it."""
+    assert acc._width == a._width == b._width == WIDTH
+    packed = dict(acc._packed)
+    addmul(packed, a._packed, b._packed, sign)
     assert all(packed.values()), "a zero coefficient is stored"
-    return unpack(packed, width)
+    return Polynomial._raw(packed, WIDTH)
 
 
 class TestMonomialKeys:
@@ -256,14 +263,6 @@ class TestMonomialKeys:
             product = p * q
             self.assert_canonical(product)
             assert product.evaluate(point) == p.evaluate(point) * q.evaluate(point)
-
-    def test_constructor_keeps_a_canonical_key_object(self):
-        key = ((1, 2), (3, 1))
-        (stored,) = Polynomial({key: 5}).terms
-        assert stored is key
-        # any other key is rebuilt, and coinciding keys are summed
-        p = Polynomial({((3, 1), (1, 2)): 1, ((1, 2), (2, 0), (3, 1)): 2, key: 3})
-        assert p.terms == {key: 6}
 
     def test_non_injective_renaming_cancels(self):
         p = x(1) ** 2 * x(2) - x(1) * x(2) ** 2 + 3 * x(3)
@@ -342,17 +341,14 @@ class TestPackedKernel:
             assert packed_addmul(acc, a, b, sign) == acc + sign * schoolbook_product(a, b)
 
     def test_width_covers_the_sum_of_factor_degrees(self):
-        a, b = x(1) ** 200 + x(2), x(1) ** 100 - 3 * x(2) ** 5
+        a = Polynomial.monomial({1: 40000}) + x(2)
+        b = Polynomial.monomial({1: 30000}) - 3 * x(2) ** 5
         expected = schoolbook_product(a, b)
-        assert packed_addmul(Polynomial.zero(), a, b, 1) == expected
-        # a width taken from one factor overflows x1's field into x2's
-        narrow = field_width(a.degree())
-        assert (300 >> narrow) and not (200 >> narrow)
-        assert packed_addmul(Polynomial.zero(), a, b, 1, width=narrow) != expected
-
-    def test_pack_rejects_an_exponent_wider_than_its_field(self):
-        with pytest.raises(ValueError):
-            pack(x(3) ** 8, 3)
+        assert a * b == expected
+        assert (a * b).coefficient({1: 70000}) == 1
+        # each factor fits the default width, but at that width x1^70000
+        # overflows x1's field into x2's
+        assert packed_addmul(Polynomial.zero(), a, b, 1) != expected
 
     def test_high_variable_index(self):
         acc = 7 * x(40) ** 2
@@ -368,30 +364,32 @@ class TestPackedKernel:
         assert packed_addmul(acc, a, b, 1) == acc + schoolbook_product(a, b)
 
     def test_cancellation_removes_the_entry(self):
-        acc = 6 * x(1) * x(2) + x(3)
-        width = field_width(2)
-        packed = pack(acc, width)
-        addmul(packed, pack(2 * x(1), width), pack(x(2), width), -3)
-        assert packed == pack(x(3), width)
-        assert unpack(packed, width) == x(3)
-        addmul(packed, pack(x(3), width), {0: 1}, -1)
+        packed = dict((6 * x(1) * x(2) + x(3))._packed)
+        addmul(packed, (2 * x(1))._packed, x(2)._packed, -3)
+        assert packed == x(3)._packed
+        addmul(packed, x(3)._packed, {0: 1}, -1)
         assert packed == {}
-        assert unpack(packed, width).terms == {}
 
     def test_scalars_and_constants(self):
-        width = field_width(1)
-        assert pack(0, width) == {}
-        assert pack(Fraction(-3, 4), width) == {0: Fraction(-3, 4)}
-        assert unpack({0: 5}, width) == 5
-        assert pack(Polynomial.constant(5), width) == {0: 5}
+        assert Polynomial.constant(0)._packed == {}
+        assert Polynomial.constant(Fraction(-3, 4))._packed == {0: Fraction(-3, 4)}
+        assert Polynomial._raw({0: 5}, WIDTH) == 5
+        # scalars beside a polynomial are constants of the polynomial sum
+        left, right = {0: Fraction(-3, 4), 1: 0}, {0: x(1) + 1}
+        result = product_sums(left, right, {0: [(1, (0, 0))], 1: [(1, (1, 0))]})
+        assert result[0] == Fraction(-3, 4) * x(1) - Fraction(3, 4)
+        assert isinstance(result[1], Polynomial) and result[1]._packed == {}
 
     def test_mul_at_a_full_exponent_field(self):
-        # degrees 16 + 15 = 31 = 2^5 - 1: the product fills its 5-bit field
-        assert field_width(31) == 5
-        assert (x(1) ** 16 * x(1) ** 15).terms == {((1, 31),): 1}
-        a, b = x(1) ** 16 - x(2), x(1) ** 15 + 2 * x(2) ** 15
+        # 2^15 + (2^15 - 1) = 2^16 - 1: the product fills its field, no wider
+        a = Polynomial.monomial({1: 2**15}) - x(2)
+        b = Polynomial.monomial({1: 2**15 - 1}) + 2 * Polynomial.monomial({2: 2**15 - 1})
+        assert (a * b)._width == WIDTH
         assert a * b == schoolbook_product(a, b)
-        assert (a * b).coefficient({1: 16, 2: 15}) == 2
+        assert (a * b).terms[((1, 2**16 - 1),)] == 1
+        assert (a * b).coefficient({1: 2**15, 2: 2**15 - 1}) == 2
+        assert (a * a)._width > WIDTH  # 2^16 needs a wider field
+        assert (a * a).coefficient({1: 2**16}) == 1
 
     def test_mul_of_constants_and_zero(self):
         p = 3 * x(1) - x(2) ** 2
@@ -438,28 +436,41 @@ class TestPackedKernel:
         assert result[0].terms == {((1, 2),): 1, ((2, 2),): -1}
 
     def test_round_trip_keeps_monomials_canonical(self):
+        # the view decodes each key to canonical pairs, which encode back to it
         rng = random.Random(41)
         for _ in range(20):
             p = random_polynomial(rng, max_vars=5, max_terms=8, max_exp=9)
-            q = unpack(pack(p, field_width(p.degree())), field_width(p.degree()))
-            assert q.terms == p.terms
+            TestMonomialKeys.assert_canonical(p)
+            q = Polynomial(dict(p.terms))
+            assert q._packed == p._packed
+            assert all(p.terms[mono] == coeff for mono, coeff in p.terms.items())
 
     @pytest.mark.parametrize("variables", [1, 3, 5, 7])
     def test_round_trip_at_an_odd_number_of_variables(self, variables):
-        # unpack splits the fields of a key into a low and a high half
         rng = random.Random(variables)
         top = Polynomial.monomial({1: 2, variables: 3}, -4)  # keys reach the last field
         for _ in range(10):
             p = top + random_polynomial(rng, max_vars=variables, max_terms=12, max_exp=9)
-            width = field_width(p.degree())
-            assert list(unpack(pack(p, width), width).terms.items()) == list(p.terms.items())
+            assert list(Polynomial(dict(p.terms)).terms.items()) == list(p.terms.items())
+            assert len(p.terms) == len(p._packed)
+
+    def test_view_refuses_what_is_not_a_stored_canonical_key(self):
+        p = 3 * x(1) * x(2) ** 2
+        assert p.terms[((1, 1), (2, 2))] == 3
+        for mono in [((2, 2), (1, 1)), ((1, 1), (2, 1), (2, 1)), ((1, 1),), ((1, 1 + (2 << WIDTH)),),
+                     ((1, -1),), ((0, 1),), ((1, 1.0), (2, 2)), "x1"]:
+            assert mono not in p.terms
+            with pytest.raises(KeyError):
+                p.terms[mono]
 
 
 class TestPackedFormatStaysInPoly:
     """Only poly knows the packed format: every other module under src/
-    multiplies through product_sums or Polynomial.__mul__."""
+    multiplies through product_sums or Polynomial.__mul__, builds polynomials
+    through public constructors and arithmetic, and reads none of their terms."""
 
-    KERNEL = {"pack", "unpack", "addmul", "field_width"}
+    KERNEL = {"addmul", "WIDTH"}
+    STORED = {"terms", "_packed", "_width"}
 
     def test_no_other_module_reaches_the_packed_kernel(self):
         package = Path(hyperpfaffian.__file__).parent
@@ -470,11 +481,18 @@ class TestPackedFormatStaysInPoly:
             imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                         for alias in node.names}
             attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-            assert not imported & (self.KERNEL | {"degree"}), path.name
-            assert not attributes & self.KERNEL, path.name
+            raw = [node for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                   and node.attr == "_raw" and ast.unparse(node.value) == "Polynomial"]
+            assert not imported & self.KERNEL, path.name
+            assert not attributes & (self.KERNEL | self.STORED), path.name
+            assert not raw, path.name
 
     def test_sum_by_low_exponent_is_gone(self):
         assert not hasattr(poly, "sum_by_low_exponent")
+
+    @pytest.mark.parametrize("name", ["pack", "unpack", "field_width", "degree", "_monomial"])
+    def test_the_tuple_round_trip_is_gone(self, name):
+        assert not hasattr(poly, name)
 
 
 class TestValueTypeStaysInPoly:

@@ -128,7 +128,7 @@ def value_tables(values, idle):
 def test_product_sums_are_schoolbook_sums_of_products(tables, outputs):
     """Several outputs; x1 in left and right values, so the classes by x1's
     exponent share monomials; chains with no right factor; and a right value
-    no term names, of a degree no term reaches, which must not be packed.
+    no term names, of a degree no term reaches, which must not widen the products.
     Tables of ints, or of ints and Fractions, give scalar sums."""
     left, right = tables
     polynomial = isinstance(right["idle"], Polynomial)
