@@ -5,7 +5,7 @@ A :class:`Polynomial` maps monomials to nonzero exact rational coefficients
 (``int`` or :class:`fractions.Fraction`).  It stores a monomial as one int,
 the exponent of x_v in the W-bit field at offset W*(v-1), so multiplying two
 monomials is one integer addition (the packing of Monagan & Pearce, CASC
-2007); W is :data:`WIDTH`, or more where an exponent would not fit.  Outside
+2007).  W is :data:`WIDTH`, or more where an exponent might not fit.  Outside
 this module a monomial is a tuple of ``(variable, exponent)`` pairs sorted by
 variable, exponents positive, () the constant: the constructor takes such
 keys and :attr:`Polynomial.terms` is a read-only view keyed by them.  Every
@@ -88,9 +88,9 @@ def _check_pairs(pairs) -> None:
 
 # -- packed monomials -------------------------------------------------------
 #
-# A field never overflows into the next as long as every exponent it can hold
-# is below 2^W.  Each polynomial keeps that invariant for its own width, and a
-# product takes the width its degree bound needs (see product_sums).
+# Keys add and decode exactly as long as every exponent is below 2^W, so no
+# field carries into the next.  Each polynomial keeps that for its own width W,
+# and product_sums takes a width that holds every exponent a product can reach.
 
 
 def _width(bound: int) -> int:
@@ -215,9 +215,9 @@ class Polynomial:
     def __eq__(self, other) -> bool:
         if isinstance(other, Polynomial):
             width = max(self._width, other._width)
-            return _packed(self, width) == _packed(other, width)
+            return _at_width(self, width) == _at_width(other, width)
         if is_scalar(other):
-            return self._packed == _packed(other, self._width)
+            return self._packed == _at_width(other, self._width)
         return NotImplemented
 
     __hash__ = None  # mutable mapping inside
@@ -235,8 +235,8 @@ class Polynomial:
         if not other._packed:
             return self
         width = max(self._width, other._width)
-        return Polynomial._raw(accumulate(dict(_packed(self, width)),
-                                          _packed(other, width).items()), width)
+        return Polynomial._raw(accumulate(dict(_at_width(self, width)),
+                                          _at_width(other, width).items()), width)
 
     __radd__ = __add__
 
@@ -396,10 +396,10 @@ def vandermonde(n: int) -> Polynomial:
 # Every signed product sum goes through product_sums, which alone tells scalar
 # from polynomial values: Polynomial.__mul__, the wedge and the definition and
 # exterior routes.  It multiplies the stored packed terms with addmul, at the
-# default width unless a product's degree bound needs more.
+# default width unless the exponent bounds of a product's factors add up past it.
 
 
-def _packed(value: Scalar | Polynomial, width: int) -> dict[int, Scalar]:
+def _at_width(value: Scalar | Polynomial, width: int) -> dict[int, Scalar]:
     """The packed terms of a polynomial or scalar at ``width`` bits, which
     must hold each of its exponents: a polynomial's own map at its own width,
     a repacked copy at another."""
@@ -457,10 +457,10 @@ def product_sums(left: Mapping, right: Mapping, sums: Mapping) -> dict:
     right_top = {b: _top(right[b]) for _, _, bs in named for b in bs}
     width = _width(max((left_top[a] + sum(map(right_top.get, bs)) for _, a, bs in named),
                        default=0))
-    factors = {b: _packed(right[b], width) for b in right_top}
+    factors = {b: _at_width(right[b], width) for b in right_top}
     classes: dict[int, dict] = {}
     for a in left_top:  # x1 is the low field
-        for mono, coeff in _packed(left[a], width).items():
+        for mono, coeff in _at_width(left[a], width).items():
             classes.setdefault(mono & (1 << width) - 1, {}).setdefault(a, {})[mono] = coeff
     results = {}
     for u, terms in sums.items():
