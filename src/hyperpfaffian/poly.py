@@ -105,6 +105,7 @@ def _key(pairs, width: int) -> int:
 
 
 def _decode(key: int, width: int) -> Monomial:
+    """The sorted ``(variable, exponent)`` pairs of a packed key."""
     mask = (1 << width) - 1
     mono = []
     var = 1

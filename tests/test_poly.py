@@ -304,7 +304,7 @@ class TestWideExponents:
         assert not (a + b) - b - a
 
     def test_equality_of_one_value_built_two_ways(self, exp):
-        # the product's degree bound passes 2^16 even where its exponents fit
+        # the product's exponent bound reaches 2^16 even where its exponents fit
         built = Polynomial.monomial({1: exp}) * x(2)
         assert built == Polynomial.monomial({1: exp, 2: 1}) == parse_polynomial(f"x1^{exp}*x2")
         assert built != Polynomial.monomial({1: exp, 3: 1})
