@@ -27,6 +27,7 @@ canonical representation.
 from __future__ import annotations
 
 from itertools import combinations, permutations
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 from .poly import check_integers, is_integer
@@ -84,6 +85,17 @@ def _check_block_args(n: int, k: int) -> None:
         raise ValueError(f"n must be a positive multiple of k, got n={n}, k={k}")
 
 
+def _splits(k: int) -> list[tuple[itemgetter, itemgetter, int]]:
+    """(block getter, complement getter, inversion parity) per way of taking
+    the least of 2k sorted elements with k-1 later ones, lexicographically."""
+    table = []
+    for taken in combinations(range(1, 2 * k), k - 1):
+        rest = (q for q in range(1, 2 * k) if q not in taken)
+        table.append((itemgetter(0, *taken), itemgetter(*rest),
+                      (sum(taken) - k * (k - 1) // 2) & 1))
+    return table
+
+
 def _block_walk(ground: Sequence[int], k: int, target: int | None = None
                 ) -> Iterator[tuple[int, Blocks]]:
     """Yield (sign, blocks) over the partitions of the sorted ground set into
@@ -91,27 +103,51 @@ def _block_walk(ground: Sequence[int], k: int, target: int | None = None
     blocks that sum to `target` when it is given.
 
     Each frame of an explicit stack peels the least remaining element off
-    with k-1 later ones.  A block adds one inversion for each remaining
-    element it jumps over; sorted blocks add none internally.
+    with the k-1 at positions p_1 < ... < p_(k-1) of what remains.  That block
+    jumps over p_1 + ... + p_(k-1) - k(k-1)/2 remaining elements, one
+    inversion each; sorted blocks add none internally.  The last two blocks
+    of a partition come from one table of the splits of a 2k-element tuple,
+    built at the second 2k-element remainder, when the walk has already
+    gone through as many splits as the table has rows; so a walk of
+    n <= 2k, which has no such remainder, never builds it, and neither does
+    one that stops at its first partition.
     """
-    def frame(remaining: Sequence[int], sign: int, blocks: Blocks) -> tuple:
+    offset = k * (k - 1) // 2
+    splits = None
+    fresh = True  # no 2k-element remainder met yet
+
+    def frame(remaining: tuple, sign: int, blocks: Blocks) -> tuple:
         return remaining, combinations(range(1, len(remaining)), k - 1), sign, blocks
 
-    stack = [frame(ground, 1, ())]
+    stack = [frame(tuple(ground), 1, ())]
     while stack:
         remaining, choices, sign, blocks = stack[-1]
         for positions in choices:
             block = (remaining[0], *map(remaining.__getitem__, positions))
             if target is not None and sum(block) != target:
                 continue
-            crossings = sum(p - offset for offset, p in enumerate(positions, 1))
-            chosen = set(positions)
-            residue = tuple(remaining[q] for q in range(1, len(remaining)) if q not in chosen)
-            signed = -sign if crossings & 1 else sign
+            signed = -sign if (sum(positions) - offset) & 1 else sign
+            residue, start = (), 1
+            for p in positions:
+                residue += remaining[start:p]
+                start = p + 1
+            residue += remaining[start:]
+            blocks_now = blocks + (block,)
+            if len(residue) == 2 * k:
+                if fresh:
+                    fresh = False
+                else:
+                    splits = splits or _splits(k)
+                    signs = (signed, -signed)
+                    for take, complement, odd in splits:
+                        last, other = take(residue), complement(residue)
+                        if target is None or sum(last) == sum(other) == target:
+                            yield signs[odd], blocks_now + (last, other)
+                    continue
             if residue:
-                stack.append(frame(residue, signed, blocks + (block,)))
+                stack.append(frame(residue, signed, blocks_now))
                 break
-            yield signed, blocks + (block,)
+            yield signed, blocks_now
         else:
             stack.pop()
 

@@ -6,9 +6,9 @@ hyperpfaffian of the original function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import factorial
+from typing import NamedTuple
 
 from .hpf import SkewFunction, Value, pf_definition
 
@@ -55,8 +55,7 @@ def build_g(f: SkewFunction, n: int) -> SkewFunction:
     return SkewFunction(p, n, values)
 
 
-@dataclass(frozen=True)
-class CompositionCheck:
+class CompositionCheck(NamedTuple):
     """Both sides of the composition identity and the linking constant."""
 
     constant: int

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import comb, factorial, prod
+from operator import mul
 from typing import Mapping, Sequence, Union
 
 from .combinat import (
@@ -215,9 +216,12 @@ def skew_function_from_spec_at(spec: SkewSpec, point: Sequence[Scalar]) -> SkewF
     The value on a subset s is sum_r a_r * det[x_(s_i)^(r_j)], so the
     k!-term expansion is never built.  Each determinant is expanded along
     its last row, D_m[E] = sum_j (-1)^(m-1+j) x_(s_m)^(E_j) D_(m-1)[E - E_j],
-    over the exponent sets E inside some r.  Subsets are visited depth first
-    in sorted order, so a shared prefix's minors are computed once, and only
-    one chain of k minor tables is alive at a time.
+    over the exponent sets E inside some r, up to m = k-1.  The last row's
+    expansion and the a_r fold, per coordinate, into one weight per level
+    k-1 set, so a subset's value is one dot product of its level k-1 minors
+    with the weights of its last coordinate.  Subsets are visited depth
+    first in sorted order, so a shared prefix's minors are computed once,
+    and only one chain of k-1 minor tables is alive at a time.
     """
     n, k = spec.n, spec.k
     if len(point) != n:
@@ -229,19 +233,32 @@ def skew_function_from_spec_at(spec: SkewSpec, point: Sequence[Scalar]) -> SkewF
     # (sign parity, exponent E_j, slot of E - E_j in the level m-1 table).
     slots: dict[tuple[int, ...], int] = {(): 0}
     rules: list[list] = [[]]
-    for m in range(1, k + 1):
+    for m in range(1, k):
         sets = sorted({part for r in spec.coeffs for part in combinations(r, m)})
         rules.append([
             [((m - 1 + j) % 2, e[j], slots[e[:j] + e[j + 1:]]) for j in range(m)]
             for e in sets
         ])
         slots = {e: slot for slot, e in enumerate(sets)}
-    terms = [(a, slots[r]) for r, a in spec.coeffs.items()]
+    # weights[i][slot]: the sum of (-1)^(k-1+j) a_r x_(i+1)^(r_j) over the
+    # r and j with r - r_j at that slot of the level k-1 table
+    weights = []
+    for row in rows:
+        weight: list[Scalar] = [0] * len(slots)
+        for r, a in spec.coeffs.items():
+            for j, exponent in enumerate(r):
+                term = a * row[exponent]
+                weight[slots[r[:j] + r[j + 1:]]] += -term if (k - 1 + j) % 2 else term
+        weights.append(weight)
     values: dict[tuple[int, ...], Value] = {}
 
     def descend(prefix: tuple[int, ...], start: int, minors: list) -> None:
         m = len(prefix) + 1
         for i in range(start, n - k + m):
+            subset = prefix + (i + 1,)
+            if m == k:
+                values[subset] = sum(map(mul, minors, weights[i]))
+                continue
             row = powers[i]
             table = []
             for expansion in rules[m]:
@@ -249,11 +266,7 @@ def skew_function_from_spec_at(spec: SkewSpec, point: Sequence[Scalar]) -> SkewF
                 for odd, exponent, rest in expansion:
                     total += row[odd][exponent] * minors[rest]
                 table.append(total)
-            subset = prefix + (i + 1,)
-            if m == k:
-                values[subset] = sum(a * table[slot] for a, slot in terms)
-            else:
-                descend(subset, i + 1, table)
+            descend(subset, i + 1, table)
 
     descend((), 0, [1])
     return SkewFunction(n, k, values)

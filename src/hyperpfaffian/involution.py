@@ -24,10 +24,9 @@ constructor and :func:`compose_distinct` validate everything they are given.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import chain, product
 from math import factorial, prod
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .combinat import (
     composition_tilings,
@@ -41,24 +40,22 @@ from .hpf import SkewSpec
 from .poly import Polynomial, Scalar, accumulate, check_integers
 
 
-@dataclass(frozen=True)
 class WeightedOrientedPartition:
     """Ordered blocks plus one weight vector per block, kept aligned.
 
     Blocks are normalized to the canonical order (ascending minimum
-    element); the weight vectors travel with their blocks.
+    element); the weight vectors travel with their blocks.  Instances are
+    immutable; equality, hashing and the repr read only the blocks and the
+    weights.  Besides those, each carries ``weight_of``, where
+    weight_of[e - 1] is the weight carried by element e, and ``sign``,
+    oriented_sign(blocks), which the canonical order keeps since k is even.
     """
 
-    blocks: tuple[tuple[int, ...], ...]
-    weights: tuple[tuple[int, ...], ...]
-    #: weight_of[e - 1] is the weight carried by element e
-    weight_of: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    #: oriented_sign(blocks); k is even, so the canonical order keeps it
-    sign: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("blocks", "weights", "weight_of", "sign")
 
-    def __post_init__(self):
-        blocks = tuple(map(tuple, self.blocks))
-        weights = tuple(map(tuple, self.weights))
+    def __init__(self, blocks, weights):
+        blocks = tuple(map(tuple, blocks))
+        weights = tuple(map(tuple, weights))
         if not blocks or len(blocks) != len(weights):
             raise ValueError("need the same positive number of blocks and weight vectors")
         k = len(blocks[0])
@@ -91,8 +88,28 @@ class WeightedOrientedPartition:
             weight_of[element - 1] = weight
         # the minima are distinct, so the sort never compares blocks
         _, blocks, weights = zip(*sorted(zip(map(min, blocks), blocks, weights)))
-        # the instance is frozen, so its fields are set past __setattr__
-        vars(self).update(blocks=blocks, weights=weights, weight_of=tuple(weight_of), sign=sign)
+        set_field = object.__setattr__  # past the refusal below
+        set_field(self, "blocks", blocks)
+        set_field(self, "weights", weights)
+        set_field(self, "weight_of", tuple(weight_of))
+        set_field(self, "sign", sign)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.blocks, self.weights) == (other.blocks, other.weights)
+
+    def __hash__(self) -> int:
+        return hash((self.blocks, self.weights))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(blocks={self.blocks!r}, weights={self.weights!r})"
 
     @property
     def n(self) -> int:
@@ -196,8 +213,7 @@ def compose_distinct(
     return WeightedOrientedPartition(blocks, tuple(tiling))
 
 
-@dataclass(frozen=True)
-class InvolutionCheck:
+class InvolutionCheck(NamedTuple):
     """One walk over W(n, k): counts, signed sums and the first failure, or None."""
 
     elements: int

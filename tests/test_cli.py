@@ -534,6 +534,16 @@ class TestModuleEntryPoint:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_import_leaves_out_dataclasses_and_inspect(self):
+        # -S keeps site's .pth imports out of the checked set of modules
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        code = ("import sys, hyperpfaffian.cli; "
+                "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+        done = subprocess.run([sys.executable, "-S", "-c", code],
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
 
 class TestTraceContract:
     """perfbench/trace_op.py traces a verify op by wrapping, on the cli

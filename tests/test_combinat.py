@@ -106,9 +106,25 @@ class TestEqualBlockPartitions:
         for sign, blocks in signed_equal_block_partitions(n, k):
             assert sign == partition_sign(blocks)
 
-    @pytest.mark.parametrize("n,k", VALID_NK + [(12, 4)])
+    @pytest.mark.parametrize("n,k", VALID_NK + [(12, 4), (12, 6)])
     def test_signed_order_is_the_sorted_brute_force(self, n, k):
         assert list(signed_equal_block_partitions(n, k)) == signed_partitions_by_labelling(n, k)
+
+    def test_one_block_of_a_thousand_answers_at_once(self):
+        assert next(signed_equal_block_partitions(1000, 1000)) == (1, (tuple(range(1, 1001)),))
+
+    def test_no_split_table_before_a_second_remainder_of_2k(self):
+        # the 6,435 splits of 16 elements as a table take about 2.3 MB
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in signed_equal_block_partitions(16, 8))
+            first = next(signed_equal_block_partitions(24, 8))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == partition_count(16, 8) == 6435
+        assert first == (1, (tuple(range(1, 9)), tuple(range(9, 17)), tuple(range(17, 25))))
+        assert peak < 1 << 20
 
     def test_invalid_arguments(self):
         for n, k in [(3, 2), (4, 3), (2, 4), (0, 2), (4, 0)]:
@@ -297,7 +313,7 @@ class TestCompositionTilings:
             assert sorted(parts) == list(range(n))
             assert set(tiling) <= gamma
 
-    @pytest.mark.parametrize("n,k", [(4, 2), (8, 2), (8, 4), (12, 4)])
+    @pytest.mark.parametrize("n,k", [(4, 2), (8, 2), (8, 4), (12, 4), (12, 6)])
     def test_order_is_the_sorted_tiling_subsets_of_gamma(self, n, k):
         gamma = list(increasing_compositions(n, k))
         expected = sorted(

@@ -413,10 +413,13 @@ def fraction_spec_and_point(n, k):
 SPEC_AT_POINT_CASES = {
     **{
         f"{n}-{k}": seeded_spec_and_point(n, k)
-        for n, k in [(2, 2), (4, 2), (6, 2), (4, 4), (8, 4), (6, 6)]
+        for n, k in [(2, 2), (4, 2), (6, 2), (4, 4), (8, 4), (6, 6), (7, 6), (8, 6)]
     },
     "below-full-degree": (SkewSpec(6, 2, {(0, 3): 2, (1, 2): -5}, degree=3), (3, -1, 4, 1, -5, 9)),
+    "below-full-degree-k4": (SkewSpec(6, 4, {(0, 1, 2, 5): 3, (0, 1, 3, 4): -2}, degree=8),
+                             (3, -1, 4, 1, -5, 9)),
     "empty": (SkewSpec(6, 4, {}), (3, -1, 4, 1, -5, 9)),
+    "empty-k6": (SkewSpec(7, 6, {}), (3, -1, 4, 1, -5, 9, 2)),
     "fraction-coefficients": (fraction_spec_and_point(6, 2)[0], seeded_spec_and_point(6, 2)[1]),
     "fraction-coordinates": (seeded_spec_and_point(6, 4)[0], fraction_spec_and_point(6, 4)[1]),
     "fractions": fraction_spec_and_point(4, 4),

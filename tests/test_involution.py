@@ -153,12 +153,12 @@ class TestTrustedConstruction:
     def test_only_compose_distinct_validates_in_the_walk(self, monkeypatch):
         validated = []  # per validation: whether compose_distinct asked for it
         composing = []
-        post_init = WeightedOrientedPartition.__post_init__
+        init = WeightedOrientedPartition.__init__
         compose = involution.compose_distinct
 
-        def counting_post_init(wop):
+        def counting_init(wop, blocks, weights):
             validated.append(bool(composing))
-            post_init(wop)
+            init(wop, blocks, weights)
 
         def counting_compose(perm, tiling):
             composing.append(perm)
@@ -167,7 +167,7 @@ class TestTrustedConstruction:
             finally:
                 composing.pop()
 
-        monkeypatch.setattr(WeightedOrientedPartition, "__post_init__", counting_post_init)
+        monkeypatch.setattr(WeightedOrientedPartition, "__init__", counting_init)
         monkeypatch.setattr(involution, "compose_distinct", counting_compose)
         check = check_involution(random_skew_spec(4, 2, Lcg(6)))
         assert check.failure is None
