@@ -26,8 +26,9 @@ canonical representation.
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
-from operator import itemgetter
+from bisect import bisect_left
+from itertools import combinations, permutations, starmap
+from operator import gt, itemgetter
 from typing import Iterator, Sequence
 
 from .poly import check_integers, is_integer
@@ -39,14 +40,7 @@ Composition = tuple  # tuple[int, ...]
 
 def inversion_sign(values: Sequence) -> int:
     """(-1) to the number of inversions among (distinct) entries."""
-    count = 0
-    n = len(values)
-    for i in range(n):
-        vi = values[i]
-        for j in range(i + 1, n):
-            if vi > values[j]:
-                count += 1
-    return -1 if count & 1 else 1
+    return -1 if sum(starmap(gt, combinations(values, 2))) & 1 else 1
 
 
 def permutation_sign(perm: Sequence[int]) -> int:
@@ -105,27 +99,37 @@ def _block_walk(ground: Sequence[int], k: int, target: int | None = None
     Each frame of an explicit stack peels the least remaining element off
     with the k-1 at positions p_1 < ... < p_(k-1) of what remains.  That block
     jumps over p_1 + ... + p_(k-1) - k(k-1)/2 remaining elements, one
-    inversion each; sorted blocks add none internally.  The last two blocks
-    of a partition come from one table of the splits of a 2k-element tuple,
-    built at the second 2k-element remainder, when the walk has already
-    gone through as many splits as the table has rows; so a walk of
-    n <= 2k, which has no such remainder, never builds it, and neither does
-    one that stops at its first partition.
+    inversion each; sorted blocks add none internally.  With a target, only
+    p_1 < ... < p_(k-2) are drawn: the last member must be the target minus
+    the others, and a bisection after p_(k-2) finds it or not.  The last
+    two blocks of a partition come from one table of the splits of a
+    2k-element tuple, built at the second 2k-element remainder, when the
+    walk has already gone through as many splits as the table has rows; so
+    a walk of n <= 2k, which has no such remainder, never builds it, and
+    neither does one that stops at its first partition.
     """
     offset = k * (k - 1) // 2
     splits = None
     fresh = True  # no 2k-element remainder met yet
 
+    def fitting(remaining: tuple) -> Iterator[tuple]:
+        size = len(remaining)
+        for head in combinations(range(1, size - 1), k - 2):
+            last = target - remaining[0] - sum(map(remaining.__getitem__, head))
+            p = bisect_left(remaining, last, head[-1] + 1 if head else 1)
+            if p < size and remaining[p] == last:
+                yield (*head, p)
+
     def frame(remaining: tuple, sign: int, blocks: Blocks) -> tuple:
-        return remaining, combinations(range(1, len(remaining)), k - 1), sign, blocks
+        choices = (combinations(range(1, len(remaining)), k - 1) if target is None
+                   else fitting(remaining))
+        return remaining, choices, sign, blocks
 
     stack = [frame(tuple(ground), 1, ())]
     while stack:
         remaining, choices, sign, blocks = stack[-1]
         for positions in choices:
             block = (remaining[0], *map(remaining.__getitem__, positions))
-            if target is not None and sum(block) != target:
-                continue
             signed = -sign if (sum(positions) - offset) & 1 else sign
             residue, start = (), 1
             for p in positions:

@@ -20,12 +20,19 @@ tiling coefficient times the Vandermonde determinant.
 The walk builds its elements and pairing images unchecked, since the
 enumerators and the swap make them valid by construction; the public
 constructor and :func:`compose_distinct` validate everything they are given.
+An element's sign and the positions its weight_of reads depend only on its
+blocks.  So the enumerator finds them once per oriented partition, and the
+pairing once per swap plan, memoized per (source blocks, swapped pair):
+the image's canonical blocks, their order, weight getter and sign, all
+taken from the image's own blocks.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import chain, product
 from math import factorial, prod
+from operator import itemgetter
 from typing import Iterator, NamedTuple, Optional
 
 from .combinat import (
@@ -73,25 +80,23 @@ class WeightedOrientedPartition:
                 raise ValueError(f"weight vector {weight!r} is not strictly increasing")
             if weight[0] < 0 or sum(weight) != target:
                 raise ValueError(f"weight vector {weight!r} must be nonnegative with sum {target}")
-        self._canonicalize(blocks, weights, oriented_sign(blocks))
+        blocks, order, weight_of, sign = _canonical(blocks)
+        weights = tuple(weights[b] for b in order)
+        self._fill(blocks, weights, weight_of(_flat(weights)), sign)
 
     @classmethod
-    def _trusted(cls, blocks, weights, sign=None) -> WeightedOrientedPartition:
-        """An element from valid tuples, unchecked; `sign` is oriented_sign(blocks)."""
+    def _trusted(cls, blocks, weights, weight_of, sign) -> WeightedOrientedPartition:
+        """An element from its fields, unchecked: canonical `blocks`, their
+        `weights`, and the `weight_of` and `sign` their layout gives."""
         wop = object.__new__(cls)
-        wop._canonicalize(blocks, weights, oriented_sign(blocks) if sign is None else sign)
+        wop._fill(blocks, weights, weight_of, sign)
         return wop
 
-    def _canonicalize(self, blocks, weights, sign: int) -> None:
-        weight_of = [0] * (len(blocks) * len(blocks[0]))
-        for element, weight in zip(chain(*blocks), chain(*weights)):
-            weight_of[element - 1] = weight
-        # the minima are distinct, so the sort never compares blocks
-        _, blocks, weights = zip(*sorted(zip(map(min, blocks), blocks, weights)))
+    def _fill(self, blocks, weights, weight_of, sign: int) -> None:
         set_field = object.__setattr__  # past the refusal below
         set_field(self, "blocks", blocks)
         set_field(self, "weights", weights)
-        set_field(self, "weight_of", tuple(weight_of))
+        set_field(self, "weight_of", weight_of)
         set_field(self, "sign", sign)
 
     def __setattr__(self, name, value):
@@ -126,18 +131,62 @@ class WeightedOrientedPartition:
     def coefficient(self, spec: SkewSpec) -> Scalar:
         """Product of the spec coefficients of the weight vectors (0 if any
         vector is absent from the spec)."""
-        return prod(map(spec.coefficient, self.weights))
+        return prod(spec.coeffs.get(weight, 0) for weight in self.weights)
+
+
+def _flat(weights) -> tuple:
+    return tuple(chain.from_iterable(weights))
+
+
+def _weight_getter(blocks) -> itemgetter:
+    """Takes the concatenated weight vectors of `blocks` to weight_of: entry
+    e - 1 is read at the position of element e in the concatenated blocks."""
+    position = [0] * (len(blocks) * len(blocks[0]))  # n >= k >= 2, so a tuple comes out
+    for index, element in enumerate(chain.from_iterable(blocks)):
+        position[element - 1] = index
+    return itemgetter(*position)
+
+
+def _canonical(blocks) -> tuple:
+    """(blocks in canonical order, the source index of each, their
+    :func:`_weight_getter`, their oriented sign)."""
+    minima = [min(block) for block in blocks]
+    order = sorted(range(len(blocks)), key=minima.__getitem__)
+    blocks = tuple(blocks[b] for b in order)
+    return blocks, order, _weight_getter(blocks), oriented_sign(blocks)
+
+
+@lru_cache(maxsize=512)
+def _swap_plan(blocks, i: int, j: int) -> tuple:
+    """:func:`_canonical` of `blocks` with i and j swapped, its order as a
+    getter on the source's weight vectors.  A repeated weight needs two
+    blocks, as a block's weights increase, so the getter returns a tuple.
+    512 plans hold the 360 of (6, 2) and miss 2.4% of lookups at (8, 2)."""
+    swapped = tuple(
+        tuple(i if c == j else j if c == i else c for c in block) for block in blocks
+    )
+    image, order, weight_of, sign = _canonical(swapped)
+    return image, itemgetter(*order), weight_of, sign
 
 
 def weighted_oriented_partitions(n: int, k: int) -> Iterator[WeightedOrientedPartition]:
     """All weighted oriented partitions: every oriented partition paired
     with every choice of weight vectors, one per block.  Built unchecked
-    from the two enumerators, with one sign per oriented partition."""
+    from the two enumerators, whose blocks are already in canonical order:
+    one sign and weight getter per oriented partition, each assignment of
+    weight vectors flattened once."""
     oriented = oriented_partitions(n, k)
     vectors = tuple(increasing_compositions(n, k))
-    return (WeightedOrientedPartition._trusted(blocks, assignment, sign)
-            for blocks in oriented for sign in (oriented_sign(blocks),)
-            for assignment in product(vectors, repeat=n // k))
+
+    def walk() -> Iterator[WeightedOrientedPartition]:
+        assignments = [(weights, _flat(weights)) for weights in product(vectors, repeat=n // k)]
+        build = WeightedOrientedPartition._trusted
+        for blocks in oriented:
+            weight_of, sign = _weight_getter(blocks), oriented_sign(blocks)
+            for weights, flat in assignments:
+                yield build(blocks, weights, weight_of(flat), sign)
+
+    return walk()
 
 
 def has_distinct_weights(wop: WeightedOrientedPartition) -> bool:
@@ -172,11 +221,9 @@ def pairing_involution(wop: WeightedOrientedPartition) -> WeightedOrientedPartit
     pair = smallest_repeated_pair(wop)
     if pair is None:
         raise ValueError("all weights are distinct; there is no repeated pair to swap")
-    i, j = pair
-    swapped = tuple(
-        tuple(i if c == j else j if c == i else c for c in block) for block in wop.blocks
-    )
-    return WeightedOrientedPartition._trusted(swapped, wop.weights)
+    blocks, order, weight_of, sign = _swap_plan(wop.blocks, *pair)
+    weights = order(wop.weights)
+    return WeightedOrientedPartition._trusted(blocks, weights, weight_of(_flat(weights)), sign)
 
 
 def decompose_distinct(

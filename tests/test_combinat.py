@@ -8,6 +8,7 @@ from math import factorial
 
 import pytest
 
+import hyperpfaffian.combinat as combinat
 from hyperpfaffian.combinat import (
     composition_tilings,
     equal_block_partitions,
@@ -60,6 +61,10 @@ class TestPermutationSign:
         with pytest.raises(ValueError):
             permutation_sign((2, 3))
 
+    def test_refusal_names_both_ranges(self):
+        with pytest.raises(ValueError, match=re.escape("(2, 3) is not a permutation of 1..2 or 0..1")):
+            permutation_sign((2, 3))
+
     @pytest.mark.parametrize("perm,bad", [((1.0, 2.0), 1.0), ((True, 2), True), ((0, 1, 2.0), 2.0)])
     def test_rejects_inexact_entries(self, perm, bad):
         message = f"permutation entry {bad!r} is not an integer"
@@ -74,6 +79,27 @@ class TestPermutationSign:
             q = rng.sample(range(1, n + 1), n)
             composed = tuple(p[q[i] - 1] for i in range(n))
             assert permutation_sign(composed) == permutation_sign(p) * permutation_sign(q)
+
+
+class TestInversionSign:
+    @staticmethod
+    def brute_force(values):
+        inversions = sum(1 for i in range(len(values)) for j in range(i + 1, len(values))
+                         if values[i] > values[j])
+        return (-1) ** inversions
+
+    def test_every_permutation_of_seven(self):
+        for perm in permutations(range(7)):
+            assert inversion_sign(perm) == self.brute_force(perm)
+
+    def test_distinct_sequences_that_are_not_permutations(self):
+        rng = random.Random(17)
+        for size in range(10):
+            for _ in range(20):
+                values = rng.sample(range(-50, 50), size)
+                assert inversion_sign(values) == self.brute_force(values)
+        assert inversion_sign((10, -3)) == inversion_sign([7, 2.5, 1]) == -1
+        assert inversion_sign(()) == inversion_sign((5,)) == 1
 
 
 class TestEqualBlockPartitions:
@@ -325,6 +351,21 @@ class TestCompositionTilings:
     def test_more_blocks_than_the_recursion_limit(self):
         n = 2 * (sys.getrecursionlimit() + 200)  # 2400 at the default limit of 1000
         assert list(composition_tilings(n, 2)) == [tuple((i, n - 1 - i) for i in range(n // 2))]
+
+    def test_last_member_of_each_block_is_looked_up(self, monkeypatch):
+        # with a target, a k = 2 block's partner is target minus its least
+        # element: one candidate block per block, not one per later element
+        drawn = []
+
+        def counting(iterable, r):
+            for chosen in combinations(iterable, r):
+                drawn.append(chosen)
+                yield chosen
+
+        monkeypatch.setattr(combinat, "combinations", counting)
+        n = 2400
+        assert list(composition_tilings(n, 2)) == [tuple((i, n - 1 - i) for i in range(n // 2))]
+        assert len(drawn) <= n
 
     def test_sign_examples(self):
         assert tiling_sign(((0, 1),)) == 1

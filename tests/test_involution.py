@@ -12,6 +12,7 @@ from hyperpfaffian.combinat import (
     tiling_sign,
 )
 from hyperpfaffian.hpf import SkewSpec, pf_closed_form, pf_definition, skew_function_from_spec
+import hyperpfaffian.combinat as combinat
 import hyperpfaffian.involution as involution
 from hyperpfaffian.involution import (
     WeightedOrientedPartition,
@@ -70,6 +71,11 @@ class TestConstruction:
             WeightedOrientedPartition(((1, 2), (3, 4)), ((3, 0), (1, 2)))
         with pytest.raises(ValueError):
             WeightedOrientedPartition(((1, 2), (3, 4)), ((0, 1), (1, 2)))
+
+    def test_rejects_a_negative_first_weight(self):
+        message = "weight vector (-1, 4) must be nonnegative with sum 3"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            WeightedOrientedPartition(((1, 2), (3, 4)), ((-1, 4), (1, 2)))
 
     @pytest.mark.parametrize("blocks,weights,message", [
         (((1.0, 2.0),), ((0.0, 1.0),), "block element 1.0 is not an integer"),
@@ -149,6 +155,25 @@ class TestTrustedConstruction:
             self.assert_validated_twin(wop)
             if not has_distinct_weights(wop):
                 self.assert_validated_twin(pairing_involution(wop))
+
+    def test_images_are_the_swapped_elements_after_walks_at_other_orders(self):
+        # the plan memo is shared by every (n, k) of the process: a plan key
+        # that leaves out what an image depends on gives a wrong image here
+        involution._swap_plan.cache_clear()
+        for n, k in [(4, 2), (6, 2), (4, 2)]:
+            for wop in weighted_oriented_partitions(n, k):
+                if has_distinct_weights(wop):
+                    continue
+                i, j = smallest_repeated_pair(wop)
+                swapped = [[i if c == j else j if c == i else c for c in block]
+                           for block in wop.blocks]
+                image = pairing_involution(wop)
+                back = pairing_involution(image)
+                assert image == WeightedOrientedPartition(swapped, wop.weights)
+                self.assert_validated_twin(image)
+                self.assert_validated_twin(back)
+                assert back == wop
+                assert (back.weight_of, back.sign) == (wop.weight_of, wop.sign)
 
     def test_only_compose_distinct_validates_in_the_walk(self, monkeypatch):
         validated = []  # per validation: whether compose_distinct asked for it
@@ -302,6 +327,11 @@ class TestDecomposition:
         with pytest.raises(ValueError):
             compose_distinct((1, 2, 3, 4), ((0, 3), (0, 3)))
 
+    def test_compose_refuses_a_weight_outside_the_permutation(self):
+        message = "weight 5 does not occur in the permutation"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            compose_distinct((2, 1), ((0, 5),))
+
     @pytest.mark.parametrize("tiling,message", [
         (((0, 1), (2, 3)), "weight vector (0, 1) must be nonnegative with sum 3"),
         (((3, 0), (1, 2)), "weight vector (3, 0) is not strictly increasing"),
@@ -377,3 +407,36 @@ class TestCheckInvolution:
         assert (check.elements, check.repeated, check.distinct) == (48, 24, 24)
         assert check.repeated_sum.is_zero()
         assert check.distinct_sum == pf_definition(skew_function_from_spec(spec))
+
+
+class TestWalkMechanism:
+    """Signs are computed once per oriented partition and once per swap
+    plan, not once per element."""
+
+    @staticmethod
+    def count_calls(monkeypatch, module, name):
+        calls = []
+        real = getattr(module, name)
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counting)
+        return calls
+
+    def test_enumerator_lays_out_each_oriented_partition_once(self, monkeypatch):
+        signs = self.count_calls(monkeypatch, involution, "oriented_sign")
+        getters = self.count_calls(monkeypatch, involution, "_weight_getter")
+        assert sum(1 for _ in weighted_oriented_partitions(6, 2)) == 3240
+        assert len(signs) == len(getters) == factorial(6) // factorial(3) == 120
+
+    def test_inversion_signs_in_the_walk(self, monkeypatch):
+        # 120 oriented partitions, 360 swap plans, and three signs per
+        # distinct element: its tiling, its permutation, compose_distinct
+        involution._swap_plan.cache_clear()
+        calls = self.count_calls(monkeypatch, combinat, "inversion_sign")
+        check = check_involution(random_skew_spec(6, 2, Lcg(8)))
+        assert check.failure is None
+        assert involution._swap_plan.cache_info().misses == 360
+        assert len(calls) == 120 + 360 + 3 * check.distinct == 2640
