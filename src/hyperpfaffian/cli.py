@@ -30,7 +30,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import contextmanager
 from fractions import Fraction
 from math import comb, factorial, floor, lgamma, log, log10, prod
 
@@ -60,7 +59,6 @@ from .randgen import Lcg, random_point, random_skew_function, random_skew_spec
 MAX_SYMBOLIC_N = 8
 MAX_POINTS_N = 12
 MAX_COEFFS_N = 16
-MAX_TORELLI_N = 8
 MAX_COMPOSE_P = 8
 MAX_INVOLUTION_ELEMENTS = 100_000
 
@@ -142,18 +140,20 @@ def dump_spec(spec: SkewSpec) -> str:
 # -- shared helpers ---------------------------------------------------------
 
 
-def _refuse(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
-
-
-@contextmanager
-def _sizing(order: str):
-    """Refuse ``order`` (exit 2) where sizing it overflows a float or a factorial."""
+def _guard(args, order: str, refusal) -> None:
+    """Unless --force is given, raise the refusal that ``refusal()`` words
+    (``main`` prints it and exits 2); ``refusal()`` returns a false value
+    where the run is within its limit.  Where working the refusal out
+    overflows a float or a factorial, ``order`` is refused as too large to
+    size."""
+    if args.force:
+        return
     try:
-        yield
+        message = refusal()
     except OverflowError:
         raise ValueError(f"refusing {order}: too large to size") from None
+    if message:
+        raise ValueError(message)
 
 
 def tiling_label(compositions) -> str:
@@ -180,12 +180,11 @@ def _log10_factorial(n: int) -> float:
 
 
 def _partition_count(n: int, k: int) -> str:
-    """n!/(b! k!^b) for b = n//k, as :func:`_size` text.  Exactly, it is
-    n!/(bk)! times the product of C(jk-1, k-1) over j <= b: the choices of
+    """n!/(b! k!^b) for b = n/k (k divides n), as :func:`_size` text.
+    Exactly, it is the product of C(jk-1, k-1) over j <= b: the choices of
     each block beside its least element."""
     blocks = n // k
-    return _size(lambda: prod(range(blocks * k + 1, n + 1))
-                 * prod(comb(j * k - 1, k - 1) for j in range(1, blocks + 1)),
+    return _size(lambda: prod(comb(j * k - 1, k - 1) for j in range(1, blocks + 1)),
                  _log10_factorial(n) - _log10_factorial(blocks) - blocks * _log10_factorial(k))
 
 
@@ -206,13 +205,10 @@ def _weight_vector_count(n: int, k: int) -> tuple[int | None, float]:
 
 def cmd_compute(args) -> int:
     spec = load_spec_file(args.input)
-    if spec.n > MAX_SYMBOLIC_N and not args.force:
-        with _sizing(f"n={spec.n}"):
-            return _refuse(
-                f"refusing n={spec.n}: the expanded result can reach {spec.n}! = "
-                f"{_size(lambda: factorial(spec.n), _log10_factorial(spec.n))} terms; "
-                f"pass --force to override"
-            )
+    n = spec.n
+    _guard(args, f"n={n}", lambda: n > MAX_SYMBOLIC_N and (
+        f"refusing n={n}: the expanded result can reach {n}! = "
+        f"{_size(lambda: factorial(n), _log10_factorial(n))} terms; pass --force to override"))
     if args.method == "definition":
         result = pf_definition(skew_function_from_spec(spec))
     elif args.method == "exterior":
@@ -249,23 +245,20 @@ def _verify_checks(spec: SkewSpec, mode: str, points: int, rng: Lcg):
 def cmd_verify(args) -> int:
     n, k, seed = args.n, args.k, args.seed
     if args.trials < 1 or args.points < 1:
-        return _refuse("--trials and --points must be positive")
+        raise ValueError("--trials and --points must be positive")
     mode = args.mode
     if mode == "auto":
         mode = "symbolic" if n <= MAX_SYMBOLIC_N else "points"
     composition_tilings(n, k)  # validates (n, k) before the guards and the trial loop
-    with _sizing(f"n={n}"):
-        if mode == "symbolic" and n > MAX_SYMBOLIC_N and not args.force:
-            return _refuse(
-                f"refusing symbolic mode at n={n}: results can reach {n}! = "
-                f"{_size(lambda: factorial(n), _log10_factorial(n))} terms; "
-                f"use --mode points or pass --force"
-            )
-        if mode == "points" and n > MAX_POINTS_N and not args.force:
-            return _refuse(
-                f"refusing n={n}: each point sums over {_partition_count(n, k)} partitions; "
-                f"pass --force to override"
-            )
+    if mode == "symbolic":
+        _guard(args, f"n={n}", lambda: n > MAX_SYMBOLIC_N and (
+            f"refusing symbolic mode at n={n}: results can reach {n}! = "
+            f"{_size(lambda: factorial(n), _log10_factorial(n))} terms; "
+            f"use --mode points or pass --force"))
+    else:
+        _guard(args, f"n={n}", lambda: n > MAX_POINTS_N and (
+            f"refusing n={n}: each point sums over {_partition_count(n, k)} partitions; "
+            f"pass --force to override"))
     for trial in range(args.trials):
         rng = Lcg(seed + trial)
         spec = random_skew_spec(n, k, rng)
@@ -287,18 +280,19 @@ def cmd_verify(args) -> int:
 
 def cmd_coeffs(args) -> int:
     n, k = args.n, args.k
-    if n > MAX_COEFFS_N and not args.force:
-        composition_tilings(n, k)  # surface (n, k) validation first
-        with _sizing(f"n={n}"):
+    tilings = composition_tilings(n, k)  # validates (n, k) before the guard
+
+    def refusal():
+        if n > MAX_COEFFS_N:
             count, log10_count = _weight_vector_count(n, k)
             shown, bound = (count, "") if count is not None else (
                 "N", f", with N {_size(None, log10_count)}")
-            return _refuse(
-                f"refusing n={n}: up to C({shown},{n // k}) combinations of the "
-                f"{shown} admissible weight vectors to sift{bound}; pass --force to override"
-            )
+            return (f"refusing n={n}: up to C({shown},{n // k}) combinations of the "
+                    f"{shown} admissible weight vectors to sift{bound}; pass --force to override")
+
+    _guard(args, f"n={n}", refusal)
     positive = negative = 0
-    for tiling in composition_tilings(n, k):
+    for tiling in tilings:
         sign = tiling_sign(tiling)
         if sign > 0:
             positive += 1
@@ -314,12 +308,9 @@ def cmd_coeffs(args) -> int:
 def cmd_torelli(args) -> int:
     n = args.n
     check_torelli_order(n)
-    if n > MAX_TORELLI_N and not args.force:
-        with _sizing(f"n={n}"):
-            return _refuse(
-                f"refusing n={n}: brute force sums over {_partition_count(n, 2)} matchings "
-                f"of degree-{n - 1} polynomials; pass --force to override"
-            )
+    _guard(args, f"n={n}", lambda: n > MAX_SYMBOLIC_N and (
+        f"refusing n={n}: brute force sums over {_partition_count(n, 2)} matchings "
+        f"of degree-{n - 1} polynomials; pass --force to override"))
     constant = torelli_constant(n)
     spec = torelli_spec(n)
     brute = pf_definition(skew_function_from_spec(spec))
@@ -340,19 +331,18 @@ def cmd_involution(args) -> int:
     # |W| = n!/(n/k)! |Gamma|^(n/k).  When |Gamma| is too costly to count,
     # m^2 >= k*m > MAX_INVOLUTION_ELEMENTS for m = k(n-k)/2 <= n^2/8, so n > 50
     # and |W| >= n!/(n/2)! is far above the budget.
-    with _sizing(f"n={n}, k={k}"):
+    def refusal():
         count, log10_count = _weight_vector_count(n, k)
         blocks = n // k
         log10_elements = _log10_factorial(n) - _log10_factorial(blocks) + blocks * log10_count
         elements = None if count is None else (
             lambda: factorial(n) // factorial(blocks) * count ** blocks)
-        over = (elements is None or log10_elements > log10(MAX_INVOLUTION_ELEMENTS) + 1
-                or elements() > MAX_INVOLUTION_ELEMENTS)
-        if over and not args.force:
-            return _refuse(
-                f"refusing n={n}, k={k}: |W| = {_size(elements, log10_elements)} weighted "
-                f"oriented partitions; pass --force to override"
-            )
+        if (elements is None or log10_elements > log10(MAX_INVOLUTION_ELEMENTS) + 1
+                or elements() > MAX_INVOLUTION_ELEMENTS):
+            return (f"refusing n={n}, k={k}: |W| = {_size(elements, log10_elements)} weighted "
+                    f"oriented partitions; pass --force to override")
+
+    _guard(args, f"n={n}, k={k}", refusal)
     # deterministic distinct coefficients: i+1 for the i-th admissible tuple
     coeffs = {r: index + 1 for index, r in enumerate(increasing_compositions(n, k))}
     check = check_involution(SkewSpec(n, k, coeffs))
@@ -369,14 +359,11 @@ def cmd_involution(args) -> int:
 def cmd_compose(args) -> int:
     k, n, p = args.k, args.n, args.p
     if args.trials < 1:
-        return _refuse("--trials must be positive")
+        raise ValueError("--trials must be positive")
     check_orders(k, n, p)
-    if p > MAX_COMPOSE_P and not args.force:
-        with _sizing(f"p={p}"):
-            return _refuse(
-                f"refusing p={p}: the outer sum runs over {_partition_count(p, n)} partitions "
-                f"with C({p},{n}) inner hyperpfaffians; pass --force to override"
-            )
+    _guard(args, f"p={p}", lambda: p > MAX_COMPOSE_P and (
+        f"refusing p={p}: the outer sum runs over {_partition_count(p, n)} partitions "
+        f"with C({p},{n}) inner hyperpfaffians; pass --force to override"))
     for trial in range(args.trials):
         rng = Lcg(args.seed + trial)
         f = random_skew_function(p, k, rng)
@@ -404,19 +391,21 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override the built-in size guards")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, **kwargs) -> argparse.ArgumentParser:
+    def add(name: str, *orders: str, **kwargs) -> argparse.ArgumentParser:
+        """A subcommand taking --force and then each of ``orders`` as a
+        required integer option."""
         p = sub.add_parser(name, **kwargs)
         p.add_argument("--force", action="store_true", default=argparse.SUPPRESS,
                        help="override the built-in size guards")
+        for order in orders:
+            p.add_argument(f"--{order}", required=True, type=int)
         return p
 
     p = add("compute", help="evaluate a spec file by one algorithm")
     p.add_argument("--input", required=True, help="path to a JSON spec file")
     p.add_argument("--method", required=True, choices=["definition", "exterior", "theorem"])
 
-    p = add("verify", help="check that the three algorithms agree on random specs")
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--k", required=True, type=int)
+    p = add("verify", "n", "k", help="check that the three algorithms agree on random specs")
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--mode", choices=["auto", "symbolic", "points"], default="auto",
@@ -424,21 +413,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "at random integer points (default: symbolic up to n=8)")
     p.add_argument("--points", type=int, default=5, help="points per trial in points mode")
 
-    p = add("coeffs", help="list the closed form's signed coefficient products")
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--k", required=True, type=int)
-
-    p = add("torelli", help="binomial-power Pfaffian constant against brute force")
-    p.add_argument("--n", required=True, type=int)
-
-    p = add("involution", help="pairing/cancellation suite on weighted oriented partitions")
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--k", required=True, type=int)
-
-    p = add("compose", help="composition identity on random skew functions")
-    p.add_argument("--k", required=True, type=int)
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--p", required=True, type=int)
+    add("coeffs", "n", "k", help="list the closed form's signed coefficient products")
+    add("torelli", "n", help="binomial-power Pfaffian constant against brute force")
+    add("involution", "n", "k", help="pairing/cancellation suite on weighted oriented partitions")
+    p = add("compose", "k", "n", "p", help="composition identity on random skew functions")
     p.add_argument("--trials", type=int, default=5)
     p.add_argument("--seed", type=int, default=1)
 

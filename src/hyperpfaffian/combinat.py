@@ -114,7 +114,8 @@ def _block_walk(ground: Sequence[int], k: int, target: int | None = None
 
     def fitting(remaining: tuple) -> Iterator[tuple]:
         size = len(remaining)
-        for head in combinations(range(1, size - 1), k - 2):
+        # k = 2 draws no head: the lone empty one, without a pool of size - 2 positions
+        for head in combinations(range(1, size - 1), k - 2) if k > 2 else ((),):
             last = target - remaining[0] - sum(map(remaining.__getitem__, head))
             p = bisect_left(remaining, last, head[-1] + 1 if head else 1)
             if p < size and remaining[p] == last:

@@ -11,6 +11,7 @@ from math import factorial
 from typing import NamedTuple
 
 from .hpf import SkewFunction, Value, pf_definition
+from .poly import div_exact
 
 
 def check_orders(k: int, n: int, p: int) -> None:
@@ -27,13 +28,8 @@ def composition_constant(k: int, n: int, p: int) -> int:
     """(p/k choose n/k, ..., n/k) / (p/n)!: the number of ways to split p/k
     items into p/n unordered groups of n/k.  Always an exact integer."""
     check_orders(k, n, p)
-    multinomial = factorial(p // k) // (factorial(n // k) ** (p // n))
-    quotient, remainder = divmod(multinomial, factorial(p // n))
-    if remainder:
-        raise ArithmeticError(
-            f"constant for (k={k}, n={n}, p={p}) is not an integer; implementation bug"
-        )
-    return quotient
+    multinomial = div_exact(factorial(p // k), factorial(n // k) ** (p // n))
+    return div_exact(multinomial, factorial(p // n))
 
 
 def build_g(f: SkewFunction, n: int) -> SkewFunction:

@@ -242,9 +242,7 @@ class Polynomial:
     __radd__ = __add__
 
     def __sub__(self, other) -> "Polynomial":
-        if is_scalar(other):
-            other = Polynomial.constant(other)
-        if not isinstance(other, Polynomial):
+        if not (is_scalar(other) or isinstance(other, Polynomial)):
             return NotImplemented
         return self + (-other)
 

@@ -13,7 +13,7 @@ import pytest
 from hyperpfaffian.cli import load_spec_file, main, tiling_label
 from hyperpfaffian.hpf import pf_closed_form, torelli_spec
 from hyperpfaffian.poly import parse_polynomial, render, vandermonde
-from hyperpfaffian.randgen import Lcg
+from hyperpfaffian.randgen import Lcg, random_skew_function
 
 SMALLEST_SPEC = {"n": 2, "k": 2, "terms": [{"r": [0, 1], "a": "1"}]}
 TORELLI_4 = {"n": 4, "k": 2, "terms": [{"r": [0, 3], "a": 1}, {"r": [1, 2], "a": "-3"}]}
@@ -488,6 +488,164 @@ class TestRefusalsAtEverySize:
             "coeffs-negative", "torelli-odd"])
     def test_invalid_orders_are_named_before_the_guard(self, capsys, argv, error):
         assert run(capsys, *argv) == (2, "", error)
+
+
+class TestGuardBoundaries:
+    """Each size guard just inside its limit runs, and just past it refuses
+    with its full text on one stderr line."""
+
+    @pytest.mark.parametrize("argv,last", [
+        (("verify", "--n", "8", "--k", "2", "--mode", "symbolic", "--trials", "1"),
+         "verified: 1/1 trials, definition = exterior = closed form"),
+        (("verify", "--n", "12", "--k", "2", "--mode", "points", "--trials", "1", "--points", "1"),
+         "verified: 1/1 trials, definition = exterior = closed form"),
+        (("torelli", "--n", "8"), "constant = 5145, verified"),
+        (("coeffs", "--n", "16", "--k", "4"), "392 terms (283 positive, 109 negative)"),
+        (("compose", "--k", "2", "--n", "2", "--p", "8", "--trials", "1"),
+         "constant = 1, verified"),
+    ], ids=["verify-symbolic", "verify-points", "torelli", "coeffs", "compose"])
+    def test_inside_the_limit_runs(self, capsys, argv, last):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == last
+
+    @pytest.mark.parametrize("argv,message", [
+        (("verify", "--n", "10", "--k", "2", "--mode", "symbolic"),
+         "refusing symbolic mode at n=10: results can reach 10! = 3628800 terms; "
+         "use --mode points or pass --force"),
+        (("verify", "--n", "14", "--k", "2"),
+         "refusing n=14: each point sums over 135135 partitions; pass --force to override"),
+        (("torelli", "--n", "10"),
+         "refusing n=10: brute force sums over 945 matchings of degree-9 polynomials; "
+         "pass --force to override"),
+        (("coeffs", "--n", "20", "--k", "4"),
+         "refusing n=20: up to C(351,5) combinations of the 351 admissible weight vectors "
+         "to sift; pass --force to override"),
+        (("compose", "--k", "2", "--n", "2", "--p", "10"),
+         "refusing p=10: the outer sum runs over 945 partitions with C(10,2) inner "
+         "hyperpfaffians; pass --force to override"),
+        # m = 50,000 and min(k, m) * m = 100,000: |Gamma| is still counted exactly
+        (("involution", "--n", "50002", "--k", "2"),
+         "refusing n=50002, k=2: |W| = about 10^224101 weighted oriented partitions; "
+         "pass --force to override"),
+        # one step past that cutoff the size is only bounded from below
+        (("involution", "--n", "50004", "--k", "2"),
+         "refusing n=50004, k=2: |W| = at least 10^224110 weighted oriented partitions; "
+         "pass --force to override"),
+    ], ids=["verify-symbolic", "verify-points", "torelli", "coeffs", "compose",
+            "involution-counted", "involution-bounded"])
+    def test_past_the_limit_refuses(self, capsys, argv, message):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    def test_compute_at_the_symbolic_limit(self, tmp_path, capsys):
+        path = write_spec(tmp_path, {"n": 8, "k": 2, "terms": [{"r": [0, 7], "a": 1}]})
+        assert run(capsys, "compute", "--input", path, "--method", "theorem") == (0, "0\n", "")
+        path = write_spec(tmp_path, {"n": 10, "k": 2, "terms": [{"r": [0, 9], "a": 1}]})
+        assert run(capsys, "compute", "--input", path, "--method", "theorem") == (
+            2, "", "error: refusing n=10: the expanded result can reach 10! = 3628800 terms; "
+                   "pass --force to override\n")
+
+    @pytest.mark.parametrize("limit,shown", [
+        (7, "135135"), (6, "about 10^5"), (0, "135135"), (None, "135135")])
+    def test_exact_sizes_stop_a_digit_short_of_the_str_limit(self, capsys, monkeypatch,
+                                                             limit, shown):
+        # log10(135135) = 5.13; no limit (0), or no limit function (None, before
+        # Python 3.10.7), falls back to the default of 4300 digits
+        if limit is None:
+            monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+        else:
+            monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: limit)
+        code, _, err = run(capsys, "verify", "--n", "14", "--k", "2")
+        assert (code, err) == (2, f"error: refusing n=14: each point sums over {shown} "
+                                  "partitions; pass --force to override\n")
+
+    def test_a_size_at_the_cutoff_is_an_order_of_magnitude(self, monkeypatch):
+        import hyperpfaffian.cli as cli
+
+        # a digit of margin for the float log10: 10^5 has 6 digits, and a limit
+        # of 6 would print it, but the cutoff is strict
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 6)
+        assert cli._size(lambda: 10**5, 5.0) == "about 10^5"
+        assert cli._size(lambda: 99999, log10(99999)) == "99999"
+
+
+class TestDefaultsAndReports:
+    """Option defaults, spec-file values the guards never see, and which
+    trial, seed and route a MISMATCH report names."""
+
+    def test_default_points_per_trial(self, capsys):
+        code, out, _ = run(capsys, "verify", "--n", "4", "--k", "2", "--mode", "points",
+                           "--trials", "1")
+        assert code == 0
+        assert out.splitlines()[0] == "trial 1: ok (5 points)"
+
+    def test_default_trials(self, capsys, monkeypatch):
+        import hyperpfaffian.cli as cli
+
+        code, out, _ = run(capsys, "verify", "--n", "4", "--k", "2")
+        assert (code, out.splitlines()[-1]) == (
+            0, "verified: 10/10 trials, definition = exterior = closed form")
+        drawn = []
+
+        def counted(p, k, rng):
+            drawn.append(rng)
+            return random_skew_function(p, k, rng)
+
+        monkeypatch.setattr(cli, "random_skew_function", counted)
+        assert run(capsys, "compose", "--k", "2", "--n", "2", "--p", "4")[0] == 0
+        assert len(drawn) == 5
+
+    def test_half_coefficients_stay_fractions(self, tmp_path, capsys):
+        path = write_spec(tmp_path, {"n": 2, "k": 2, "terms": [{"r": [0, 1], "a": "3/2"}]})
+        assert run(capsys, "compute", "--input", path, "--method", "theorem") == (
+            0, "3/2*x2 - 3/2*x1\n", "")
+
+    def test_verify_mismatch_on_the_second_trial(self, capsys, monkeypatch):
+        import hyperpfaffian.cli as cli
+
+        calls = []
+
+        def second_call_fails(f):
+            calls.append(f)
+            return cli.pf_definition(f) if len(calls) == 1 else 0
+
+        monkeypatch.setattr(cli, "pf_exterior", second_call_fails)
+        code, out, _ = run(capsys, "verify", "--n", "4", "--k", "2", "--trials", "3",
+                           "--seed", "7")
+        assert code == 1
+        assert out.splitlines()[:2] == ["trial 1: ok (symbolic)",
+                                        "MISMATCH trial 2 (n=4, k=2, seed=8)"]
+        assert out.splitlines()[-2] == "exterior: 0"
+
+    def test_verify_mismatch_of_the_definition_route(self, capsys, monkeypatch):
+        # each route is compared with the first, so a wrong first route shows too
+        import hyperpfaffian.cli as cli
+
+        monkeypatch.setattr(cli, "pf_definition", lambda f: 0)
+        code, out, _ = run(capsys, "verify", "--n", "4", "--k", "2", "--trials", "1")
+        assert code == 1
+        assert out.splitlines()[:3] == ["MISMATCH trial 1 (n=4, k=2, seed=1)",
+                                        f"spec: {MISMATCH_SPEC}", "definition: 0"]
+
+    @pytest.mark.parametrize("argv,passing,first", [
+        ((), 0, "MISMATCH trial 1 (seed=1)"),
+        (("--trials", "3", "--seed", "7"), 1, "MISMATCH trial 2 (seed=8)"),
+    ], ids=["default-seed", "second-trial"])
+    def test_compose_mismatch_names_its_trial_and_seed(self, capsys, monkeypatch, argv,
+                                                        passing, first):
+        import hyperpfaffian.cli as cli
+        from hyperpfaffian.compose import CompositionCheck
+
+        ok = CompositionCheck(constant=1, pf_composed=5, pf_original=5)
+        checks = iter([ok] * passing + [CompositionCheck(constant=1, pf_composed=1, pf_original=5)])
+        monkeypatch.setattr(cli, "verify_composition", lambda f, k, n, p: next(checks))
+        code, out, _ = run(capsys, "compose", "--k", "2", "--n", "2", "--p", "4", *argv)
+        assert (code, out) == (1, f"{first}\nconstant: 1\ncomposed: 1\noriginal: 5\n")
+
+    def test_spec_file_with_a_negative_exponent(self, tmp_path, capsys):
+        path = write_spec(tmp_path, {"n": 2, "k": 2, "terms": [{"r": [-1, 2], "a": 1}]})
+        assert run(capsys, "compute", "--input", path, "--method", "theorem") == (
+            2, "", "error: exponent tuple [-1, 2] is not strictly increasing\n")
 
 
 class TestTooDeep:

@@ -367,6 +367,28 @@ class TestCompositionTilings:
         assert list(composition_tilings(n, 2)) == [tuple((i, n - 1 - i) for i in range(n // 2))]
         assert len(drawn) <= n
 
+    def test_pair_tilings_build_no_position_pool(self):
+        # k = 2 draws no head, so no frame copies a pool of its size - 2
+        # positions: 63.4 MB of peak at n = 2400 with such pools, 17.3 MB without
+        n = 2400
+        tracemalloc.start()
+        try:
+            tilings = list(composition_tilings(n, 2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert tilings == [tuple((i, n - 1 - i) for i in range(n // 2))]
+        assert peak < 63.4 / 2 * 2**20
+
+    @pytest.mark.parametrize("n,k", [(8, 2), (10, 2), (12, 4), (12, 6)])
+    def test_targeted_walk_is_the_filtered_partition_walk(self, n, k):
+        # same yield order and signs as the partitions of {0..n-1} whose
+        # blocks all sum to the target
+        target = k * (n - 1) // 2
+        expected = [(sign, blocks) for sign, blocks in combinat._block_walk(range(n), k)
+                    if all(sum(block) == target for block in blocks)]
+        assert list(combinat._block_walk(range(n), k, target)) == expected
+
     def test_sign_examples(self):
         assert tiling_sign(((0, 1),)) == 1
         assert tiling_sign(((0, 3), (1, 2))) == 1

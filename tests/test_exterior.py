@@ -143,6 +143,16 @@ class TestWedgePower:
             fold = reduce(ExteriorElement.wedge, copies)
             assert a.wedge_power(m) == fold
 
+    def test_square_with_a_scalar_part(self):
+        # the square pairs the scalar part (mask 0) with itself once; a copy
+        # takes the general path, which pairs every ordered couple
+        e = ExteriorElement(3, {0: 2, 0b001: 1, 0b110: 3})
+        copy = ExteriorElement(3, dict(e.table))
+        assert e.wedge(e) == e.wedge(copy) == ExteriorElement(
+            3, {0: 4, 0b001: 4, 0b110: 12, 0b111: 6})
+        assert e.wedge_power(2) == e.wedge(copy)
+        assert e.wedge_power(3) == e.wedge(copy).wedge(copy)
+
     def test_odd_grade_square_vanishes(self):
         rng = random.Random(50)
         a = random_element(rng, 5, grade=3)

@@ -74,6 +74,11 @@ class TestSkewSpec:
         with pytest.raises(ValueError, match="rational"):
             SkewSpec(4, 2, {(0, 3): 0.5})
 
+    def test_rejects_a_negative_first_exponent(self):
+        message = "exponent tuple [-1, 2] is not strictly increasing"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SkewSpec(2, 2, {(-1, 2): 1})
+
     def test_rejects_bool_coefficient(self):
         with pytest.raises(ValueError, match=re.escape("(0, 1) is not an exact rational: True")):
             SkewSpec(2, 2, {(0, 1): True})
