@@ -31,7 +31,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from math import comb, factorial, floor, lgamma, log, log10, prod
+from math import factorial, floor, inf, isfinite, lgamma, log, log10, prod
 
 from .combinat import (
     composition_tilings,
@@ -56,11 +56,9 @@ from .involution import check_involution
 from .poly import is_integer, vandermonde, vandermonde_at
 from .randgen import Lcg, random_point, random_skew_function, random_skew_spec
 
-MAX_SYMBOLIC_N = 8
-MAX_POINTS_N = 12
-MAX_COEFFS_N = 16
-MAX_COMPOSE_P = 8
-MAX_INVOLUTION_ELEMENTS = 100_000
+MAX_SYMBOLIC_N = 8  # symbolic results hold up to n! terms; also the --mode auto switch
+WORK_BUDGET = 3 * 10**7  # estimated steps a run may take without --force
+COUNT_STEPS = 100_000  # the most steps an estimate spends counting
 
 
 # -- spec files -------------------------------------------------------------
@@ -141,19 +139,23 @@ def dump_spec(spec: SkewSpec) -> str:
 
 
 def _guard(args, order: str, refusal) -> None:
-    """Unless --force is given, raise the refusal that ``refusal()`` words
-    (``main`` prints it and exits 2); ``refusal()`` returns a false value
-    where the run is within its limit.  Where working the refusal out
-    overflows a float or a factorial, ``order`` is refused as too large to
-    size."""
+    """Unless --force is given, raise the refusal ``refusal()`` words (the cap
+    on symbolic results), or refuse where it gives a log10 of steps past
+    WORK_BUDGET; ``main`` prints it, exit 2.  An estimate past a float
+    refuses ``order`` as too large to size."""
     if args.force:
         return
     try:
-        message = refusal()
+        found = refusal()
     except OverflowError:
-        raise ValueError(f"refusing {order}: too large to size") from None
-    if message:
-        raise ValueError(message)
+        found = inf
+    if isinstance(found, str):
+        raise ValueError(found)
+    if not isfinite(found):
+        raise ValueError(f"refusing {order}: too large to size")
+    if found > log10(WORK_BUDGET):
+        raise ValueError(f"refusing {order}: about 10^{found:.1f} steps, past the budget of "
+                         f"10^{log10(WORK_BUDGET):.1f}; pass --force to override")
 
 
 def tiling_label(compositions) -> str:
@@ -162,12 +164,8 @@ def tiling_label(compositions) -> str:
 
 
 def _size(exact, log10_size: float) -> str:
-    """A size in a refusal: ``exact()`` when its digits fit the interpreter's
-    int-to-str limit (a size that small is also cheap to compute), else its
-    order of magnitude; ``exact`` None means ``log10_size`` only bounds the
-    size from below."""
-    if exact is None:
-        return f"at least 10^{floor(log10_size)}"
+    """A size in a refusal: ``exact()`` while its digits fit the interpreter's
+    int-to-str limit (so it is cheap to compute), else its order of magnitude."""
     # Python's default limit where the limit is off (0) or absent (before 3.10.7)
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
     if log10_size < limit - 1:
@@ -175,29 +173,54 @@ def _size(exact, log10_size: float) -> str:
     return f"about 10^{floor(log10_size)}"
 
 
+# Work estimates, in log10; every count is read off the code it sizes.
+
+
 def _log10_factorial(n: int) -> float:
     return lgamma(n + 1) / log(10)
 
 
-def _partition_count(n: int, k: int) -> str:
-    """n!/(b! k!^b) for b = n/k (k divides n), as :func:`_size` text.
-    Exactly, it is the product of C(jk-1, k-1) over j <= b: the choices of
-    each block beside its least element."""
-    blocks = n // k
-    return _size(lambda: prod(comb(j * k - 1, k - 1) for j in range(1, blocks + 1)),
-                 _log10_factorial(n) - _log10_factorial(blocks) - blocks * _log10_factorial(k))
+def _log10_comb(a, b: int) -> float:
+    return -inf if b > a else _log10_factorial(a) - _log10_factorial(b) - _log10_factorial(a - b)
 
 
-def _weight_vector_count(n: int, k: int) -> tuple[int | None, float]:
-    """|Gamma(n, k)|, or None where counting the partitions of m = k(n-k)/2
-    into at most k parts takes over MAX_INVOLUTION_ELEMENTS steps; and the
-    log10 of |Gamma|, or of its lower bound C(m+k-1, k-1)/k! (each such
-    partition orders into at most k! compositions of m into k parts)."""
+def _log10_sum(*logs: float) -> float:
+    return (top := max(logs)) + log10(sum(10 ** (x - top) for x in logs))
+
+
+def _log10_partitions(n: int, k: int) -> float:
+    """P(n, k) = n!/((n/k)! k!^(n/k)), the partitions of [n] into k-blocks."""
+    return _log10_factorial(n) - _log10_factorial(n // k) - n // k * _log10_factorial(k)
+
+
+def _log10_gamma(n: int, k: int) -> float:
+    """|Gamma(n, k)|, counted while counting the partitions of m = k(n-k)/2
+    into at most k parts takes at most COUNT_STEPS steps, else its lower bound
+    C(m+k-1, k-1)/k! (each orders into at most k! compositions of m into k
+    parts).  Past the cutoff k^3 (n/k - 1) > 2 COUNT_STEPS, where P(n, k),
+    n!/(n/k)! and C(n-2, k-2) + n^2 are each far past WORK_BUDGET alone."""
     m = k * (n - k) // 2
-    if min(k, m) * m <= MAX_INVOLUTION_ELEMENTS:
-        count = increasing_composition_count(n, k)
-        return count, log10(count)
-    return None, (lgamma(m + k) - lgamma(k) - lgamma(m + 1)) / log(10) - _log10_factorial(k)
+    if min(k, m) * m <= COUNT_STEPS:
+        return log10(increasing_composition_count(n, k))
+    return _log10_comb(m + k - 1, k - 1) - _log10_factorial(k)
+
+
+def _log10_chain(n: int, k: int) -> float:
+    """One symbolic route's monomial products before cancellation: per
+    partition, t^2 + ... + t^(n/k) for blocks of t = k!|Gamma| terms (t alone
+    at n = k, where the one block multiplies 1)."""
+    blocks, terms = n // k, _log10_factorial(k) + _log10_gamma(n, k)
+    return _log10_partitions(n, k) + _log10_sum(
+        *(j * terms for j in range(min(2, blocks), blocks + 1)))
+
+
+def _log10_laplace(n: int, k: int) -> float:
+    """Entries spec evaluation fills at a point: per level m < k, C(n-k+m, m)
+    prefix tables of at most C(k, m)|Gamma| minors (past COUNT_STEPS levels,
+    at least (2^k - 2)|Gamma| in all), and C(n, k) dot products of k|Gamma|."""
+    prefixes = (_log10_sum(*(_log10_comb(n - k + m, m) + _log10_comb(k, m) for m in range(1, k)))
+                if k <= COUNT_STEPS else k * log10(2))
+    return _log10_gamma(n, k) + _log10_sum(prefixes, _log10_comb(n, k) + log10(k))
 
 
 # -- commands ---------------------------------------------------------------
@@ -225,40 +248,34 @@ def _verify_checks(spec: SkewSpec, mode: str, points: int, rng: Lcg):
     point drawn only when its check is reached."""
     if mode == "symbolic":
         f = skew_function_from_spec(spec)
-        yield None, [
-            ("definition", pf_definition(f)),
-            ("exterior", pf_exterior(f)),
-            ("closed form", pf_closed_form(spec)),
-        ]
+        yield None, [("definition", pf_definition(f)), ("exterior", pf_exterior(f)),
+                     ("closed form", pf_closed_form(spec))]
         return
     coefficient = theorem_coefficient(spec)
     for _ in range(points):
         point = random_point(spec.n, rng)
         f_at = skew_function_from_spec_at(spec, point)
-        yield point, [
-            ("definition", pf_definition(f_at)),
-            ("exterior", pf_exterior(f_at)),
-            ("closed form", coefficient * vandermonde_at(point)),
-        ]
+        yield point, [("definition", pf_definition(f_at)), ("exterior", pf_exterior(f_at)),
+                      ("closed form", coefficient * vandermonde_at(point))]
 
 
 def cmd_verify(args) -> int:
     n, k, seed = args.n, args.k, args.seed
     if args.trials < 1 or args.points < 1:
         raise ValueError("--trials and --points must be positive")
-    mode = args.mode
-    if mode == "auto":
-        mode = "symbolic" if n <= MAX_SYMBOLIC_N else "points"
+    mode = args.mode if args.mode != "auto" else "symbolic" if n <= MAX_SYMBOLIC_N else "points"
     composition_tilings(n, k)  # validates (n, k) before the guards and the trial loop
+    # per trial: two routes' product chains and n! closed-form terms, or per point P(n, k)
+    # partitions of n/k products and the entries spec evaluation fills
     if mode == "symbolic":
         _guard(args, f"n={n}", lambda: n > MAX_SYMBOLIC_N and (
             f"refusing symbolic mode at n={n}: results can reach {n}! = "
             f"{_size(lambda: factorial(n), _log10_factorial(n))} terms; "
-            f"use --mode points or pass --force"))
+            f"use --mode points or pass --force")
+            or log10(2 * args.trials) + _log10_sum(_log10_chain(n, k), _log10_factorial(n)))
     else:
-        _guard(args, f"n={n}", lambda: n > MAX_POINTS_N and (
-            f"refusing n={n}: each point sums over {_partition_count(n, k)} partitions; "
-            f"pass --force to override"))
+        _guard(args, f"n={n}", lambda: log10(args.trials * args.points) + _log10_sum(
+            _log10_partitions(n, k) + log10(n // k), _log10_laplace(n, k)))
     for trial in range(args.trials):
         rng = Lcg(seed + trial)
         spec = random_skew_spec(n, k, rng)
@@ -282,26 +299,22 @@ def cmd_coeffs(args) -> int:
     n, k = args.n, args.k
     tilings = composition_tilings(n, k)  # validates (n, k) before the guard
 
-    def refusal():
-        if n > MAX_COEFFS_N:
-            count, log10_count = _weight_vector_count(n, k)
-            shown, bound = (count, "") if count is not None else (
-                "N", f", with N {_size(None, log10_count)}")
-            return (f"refusing n={n}: up to C({shown},{n // k}) combinations of the "
-                    f"{shown} admissible weight vectors to sift{bound}; pass --force to override")
+    def steps():
+        # the first frame's head draws, n/k blocks for each of at most min(P(n, k),
+        # C(|Gamma|, n/k)) tilings (P alone past a float), and the k = 2 walk's slicing
+        gamma, blocks = _log10_gamma(n, k), n // k
+        tilings = min(_log10_partitions(n, k),
+                      _log10_comb(10 ** gamma, blocks) if gamma < 300 else inf)
+        return _log10_sum(_log10_comb(n - 2, k - 2), tilings + log10(blocks), 2 * log10(n))
 
-    _guard(args, f"n={n}", refusal)
-    positive = negative = 0
+    _guard(args, f"n={n}", steps)
+    signs = []
     for tiling in tilings:
-        sign = tiling_sign(tiling)
-        if sign > 0:
-            positive += 1
-        else:
-            negative += 1
-        print(("+" if sign > 0 else "-") + " " + tiling_label(tiling))
-    total = positive + negative
-    noun = "term" if total == 1 else "terms"
-    print(f"{total} {noun} ({positive} positive, {negative} negative)")
+        signs.append(tiling_sign(tiling))
+        print(("+" if signs[-1] > 0 else "-") + " " + tiling_label(tiling))
+    total, positive = len(signs), signs.count(1)
+    print(f"{total} term{'' if total == 1 else 's'} ({positive} positive, "
+          f"{total - positive} negative)")
     return 0
 
 
@@ -309,17 +322,16 @@ def cmd_torelli(args) -> int:
     n = args.n
     check_torelli_order(n)
     _guard(args, f"n={n}", lambda: n > MAX_SYMBOLIC_N and (
-        f"refusing n={n}: brute force sums over {_partition_count(n, 2)} matchings "
+        f"refusing n={n}: brute force sums over "  # P(n, 2) = (n-1)!!
+        f"{_size(lambda: prod(range(1, n, 2)), _log10_partitions(n, 2))} matchings "
         f"of degree-{n - 1} polynomials; pass --force to override"))
     constant = torelli_constant(n)
     spec = torelli_spec(n)
     brute = pf_definition(skew_function_from_spec(spec))
     expected = constant * vandermonde(n)
     if brute != expected or theorem_coefficient(spec) != constant:
-        print(f"MISMATCH at n={n}")
-        print(f"constant: {constant}")
-        print(f"tiling coefficient: {theorem_coefficient(spec)}")
-        print(f"brute force: {brute}")
+        print(f"MISMATCH at n={n}\nconstant: {constant}\n"
+              f"tiling coefficient: {theorem_coefficient(spec)}\nbrute force: {brute}")
         return 1
     print(f"constant = {constant}, verified")
     return 0
@@ -328,21 +340,9 @@ def cmd_torelli(args) -> int:
 def cmd_involution(args) -> int:
     n, k = args.n, args.k
     composition_tilings(n, k)  # validates (n, k)
-    # |W| = n!/(n/k)! |Gamma|^(n/k).  When |Gamma| is too costly to count,
-    # m^2 >= k*m > MAX_INVOLUTION_ELEMENTS for m = k(n-k)/2 <= n^2/8, so n > 50
-    # and |W| >= n!/(n/2)! is far above the budget.
-    def refusal():
-        count, log10_count = _weight_vector_count(n, k)
-        blocks = n // k
-        log10_elements = _log10_factorial(n) - _log10_factorial(blocks) + blocks * log10_count
-        elements = None if count is None else (
-            lambda: factorial(n) // factorial(blocks) * count ** blocks)
-        if (elements is None or log10_elements > log10(MAX_INVOLUTION_ELEMENTS) + 1
-                or elements() > MAX_INVOLUTION_ELEMENTS):
-            return (f"refusing n={n}, k={k}: |W| = {_size(elements, log10_elements)} weighted "
-                    f"oriented partitions; pass --force to override")
-
-    _guard(args, f"n={n}, k={k}", refusal)
+    # |W| = n!/(n/k)! |Gamma|^(n/k) elements, each walked with lookups over n weights
+    _guard(args, f"n={n}, k={k}", lambda: _log10_factorial(n) - _log10_factorial(n // k)
+           + n // k * _log10_gamma(n, k) + 2 * log10(n))
     # deterministic distinct coefficients: i+1 for the i-th admissible tuple
     coeffs = {r: index + 1 for index, r in enumerate(increasing_compositions(n, k))}
     check = check_involution(SkewSpec(n, k, coeffs))
@@ -361,19 +361,19 @@ def cmd_compose(args) -> int:
     if args.trials < 1:
         raise ValueError("--trials must be positive")
     check_orders(k, n, p)
-    _guard(args, f"p={p}", lambda: p > MAX_COMPOSE_P and (
-        f"refusing p={p}: the outer sum runs over {_partition_count(p, n)} partitions "
-        f"with C({p},{n}) inner hyperpfaffians; pass --force to override"))
+    # per trial, the outer sum, the C(p, n) inner hyperpfaffians and the original's sum
+    _guard(args, f"p={p}", lambda: log10(args.trials) + _log10_sum(
+        _log10_partitions(p, n) + log10(p // n),
+        _log10_comb(p, n) + _log10_partitions(n, k) + log10(n // k),
+        _log10_partitions(p, k) + log10(p // k)))
     for trial in range(args.trials):
         rng = Lcg(args.seed + trial)
         f = random_skew_function(p, k, rng)
         check = verify_composition(f, k, n, p)
         constant = check.constant
         if not check.ok:
-            print(f"MISMATCH trial {trial + 1} (seed={args.seed + trial})")
-            print(f"constant: {check.constant}")
-            print(f"composed: {check.pf_composed}")
-            print(f"original: {check.pf_original}")
+            print(f"MISMATCH trial {trial + 1} (seed={args.seed + trial})\nconstant: "
+                  f"{check.constant}\ncomposed: {check.pf_composed}\noriginal: {check.pf_original}")
             return 1
     print(f"constant = {constant}, verified")
     return 0
@@ -423,14 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_COMMANDS = {
-    "compute": cmd_compute,
-    "verify": cmd_verify,
-    "coeffs": cmd_coeffs,
-    "torelli": cmd_torelli,
-    "involution": cmd_involution,
-    "compose": cmd_compose,
-}
+_COMMANDS = {"compute": cmd_compute, "verify": cmd_verify, "coeffs": cmd_coeffs,
+             "torelli": cmd_torelli, "involution": cmd_involution, "compose": cmd_compose}
 
 
 def main(argv=None) -> int:
@@ -439,6 +433,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:  # a forced order past what Python can index
+        print(f"error: too large to run: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:
         print(f"error: internal: {exc}", file=sys.stderr)

@@ -5,7 +5,7 @@ import os
 import subprocess
 import sys
 import time
-from math import factorial, floor, log10
+from math import comb, factorial, floor, inf, log10, nextafter
 from pathlib import Path
 
 import pytest
@@ -29,6 +29,21 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def estimate(capsys, monkeypatch, *argv):
+    """The log10 of the steps the guard of ``argv`` estimates, without the run."""
+    import hyperpfaffian.cli as cli
+
+    found = []
+
+    def capture(args, order, refusal):
+        found.append(refusal())
+        raise ValueError("estimated")
+
+    monkeypatch.setattr(cli, "_guard", capture)
+    assert run(capsys, *argv) == (2, "", "error: estimated\n")
+    return found[0]
 
 
 class TestCompute:
@@ -141,6 +156,8 @@ class TestSpecFileValidation:
         from fractions import Fraction
 
         assert spec.coefficient((0, 1)) == Fraction(3, 4)
+        document["terms"][0]["a"] = "4/2"  # a whole rational loads as an int
+        assert type(load_spec_file(write_spec(tmp_path, document)).coefficient((0, 1))) is int
 
 
 class TestVerify:
@@ -313,7 +330,7 @@ class TestInvolution:
         assert out == line + "\n"
 
     def test_guard(self, capsys):
-        code, _, err = run(capsys, "involution", "--n", "8", "--k", "2")
+        code, _, err = run(capsys, "involution", "--n", "10", "--k", "2")
         assert code == 2
         assert "--force" in err
 
@@ -326,13 +343,12 @@ class TestInvolution:
         patch_involution(monkeypatch, "weighted_oriented_partitions", no_enumeration)
         code, _, err = run(capsys, "involution", "--n", "8", "--k", "4")
         assert code == 2
-        assert "|W| = 4536000" in err
-        assert "--force" in err
+        assert err == ("error: refusing n=8, k=4: about 10^8.5 steps, past the budget of 10^7.5; "
+                       "pass --force to override\n")  # |W| n^2 = 4,536,000 * 64
 
     @pytest.mark.parametrize("argv,message", [
-        (("involution", "--n", "80", "--k", "8"), "refusing n=80, k=8: |W| = 1582644362015575891"),
-        (("coeffs", "--n", "100", "--k", "10"),
-         "refusing n=100: up to C(975062016054,10) combinations of the 975062016054 admissible"),
+        (("involution", "--n", "80", "--k", "8"), "refusing n=80, k=8: about 10^207.0 steps"),
+        (("coeffs", "--n", "100", "--k", "10"), "refusing n=100: about 10^86.8 steps"),
     ], ids=["involution", "coeffs"])
     def test_refusals_count_without_enumerating(self, capsys, monkeypatch, argv, message):
         import hyperpfaffian.cli as cli
@@ -367,7 +383,7 @@ class TestCompose:
         assert code == 2
 
     def test_guard(self, capsys):
-        code, _, err = run(capsys, "compose", "--k", "2", "--n", "2", "--p", "10")
+        code, _, err = run(capsys, "compose", "--k", "2", "--n", "2", "--p", "16")
         assert code == 2
         assert "--force" in err
 
@@ -379,30 +395,29 @@ class TestCompose:
 
 
 class TestRefusalsAtEverySize:
-    """A refusal names the size it refuses, exactly while the size fits the
-    int-to-str digit limit and as an order of magnitude (or a lower bound)
-    beyond it, and answers at once."""
+    """A refusal names its estimate's power of ten, or the symbolic cap's
+    size exactly while it fits the int-to-str digit limit and as an order of
+    magnitude beyond it, and answers at once."""
 
     @pytest.mark.parametrize("argv,message", [
-        (("involution", "--n", "3000", "--k", "2"),
-         "refusing n=3000, k=2: |W| = about 10^9780 weighted oriented partitions"),
+        # |W| = about 10^9780, times n^2
+        (("involution", "--n", "3000", "--k", "2"), "refusing n=3000, k=2: about 10^9787.0 steps"),
         (("involution", "--n", "2000", "--k", "1000"),
-         "refusing n=2000, k=1000: |W| = at least 10^6858 weighted oriented partitions"),
+         "refusing n=2000, k=1000: about 10^6864.8 steps"),
         (("verify", "--n", "2000", "--k", "2", "--mode", "symbolic"),
          "refusing symbolic mode at n=2000: results can reach 2000! = about 10^5735 terms"),
-        (("verify", "--n", "3000", "--k", "2"),
-         "refusing n=3000: each point sums over about 10^4564 partitions"),
-        (("verify", "--n", "1000000", "--k", "2"),
-         "refusing n=1000000: each point sums over about 10^2782852 partitions"),
+        # 10^4564 partitions per point, 50 points
+        (("verify", "--n", "3000", "--k", "2"), "refusing n=3000: about 10^4569.3 steps"),
+        (("verify", "--n", "1000000", "--k", "2"), "refusing n=1000000: about 10^2782860.3 steps"),
+        # past COUNT_STEPS levels the prefix tables count at least 2^k - 2 minors
+        (("verify", "--n", "200000", "--k", "200000", "--mode", "points"),
+         "refusing n=200000: about 10^60207.7 steps"),
         (("torelli", "--n", "3000"),
          "refusing n=3000: brute force sums over about 10^4564 matchings"),
-        (("compose", "--k", "2", "--n", "4", "--p", "4000"),
-         "refusing p=4000: the outer sum runs over about 10^8725 partitions"),
-        (("coeffs", "--n", "2000", "--k", "1000"),
-         "refusing n=2000: up to C(N,2) combinations of the N admissible weight vectors "
-         "to sift, with N at least 10^561"),
+        (("compose", "--k", "2", "--n", "4", "--p", "4000"), "refusing p=4000: about 10^8729.1 steps"),
+        (("coeffs", "--n", "2000", "--k", "1000"), "refusing n=2000: about 10^600.4 steps"),
     ], ids=["involution", "involution-gamma-bound", "verify-symbolic", "verify-points",
-            "verify-million", "torelli", "compose", "coeffs-gamma-bound"])
+            "verify-million", "verify-many-levels", "torelli", "compose", "coeffs-gamma-bound"])
     def test_refuses_at_once(self, capsys, argv, message):
         start = time.perf_counter()
         code, out, err = run(capsys, *argv)
@@ -431,10 +446,12 @@ class TestRefusalsAtEverySize:
         import hyperpfaffian.cli as cli
         from hyperpfaffian.combinat import increasing_composition_count
 
-        monkeypatch.setattr(cli, "MAX_INVOLUTION_ELEMENTS", 0)  # never count
-        count, log10_bound = cli._weight_vector_count(n, k)
-        assert count is None
+        counted = cli._log10_gamma(n, k)
+        monkeypatch.setattr(cli, "COUNT_STEPS", 0)  # never count
+        log10_bound = cli._log10_gamma(n, k)
         assert log10_bound <= log10(increasing_composition_count(n, k)) + 1e-9
+        assert counted == pytest.approx(log10(increasing_composition_count(n, k)))
+        assert log10_bound < counted
 
     HUGE = "1" + "0" * 400  # an order whose sizes have a log10 beyond a float
 
@@ -491,17 +508,19 @@ class TestRefusalsAtEverySize:
 
 
 class TestGuardBoundaries:
-    """Each size guard just inside its limit runs, and just past it refuses
-    with its full text on one stderr line."""
+    """Each guard runs what its estimate puts within WORK_BUDGET and refuses
+    what it puts past, with its full text on one stderr line; the cap on
+    symbolic results keeps its own text."""
 
     @pytest.mark.parametrize("argv,last", [
         (("verify", "--n", "8", "--k", "2", "--mode", "symbolic", "--trials", "1"),
          "verified: 1/1 trials, definition = exterior = closed form"),
-        (("verify", "--n", "12", "--k", "2", "--mode", "points", "--trials", "1", "--points", "1"),
+        # refused by the n <= 12 limit that the budget replaces
+        (("verify", "--n", "14", "--k", "2", "--trials", "1", "--points", "1"),
          "verified: 1/1 trials, definition = exterior = closed form"),
         (("torelli", "--n", "8"), "constant = 5145, verified"),
-        (("coeffs", "--n", "16", "--k", "4"), "392 terms (283 positive, 109 negative)"),
-        (("compose", "--k", "2", "--n", "2", "--p", "8", "--trials", "1"),
+        (("coeffs", "--n", "18", "--k", "6"), "4331 terms (2633 positive, 1698 negative)"),
+        (("compose", "--k", "2", "--n", "2", "--p", "12", "--trials", "1"),
          "constant = 1, verified"),
     ], ids=["verify-symbolic", "verify-points", "torelli", "coeffs", "compose"])
     def test_inside_the_limit_runs(self, capsys, argv, last):
@@ -513,29 +532,57 @@ class TestGuardBoundaries:
         (("verify", "--n", "10", "--k", "2", "--mode", "symbolic"),
          "refusing symbolic mode at n=10: results can reach 10! = 3628800 terms; "
          "use --mode points or pass --force"),
-        (("verify", "--n", "14", "--k", "2"),
-         "refusing n=14: each point sums over 135135 partitions; pass --force to override"),
+        # 2 routes * 10 trials * (35 * 360^2 products + 8! terms)
+        (("verify", "--n", "8", "--k", "4"),
+         "refusing n=8: about 10^8.0 steps, past the budget of 10^7.5; pass --force to override"),
+        (("verify", "--n", "12", "--k", "6", "--mode", "points"),
+         "refusing n=12: about 10^8.1 steps, past the budget of 10^7.5; pass --force to override"),
         (("torelli", "--n", "10"),
          "refusing n=10: brute force sums over 945 matchings of degree-9 polynomials; "
          "pass --force to override"),
         (("coeffs", "--n", "20", "--k", "4"),
-         "refusing n=20: up to C(351,5) combinations of the 351 admissible weight vectors "
-         "to sift; pass --force to override"),
-        (("compose", "--k", "2", "--n", "2", "--p", "10"),
-         "refusing p=10: the outer sum runs over 945 partitions with C(10,2) inner "
-         "hyperpfaffians; pass --force to override"),
+         "refusing n=20: about 10^10.1 steps, past the budget of 10^7.5; pass --force to override"),
+        (("compose", "--k", "2", "--n", "2", "--p", "16"),
+         "refusing p=16: about 10^8.2 steps, past the budget of 10^7.5; pass --force to override"),
         # m = 50,000 and min(k, m) * m = 100,000: |Gamma| is still counted exactly
         (("involution", "--n", "50002", "--k", "2"),
-         "refusing n=50002, k=2: |W| = about 10^224101 weighted oriented partitions; "
+         "refusing n=50002, k=2: about 10^224110.5 steps, past the budget of 10^7.5; "
          "pass --force to override"),
-        # one step past that cutoff the size is only bounded from below
+        # one step past that cutoff |Gamma| is only bounded from below
         (("involution", "--n", "50004", "--k", "2"),
-         "refusing n=50004, k=2: |W| = at least 10^224110 weighted oriented partitions; "
+         "refusing n=50004, k=2: about 10^224120.1 steps, past the budget of 10^7.5; "
          "pass --force to override"),
-    ], ids=["verify-symbolic", "verify-points", "torelli", "coeffs", "compose",
-            "involution-counted", "involution-bounded"])
+    ], ids=["verify-symbolic", "verify-symbolic-budget", "verify-points", "torelli", "coeffs",
+            "compose", "involution-counted", "involution-bounded"])
     def test_past_the_limit_refuses(self, capsys, argv, message):
         assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--n", "4", "--k", "2", "--mode", "symbolic", "--trials", "2"),
+        ("verify", "--n", "4", "--k", "2", "--mode", "points", "--trials", "2", "--points", "3"),
+        ("coeffs", "--n", "12", "--k", "4"),
+        ("involution", "--n", "4", "--k", "2"),
+        ("compose", "--k", "2", "--n", "2", "--p", "4", "--trials", "2"),
+    ], ids=["verify-symbolic", "verify-points", "coeffs", "involution", "compose"])
+    def test_the_budget_is_the_boundary(self, capsys, monkeypatch, argv):
+        import hyperpfaffian.cli as cli
+
+        log10_steps = estimate(capsys, monkeypatch, *argv)
+        steps = 10 ** log10_steps
+        monkeypatch.undo()
+        budget = steps  # a budget whose log10 is the estimate itself runs
+        while log10(budget) != log10_steps:
+            budget = nextafter(budget, 0 if log10(budget) > log10_steps else inf)
+        for within in (budget, steps * 1.001):
+            monkeypatch.setattr(cli, "WORK_BUDGET", within)
+            code, _, err = run(capsys, *argv)
+            assert (code, err) == (0, "")
+        monkeypatch.setattr(cli, "WORK_BUDGET", steps * 0.999)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: refusing {'p=4' if argv[0] == 'compose' else 'n='}")
+        assert err.endswith(f" steps, past the budget of 10^{log10(steps * 0.999):.1f}; "
+                            "pass --force to override\n")
 
     def test_compute_at_the_symbolic_limit(self, tmp_path, capsys):
         path = write_spec(tmp_path, {"n": 8, "k": 2, "terms": [{"r": [0, 7], "a": 1}]})
@@ -555,9 +602,9 @@ class TestGuardBoundaries:
             monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
         else:
             monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: limit)
-        code, _, err = run(capsys, "verify", "--n", "14", "--k", "2")
-        assert (code, err) == (2, f"error: refusing n=14: each point sums over {shown} "
-                                  "partitions; pass --force to override\n")
+        code, _, err = run(capsys, "torelli", "--n", "14")
+        assert (code, err) == (2, f"error: refusing n=14: brute force sums over {shown} "
+                                  "matchings of degree-13 polynomials; pass --force to override\n")
 
     def test_a_size_at_the_cutoff_is_an_order_of_magnitude(self, monkeypatch):
         import hyperpfaffian.cli as cli
@@ -567,6 +614,183 @@ class TestGuardBoundaries:
         monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 6)
         assert cli._size(lambda: 10**5, 5.0) == "about 10^5"
         assert cli._size(lambda: 99999, log10(99999)) == "99999"
+
+
+class TestWorkEstimates:
+    """Each estimate against the work its run does, counted here; the
+    outcomes that the budget decides, at least 2x from it; and the |Gamma|
+    lower bound used only where the estimate is past the budget without it."""
+
+    @pytest.mark.parametrize("n,k", [(2, 2), (4, 2), (6, 2), (8, 2), (4, 4), (8, 4)])
+    def test_symbolic_chain_is_the_products_of_the_definition_route(self, monkeypatch, n, k):
+        # block values are in disjoint variables, so no product cancels before
+        # the sum, and the count is exact up to float rounding
+        import hyperpfaffian.cli as cli
+        import hyperpfaffian.poly as poly
+        from hyperpfaffian.hpf import pf_definition, skew_function_from_spec
+        from hyperpfaffian.randgen import random_skew_spec
+
+        products = []
+        addmul = poly.addmul
+
+        def counted(acc, a, b, sign=1):
+            products.append(len(a) * len(b))
+            return addmul(acc, a, b, sign)
+
+        f = skew_function_from_spec(random_skew_spec(n, k, Lcg(1)))
+        monkeypatch.setattr(poly, "addmul", counted)
+        pf_definition(f)
+        assert 10 ** cli._log10_chain(n, k) == pytest.approx(sum(products), rel=1e-9)
+
+    @pytest.mark.parametrize("n,k", [(12, 4), (12, 6), (16, 4)])
+    def test_laplace_term_bounds_the_entries_within_half(self, n, k):
+        # the entries skew_function_from_spec_at fills: per level m < k, one
+        # table per prefix of the distinct m-subsets of the exponent tuples, and
+        # per k-subset a dot product over the level k-1 table
+        import hyperpfaffian.cli as cli
+        from itertools import combinations
+        from math import comb
+
+        from hyperpfaffian.combinat import increasing_compositions
+
+        gamma = list(increasing_compositions(n, k))
+        sets = [len({part for r in gamma for part in combinations(r, m)}) for m in range(k)]
+        entries = sum(comb(n - k + m, m) * sets[m] for m in range(1, k)) + comb(n, k) * sets[-1]
+        assert entries <= 10 ** cli._log10_laplace(n, k) <= 1.5 * entries
+
+    @staticmethod
+    def partitions(n, k):
+        return factorial(n) // (factorial(n // k) * factorial(k) ** (n // k))
+
+    def test_each_estimate_is_its_formula(self, capsys, monkeypatch):
+        from hyperpfaffian.combinat import increasing_composition_count as gamma
+
+        p = self.partitions
+        t = 2 * gamma(4, 2)  # a (4, 2) block value's terms
+        points = sum(comb(8 + m, m) * comb(4, m) for m in range(1, 4)) + comb(12, 4) * 4
+        cases = {
+            ("verify", "--n", "4", "--k", "2", "--trials", "3"): 2 * 3 * (p(4, 2) * t**2 + 24),
+            ("verify", "--n", "12", "--k", "4", "--trials", "2", "--points", "3"):
+                2 * 3 * (p(12, 4) * 3 + points * gamma(12, 4)),
+            ("involution", "--n", "6", "--k", "2"):
+                factorial(6) // factorial(3) * gamma(6, 2) ** 3 * 6**2,
+            ("compose", "--k", "2", "--n", "4", "--p", "8", "--trials", "3"):
+                3 * (p(8, 4) * 2 + comb(8, 4) * p(4, 2) * 2 + p(8, 2) * 4),
+        }
+        for n, k in [(18, 2), (12, 6), (16, 4)]:
+            tilings = min(p(n, k), comb(gamma(n, k), n // k))
+            cases["coeffs", "--n", str(n), "--k", str(k)] = (
+                comb(n - 2, k - 2) + tilings * (n // k) + n**2)
+        for argv, steps in cases.items():
+            assert 10 ** estimate(capsys, monkeypatch, *argv) == pytest.approx(steps, rel=1e-9)
+            monkeypatch.undo()
+
+    def test_laplace_term_past_the_level_cutoff_is_its_lower_bound(self, monkeypatch):
+        # at n = k every prefix count C(m, m) is 1 and |Gamma| is 1, so the
+        # prefix tables hold exactly 2^k - 2 minors, counted or bounded
+        import hyperpfaffian.cli as cli
+
+        counted = cli._log10_laplace(40, 40)
+        monkeypatch.setattr(cli, "COUNT_STEPS", 38)  # the 39 levels of k = 40 are past it
+        assert cli._log10_laplace(40, 40) == pytest.approx(counted, rel=1e-9)
+        assert 10 ** counted == pytest.approx(2**40 - 2 + 40, rel=1e-9)
+
+    @pytest.mark.parametrize("n,k", [(4, 2), (6, 2), (4, 4), (6, 6)])
+    def test_elements_are_the_enumerated_count(self, capsys, monkeypatch, n, k):
+        from hyperpfaffian.involution import weighted_oriented_partitions
+
+        elements = sum(1 for _ in weighted_oriented_partitions(n, k))
+        steps = estimate(capsys, monkeypatch, "involution", "--n", str(n), "--k", str(k))
+        assert round(10 ** steps / n**2) == elements  # |W| n^2
+
+    @pytest.mark.parametrize("argv", [
+        ("involution", "--n", "50004", "--k", "2"),
+        ("verify", "--n", "50004", "--k", "2"),
+        ("coeffs", "--n", "50004", "--k", "2"),
+        ("involution", "--n", "2000", "--k", "1000"),
+        ("verify", "--n", "2000", "--k", "1000"),
+        ("coeffs", "--n", "2000", "--k", "1000"),
+    ])
+    def test_a_bounded_gamma_is_past_the_budget(self, capsys, monkeypatch, argv):
+        import hyperpfaffian.cli as cli
+
+        n, k = int(argv[2]), int(argv[4])
+        m = k * (n - k) // 2
+        assert min(k, m) * m > cli.COUNT_STEPS  # |Gamma| is bounded, not counted
+        assert estimate(capsys, monkeypatch, *argv) > log10(2 * cli.WORK_BUDGET)
+
+    def test_past_the_cutoff_each_estimate_is_past_the_budget_without_gamma(self):
+        # the smallest order of each k past the cutoff is the cheapest
+        import hyperpfaffian.cli as cli
+
+        for k in range(2, 402, 2):
+            n = next(n for n in range(2 * k, 10**6, k)
+                     if min(k, k * (n - k) // 2) * (k * (n - k) // 2) > cli.COUNT_STEPS)
+            for without_gamma in (
+                    cli._log10_partitions(n, k),  # verify at a point
+                    cli._log10_factorial(n) - cli._log10_factorial(n // k),  # involution
+                    cli._log10_sum(cli._log10_comb(n - 2, k - 2), 2 * log10(n))):  # coeffs
+                assert without_gamma > log10(5 * cli.WORK_BUDGET), (n, k)
+
+    RUN = [
+        ("verify", "--n", "8", "--k", "2", "--mode", "symbolic", "--trials", "1"),
+        ("verify", "--n", "12", "--k", "4", "--mode", "points", "--trials", "1", "--points", "1"),
+        ("involution", "--n", "6", "--k", "2"),
+        ("verify", "--n", "8", "--k", "2"),
+        ("verify", "--n", "12", "--k", "2"),
+        ("verify", "--n", "12", "--k", "4"),
+        ("verify", "--n", "8", "--k", "4", "--trials", "1"),
+        ("verify", "--n", "12", "--k", "6", "--mode", "points", "--trials", "1"),
+        ("verify", "--n", "14", "--k", "2", "--trials", "1", "--points", "1"),
+        ("compose", "--k", "2", "--n", "2", "--p", "12"),
+        ("coeffs", "--n", "18", "--k", "2"),
+        ("coeffs", "--n", "18", "--k", "6"),
+        ("coeffs", "--n", "16", "--k", "4"),
+    ]
+    REFUSED = [
+        ("verify", "--n", "8", "--k", "4"),
+        ("verify", "--n", "12", "--k", "6", "--mode", "points"),
+        ("verify", "--n", "4", "--k", "2", "--mode", "points", "--trials", str(10**20),
+         "--points", "1"),
+        ("verify", "--n", "2", "--k", "2", "--mode", "points", "--trials", "1",
+         "--points", str(10**11)),
+    ]
+
+    @pytest.mark.parametrize("argv", RUN + REFUSED, ids=" ".join)
+    def test_outcomes_sit_at_least_twice_from_the_budget(self, capsys, monkeypatch, argv):
+        import hyperpfaffian.cli as cli
+
+        steps = estimate(capsys, monkeypatch, *argv)
+        if argv in self.RUN:  # the first three, the benchmark's ops, sit 25x under
+            assert steps < log10(cli.WORK_BUDGET / (25 if argv in self.RUN[:3] else 2))
+        else:
+            assert steps > log10(2 * cli.WORK_BUDGET)
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--n", "4", "--k", "2", "--mode", "points", "--trials", str(10**20),
+         "--points", "1"),
+        ("verify", "--n", "2", "--k", "2", "--mode", "points", "--trials", "1",
+         "--points", str(10**11)),
+        ("verify", "--n", "4", "--k", "2", "--mode", "symbolic", "--trials", "1" + "0" * 400),
+        ("compose", "--k", "2", "--n", "2", "--p", "4", "--trials", str(10**20)),
+    ], ids=["trials", "points", "trials-symbolic", "compose-trials"])
+    def test_trials_and_points_are_refused_at_once(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: refusing {'p=4' if argv[0] == 'compose' else 'n='}")
+        assert err.endswith("; pass --force to override\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("coeffs", "--n", "1" + "0" * 400, "--k", "2", "--force"),
+        ("compose", "--k", "2", "--n", "2", "--p", "1" + "0" * 400, "--force"),
+    ], ids=["coeffs", "compose"])
+    def test_forced_orders_past_an_index_are_input_errors(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == ("error: too large to run: "
+                       "Python int too large to convert to C ssize_t\n")
 
 
 class TestDefaultsAndReports:
@@ -588,12 +812,12 @@ class TestDefaultsAndReports:
         drawn = []
 
         def counted(p, k, rng):
-            drawn.append(rng)
+            drawn.append(rng.state)
             return random_skew_function(p, k, rng)
 
         monkeypatch.setattr(cli, "random_skew_function", counted)
         assert run(capsys, "compose", "--k", "2", "--n", "2", "--p", "4")[0] == 0
-        assert len(drawn) == 5
+        assert drawn == [1, 2, 3, 4, 5]  # trial t draws from seed + t
 
     def test_half_coefficients_stay_fractions(self, tmp_path, capsys):
         path = write_spec(tmp_path, {"n": 2, "k": 2, "terms": [{"r": [0, 1], "a": "3/2"}]})
@@ -748,6 +972,14 @@ class TestTraceContract:
 
 
 class TestForceFlag:
+    """coeffs 18/2 takes about 330 steps, past a budget of 100."""
+
+    @pytest.fixture(autouse=True)
+    def small_budget(self, monkeypatch):
+        import hyperpfaffian.cli as cli
+
+        monkeypatch.setattr(cli, "WORK_BUDGET", 100)
+
     def test_refusal_then_force_after_subcommand(self, capsys):
         code, _, err = run(capsys, "coeffs", "--n", "18", "--k", "2")
         assert code == 2
