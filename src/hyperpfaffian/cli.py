@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from bisect import bisect_left
 from fractions import Fraction
 from math import factorial, floor, inf, isfinite, lgamma, log, log10, prod
 
@@ -208,7 +209,9 @@ def _log10_gamma(n: int, k: int) -> float:
 def _log10_chain(n: int, k: int) -> float:
     """One symbolic route's monomial products before cancellation: per
     partition, t^2 + ... + t^(n/k) for blocks of t = k!|Gamma| terms (t alone
-    at n = k, where the one block multiplies 1)."""
+    at n = k, where the one block multiplies 1).  An upper bound: it is the
+    definition route's count when no two of its folded tails share a
+    monomial, and a tail that merges some has fewer terms to multiply."""
     blocks, terms = n // k, _log10_factorial(k) + _log10_gamma(n, k)
     return _log10_partitions(n, k) + _log10_sum(
         *(j * terms for j in range(min(2, blocks), blocks + 1)))
@@ -217,9 +220,26 @@ def _log10_chain(n: int, k: int) -> float:
 def _log10_laplace(n: int, k: int) -> float:
     """Entries spec evaluation fills at a point: per level m < k, C(n-k+m, m)
     prefix tables of at most C(k, m)|Gamma| minors (past COUNT_STEPS levels,
-    at least (2^k - 2)|Gamma| in all), and C(n, k) dot products of k|Gamma|."""
-    prefixes = (_log10_sum(*(_log10_comb(n - k + m, m) + _log10_comb(k, m) for m in range(1, k)))
-                if k <= COUNT_STEPS else k * log10(2))
+    at least (2^k - 2)|Gamma| in all), and C(n, k) dot products of k|Gamma|.
+    The ratio of level m + 1 to level m decreases in m, so the levels are
+    summed outward from the largest by that ratio, down to 10^-20 of it."""
+
+    def ratio(m: int) -> float:  # log10 of level m + 1 over level m
+        return log10((n - k + m + 1) * (k - m) / (m + 1) ** 2)
+
+    def walk(m: int, step: int):  # each level's log10 over the peak's, from the peak
+        x = 0.0
+        while 0 < m + step < k and x > -20:
+            x += ratio(m) if step > 0 else -ratio(m - 1)
+            m += step
+            yield x
+
+    if k <= COUNT_STEPS:
+        peak = bisect_left(range(1, k - 1), True, key=lambda m: ratio(m) < 0) + 1
+        prefixes = _log10_comb(n - k + peak, peak) + _log10_comb(k, peak) + _log10_sum(
+            0.0, *walk(peak, 1), *walk(peak, -1))
+    else:
+        prefixes = k * log10(2)
     return _log10_gamma(n, k) + _log10_sum(prefixes, _log10_comb(n, k) + log10(k))
 
 

@@ -282,7 +282,10 @@ def skew_function_at(f: SkewFunction, point: Sequence[Scalar]) -> SkewFunction:
 
 def pf_definition(f: SkewFunction) -> Value:
     """Hyperpfaffian as the signed sum over equal-block partitions of the
-    products of block values, summed per exponent of x1 in the block with 1."""
+    products of block values, summed per exponent of x1 in the block with 1.
+    The partitions come in lexicographic order, so product_sums sums the
+    later blocks of the partitions that share their first ones before it
+    multiplies those first ones in; each partition is still one product."""
     # the enumerator puts the block holding 1 first
     return product_sums(f.values, f.values, {0: signed_equal_block_partitions(f.n, f.k)})[0]
 

@@ -334,29 +334,24 @@ class Polynomial:
         return f"Polynomial({render(self)})"
 
 
-def _div_scalar(value: Scalar, divisor: int) -> Scalar:
-    if divisor == 0:
-        raise ZeroDivisionError("division of exact coefficients by zero")
-    if isinstance(value, int):
-        quotient, remainder = divmod(value, divisor)
-        if remainder:
-            raise ArithmeticError(
-                f"inexact division {value}/{divisor}; this indicates an implementation bug"
-            )
-        return quotient
-    return value / divisor
-
-
 def div_exact(value: Scalar | Polynomial, divisor: int):
-    """Divide a scalar or polynomial by an integer, insisting on exactness."""
+    """Divide a scalar or polynomial by an integer, insisting on exactness:
+    one pass for the quotients, one for the remainders of int coefficients."""
     if not is_integer(divisor):
         raise ValueError(f"divisor {divisor!r} is not an integer")
-    if isinstance(value, Polynomial):
-        return Polynomial._raw({m: _div_scalar(c, divisor) for m, c in value._packed.items()},
-                               value._width)
-    if not is_scalar(value):
+    if not (is_scalar(value) or isinstance(value, Polynomial)):
         raise ValueError(f"dividend {value!r} is not an exact rational")
-    return _div_scalar(value, divisor)
+    if divisor == 0:
+        raise ZeroDivisionError("division of exact coefficients by zero")
+    terms = value._packed if isinstance(value, Polynomial) else {0: value}
+    quotients = {m: c // divisor if isinstance(c, int) else c / divisor for m, c in terms.items()}
+    inexact = next((c for c in terms.values() if isinstance(c, int) and c % divisor), None)
+    if inexact is not None:
+        raise ArithmeticError(
+            f"inexact division {inexact}/{divisor}; this indicates an implementation bug")
+    if isinstance(value, Polynomial):
+        return Polynomial._raw(quotients, value._width)
+    return quotients[0]
 
 
 def alternant(exponents: Sequence[int], variables: Sequence[int] | None = None) -> Polynomial:
@@ -395,7 +390,8 @@ def vandermonde(n: int) -> Polynomial:
 # Every signed product sum goes through product_sums, which alone tells scalar
 # from polynomial values: Polynomial.__mul__, the wedge and the definition and
 # exterior routes.  It multiplies the stored packed terms with addmul, at the
-# default width unless the exponent bounds of a product's factors add up past it.
+# default width unless the exponent bounds of a product's factors add up past it,
+# and folds the tails that consecutive terms share (Horner's rule on prefixes).
 
 
 def _at_width(value: Scalar | Polynomial, width: int) -> dict[int, Scalar]:
@@ -419,7 +415,7 @@ def _top(value: Scalar | Polynomial) -> int:
 
 
 def addmul(acc: dict[int, Scalar], a: Mapping[int, Scalar], b: Mapping[int, Scalar],
-           sign: int = 1) -> None:
+           sign: int) -> None:
     """In place, ``acc += sign * a * b`` on packed terms of one width.
 
     ``sign`` may be any nonzero integer multiplier.  Entries that cancel to
@@ -438,6 +434,22 @@ def addmul(acc: dict[int, Scalar], a: Mapping[int, Scalar], b: Mapping[int, Scal
                 del acc[key]
 
 
+_ONE = {0: 1}  # the packed constant 1: the factor after a term's last key
+
+
+def _add(tail, a: dict, child):
+    """``tail + a * child`` on folded tails: None while empty, a packed dict,
+    or a pending ``(sign, b)`` for ``sign * b``.  ``a`` times a pending sign
+    alone is held pending, as ``(sign, a)``, for the parent's one product."""
+    sign, b = child if isinstance(child, tuple) else (1, child)
+    if tail is None and b is _ONE:
+        return sign, a
+    if not isinstance(tail, dict):
+        tail = {m: tail[0] * c for m, c in tail[1].items()} if tail else {}
+    addmul(tail, a, b, sign)
+    return tail
+
+
 def product_sums(left: Mapping, right: Mapping, sums: Mapping) -> dict:
     """For each key u of ``sums``, the sum of sign * left[a] * right[b_1] *
     ... * right[b_r] over the (sign, (a, b_1, ..., b_r)) of sums[u], for
@@ -445,16 +457,18 @@ def product_sums(left: Mapping, right: Mapping, sums: Mapping) -> dict:
     if any value of ``left`` or ``right`` is a Polynomial, every output is
     one, zero included.  Then every product is taken at one width, the
     default unless the exponent bounds of some term's factors add up past
-    it, and each output is summed one exponent of x1 in left at a time, the
-    classes added with cancellation."""
+    it.  The terms are folded in their order on a stack of one tail sum per
+    key of the current prefix, so a run of terms that share a prefix
+    multiplies its factors once, and each output is summed one exponent of
+    x1 in left at a time, left[a]'s part times a's tail, with cancellation."""
     if not any(isinstance(v, Polynomial) for v in chain(left.values(), right.values())):
         return {u: sum(sign * left[a] * prod(map(right.__getitem__, bs))
                        for sign, (a, *bs) in terms) for u, terms in sums.items()}
-    sums = {u: [(sign, a, bs) for sign, (a, *bs) in terms] for u, terms in sums.items()}
-    named = [term for terms in sums.values() for term in terms]
-    left_top = {a: _top(left[a]) for _, a, _ in named}
-    right_top = {b: _top(right[b]) for _, _, bs in named for b in bs}
-    width = _width(max((left_top[a] + sum(map(right_top.get, bs)) for _, a, bs in named),
+    sums = {u: [(sign, tuple(keys)) for sign, keys in terms] for u, terms in sums.items()}
+    named = [keys for terms in sums.values() for _, keys in terms]
+    left_top = {keys[0]: _top(left[keys[0]]) for keys in named}
+    right_top = {b: _top(right[b]) for keys in named for b in keys[1:]}
+    width = _width(max((left_top[keys[0]] + sum(map(right_top.get, keys[1:])) for keys in named),
                        default=0))
     factors = {b: _at_width(right[b], width) for b in right_top}
     classes: dict[int, dict] = {}
@@ -463,16 +477,25 @@ def product_sums(left: Mapping, right: Mapping, sums: Mapping) -> dict:
             classes.setdefault(mono & (1 << width) - 1, {}).setdefault(a, {})[mono] = coeff
     results = {}
     for u, terms in sums.items():
+        stack, roots = [], []  # [key, tail] per key of the current prefix; closed (a, tail)
+        for sign, keys in chain(terms, [(None, ())]):  # the empty last term closes every prefix
+            depth = 0
+            while depth < min(len(stack), len(keys)) and stack[depth][0] == keys[depth]:
+                depth += 1
+            while len(stack) > depth:  # the prefixes the term leaves
+                key, tail = stack.pop()
+                if stack:
+                    stack[-1][1] = _add(stack[-1][1], factors[key], tail)
+                else:
+                    roots.append((key, tail))
+            if keys:
+                stack.extend([key, None] for key in keys[depth:])
+                stack[-1][1] = _add(stack[-1][1], _ONE, (sign, _ONE))
         result: dict[int, Scalar] = {}
         for c in sorted(classes):
             acc: dict[int, Scalar] = {}
-            for sign, a, bs in terms:
-                term = classes[c].get(a, {})
-                for b in bs[:-1]:
-                    product: dict[int, Scalar] = {}
-                    addmul(product, term, factors[b])
-                    term = product
-                addmul(acc, term, factors[bs[-1]] if bs else {0: 1}, sign)
+            for a, tail in roots:
+                _add(acc, classes[c].get(a, {}), tail)
             accumulate(result, acc.items())
         results[u] = Polynomial._raw(result, width)
     return results

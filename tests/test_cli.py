@@ -412,12 +412,15 @@ class TestRefusalsAtEverySize:
         # past COUNT_STEPS levels the prefix tables count at least 2^k - 2 minors
         (("verify", "--n", "200000", "--k", "200000", "--mode", "points"),
          "refusing n=200000: about 10^60207.7 steps"),
+        # just under COUNT_STEPS levels, summed near their peak
+        (("verify", "--n", "200000", "--k", "100000", "--mode", "points"),
+         "refusing n=200000: about 10^133299.9 steps"),
         (("torelli", "--n", "3000"),
          "refusing n=3000: brute force sums over about 10^4564 matchings"),
         (("compose", "--k", "2", "--n", "4", "--p", "4000"), "refusing p=4000: about 10^8729.1 steps"),
         (("coeffs", "--n", "2000", "--k", "1000"), "refusing n=2000: about 10^600.4 steps"),
     ], ids=["involution", "involution-gamma-bound", "verify-symbolic", "verify-points",
-            "verify-million", "verify-many-levels", "torelli", "compose", "coeffs-gamma-bound"])
+            "verify-million", "verify-many-levels", "verify-levels-below-cutoff", "torelli", "compose", "coeffs-gamma-bound"])
     def test_refuses_at_once(self, capsys, argv, message):
         start = time.perf_counter()
         code, out, err = run(capsys, *argv)
@@ -621,10 +624,15 @@ class TestWorkEstimates:
     outcomes that the budget decides, at least 2x from it; and the |Gamma|
     lower bound used only where the estimate is past the budget without it."""
 
+    # (the definition route's products for the Lcg(1) spec, the chain's count)
+    FOLDED_PRODUCTS = {(2, 2): (2, 2), (4, 2): (48, 48), (6, 2): (2_700, 3_780),
+                       (8, 2): (208_320, 490_560), (4, 4): (24, 24), (8, 4): (4_536_000, 4_536_000)}
+
     @pytest.mark.parametrize("n,k", [(2, 2), (4, 2), (6, 2), (8, 2), (4, 4), (8, 4)])
     def test_symbolic_chain_is_the_products_of_the_definition_route(self, monkeypatch, n, k):
         # block values are in disjoint variables, so no product cancels before
-        # the sum, and the count is exact up to float rounding
+        # the sum: the chain is the count of a fold whose tails never merge,
+        # exact up to float rounding, and a bound where some do
         import hyperpfaffian.cli as cli
         import hyperpfaffian.poly as poly
         from hyperpfaffian.hpf import pf_definition, skew_function_from_spec
@@ -640,7 +648,9 @@ class TestWorkEstimates:
         f = skew_function_from_spec(random_skew_spec(n, k, Lcg(1)))
         monkeypatch.setattr(poly, "addmul", counted)
         pf_definition(f)
-        assert 10 ** cli._log10_chain(n, k) == pytest.approx(sum(products), rel=1e-9)
+        folded, chain = self.FOLDED_PRODUCTS[n, k]
+        assert sum(products) == folded <= chain
+        assert 10 ** cli._log10_chain(n, k) == pytest.approx(chain, rel=1e-9)
 
     @pytest.mark.parametrize("n,k", [(12, 4), (12, 6), (16, 4)])
     def test_laplace_term_bounds_the_entries_within_half(self, n, k):
@@ -694,6 +704,26 @@ class TestWorkEstimates:
         monkeypatch.setattr(cli, "COUNT_STEPS", 38)  # the 39 levels of k = 40 are past it
         assert cli._log10_laplace(40, 40) == pytest.approx(counted, rel=1e-9)
         assert 10 ** counted == pytest.approx(2**40 - 2 + 40, rel=1e-9)
+
+    @pytest.mark.parametrize("n,k", [(12, 4), (40, 40), (300, 100), (2000, 10), (5000, 1000)])
+    def test_laplace_levels_are_their_exact_sum(self, n, k):
+        # summed outward from the largest level, rising levels at (2000, 10)
+        import hyperpfaffian.cli as cli
+
+        levels = sum(comb(n - k + m, m) * comb(k, m) for m in range(1, k))
+        assert cli._log10_laplace(n, k) - cli._log10_gamma(n, k) == pytest.approx(
+            log10(levels + comb(n, k) * k), rel=1e-12)
+
+    def test_laplace_term_below_the_level_cutoff_takes_few_steps(self, monkeypatch):
+        # k - 1 = 99,999 levels, of which a few thousand near the largest are summed
+        import hyperpfaffian.cli as cli
+
+        calls = []
+        for name in ("log10", "lgamma"):
+            function = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda x, f=function: calls.append(x) or f(x))
+        cli._log10_laplace(200_000, 100_000)
+        assert len(calls) < 10_000
 
     @pytest.mark.parametrize("n,k", [(4, 2), (6, 2), (4, 4), (6, 6)])
     def test_elements_are_the_enumerated_count(self, capsys, monkeypatch, n, k):

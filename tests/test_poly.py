@@ -12,6 +12,7 @@ import pytest
 import hyperpfaffian
 from hyperpfaffian import poly
 from hyperpfaffian.combinat import inversion_sign
+from hyperpfaffian.hpf import pf_definition, pf_exterior, skew_function_from_spec
 from hyperpfaffian.poly import (
     WIDTH,
     Polynomial,
@@ -24,6 +25,12 @@ from hyperpfaffian.poly import (
     vandermonde,
     vandermonde_at,
 )
+from hyperpfaffian.randgen import Lcg, random_skew_spec
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # the fold's property test is left out without Hypothesis
+    st = None
 
 
 def x(i):
@@ -107,6 +114,12 @@ class TestArithmetic:
         message = "variable index must be a positive integer, got True"
         with pytest.raises(ValueError, match=re.escape(message)):
             Polynomial.variable(True)
+
+    @pytest.mark.parametrize("index", [0, -1])
+    def test_variable_rejects_indices_below_one(self, index):
+        message = f"variable index must be a positive integer, got {index}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Polynomial.variable(index)
 
     @pytest.mark.parametrize("exponents,message", [
         ({True: 2}, "variable index must be a positive integer, got True"),
@@ -391,6 +404,12 @@ class TestPackedKernel:
         assert (a * a)._width > WIDTH  # 2^16 needs a wider field
         assert (a * a).coefficient({1: 2**16}) == 1
 
+    def test_constants_add_nothing_to_the_width(self):
+        # a constant's exponents are all 0, so x1^(2^16 - 1) times it still fits
+        top = Polynomial.monomial({1: 2**16 - 1})
+        for constant in (Polynomial.constant(3), Polynomial.zero()):
+            assert (constant * top)._width == (top * constant)._width == WIDTH
+
     def test_mul_of_constants_and_zero(self):
         p = 3 * x(1) - x(2) ** 2
         assert Polynomial.constant(3) * Polynomial.constant(-4) == -12
@@ -462,6 +481,110 @@ class TestPackedKernel:
             assert mono not in p.terms
             with pytest.raises(KeyError):
                 p.terms[mono]
+
+
+def chain_sum(left, right, terms):
+    """Independent oracle for one output of product_sums: each term's chain
+    multiplied out by schoolbook_product, then summed."""
+    total = Polynomial.zero()
+    for sign, (a, *bs) in terms:
+        total += sign * reduce(schoolbook_product, map(right.get, bs), left[a])
+    return total
+
+
+def counted_products(monkeypatch, run) -> list[int]:
+    """The monomial products of the addmul calls ``run()`` makes, in order."""
+    products = []
+
+    def counted(acc, a, b, sign=1):
+        products.append(len(a) * len(b))
+        return addmul(acc, a, b, sign)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(poly, "addmul", counted)
+        run()
+    return products
+
+
+class TestPrefixFold:
+    """product_sums folds the tails that consecutive terms share: each
+    output is still the sum of the chains, with fewer products where
+    prefixes are shared, and the same products where none is."""
+
+    LEFT = {"a": x(1) ** 2 - 3 * x(2), "b": 2 * x(1) + Fraction(1, 2) * x(3), "z": Polynomial.zero()}
+    RIGHT = {0: x(1) + x(2) ** 2, 1: 5 - x(3), 2: x(1) * x(3) - x(2), 3: Polynomial.one()}
+
+    @pytest.mark.parametrize("terms", [
+        [(1, ("a", 0, 1)), (-2, ("a", 0, 2)), (3, ("a", 1)), (1, ("a",)), (-1, ("b", 2, 0, 1))],
+        # a prefix that recurs after another: summed, though it shares nothing
+        [(1, ("a", 0, 1)), (1, ("b", 0, 1)), (-1, ("a", 0, 2)), (2, ("a", 0))],
+        # a term that is a prefix of the next, and the reverse
+        [(1, ("a", 0)), (1, ("a", 0, 1)), (-1, ("a", 0, 1, 2)), (4, ("a", 0, 1))],
+        # repeated terms, and signs that cancel a leaf, a node and a root to zero
+        [(2, ("a", 0, 1)), (-2, ("a", 0, 1)), (1, ("a", 0, 2)), (3, ("b", 1)), (-3, ("b", 1))],
+        [(1, ("a", 0, 1)), (1, ("a", 0, 2)), (-1, ("a", 0, 1)), (-1, ("a", 0, 2)), (1, ("a", 2))],
+        [(1, ("z", 0, 1)), (5, ("a", 3, 3)), (-1, ("a", 3)), (1, ("b",)), (-1, ("b",))],
+    ], ids=["shared", "recurring", "nested", "leaf-cancels", "node-cancels", "zero-and-one"])
+    def test_fold_is_the_sum_of_the_chains(self, terms):
+        assert product_sums(self.LEFT, self.RIGHT, {0: terms})[0] == chain_sum(
+            self.LEFT, self.RIGHT, terms)
+
+    def test_shared_prefix_is_multiplied_once(self, monkeypatch):
+        left, right = {"a": x(1) ** 2 - 3 * x(2)}, {0: x(1) + x(2) ** 2, 1: x(3) - 5, 2: x(4) + 7}
+        # the leaves 1 and 2 sum first (2 products by the constant 1), to 3
+        # terms; times 0 once (2 * 3); then times each x1 class of a (1 * 6, twice)
+        terms = [(1, ("a", 0, 1)), (-1, ("a", 0, 2))]
+        products = counted_products(monkeypatch, lambda: product_sums(left, right, {0: terms}))
+        assert products == [2, 6, 6, 6]
+        # split by another prefix, 0 is multiplied by each leaf (2 * 2 twice),
+        # the leaf 1 is added (2 by the constant 1), and a's 8-term tail per class
+        terms.insert(1, (1, ("a", 1)))
+        products = counted_products(monkeypatch, lambda: product_sums(left, right, {0: terms}))
+        assert products == [4, 2, 4, 8, 8]
+
+    def test_mul_makes_one_addmul_of_every_pair(self, monkeypatch):
+        a, b = x(1) ** 2 + 3 * x(2) - 1, x(1) - x(3) ** 2 + 4 * x(2) * x(3) + 2
+        products = counted_products(monkeypatch, lambda: a * b)
+        # one call per exponent of x1 in a, ascending: 3*x2 - 1, then x1^2
+        assert products == [2 * len(b.terms), 1 * len(b.terms)]
+        assert sum(products) == len(a.terms) * len(b.terms)
+
+    # the parent's counts and calls for the Lcg(1) spec: the exterior route's
+    # terms have one right key each, and (8, 4) partitions two blocks, so
+    # nothing is shared; at (8, 2) the chain of three products per
+    # partition made 490,560
+    @pytest.mark.parametrize("route,n,k,products,calls", [
+        (pf_exterior, 8, 2, 288_960, 266),
+        (pf_exterior, 8, 4, 4_536_000, 420),
+        (pf_definition, 8, 2, 208_320, 196),
+    ], ids=["exterior-8-2", "exterior-8-4", "definition-8-2"])
+    def test_route_products(self, monkeypatch, route, n, k, products, calls):
+        f = skew_function_from_spec(random_skew_spec(n, k, Lcg(1)))
+        counted = counted_products(monkeypatch, lambda: route(f))
+        assert (sum(counted), len(counted)) == (products, calls)
+
+
+if st is not None:
+    fold_keys = st.tuples(st.sampled_from("ab"), st.lists(st.integers(0, 2), max_size=3))
+    fold_terms = st.lists(st.tuples(st.sampled_from([1, -1, 2]), fold_keys, st.booleans()),
+                          max_size=8)
+    fold_values = st.dictionaries(
+        st.tuples(st.integers(1, 3), st.integers(1, 2)).map(lambda pair: (pair,)),
+        st.integers(-3, 3), max_size=3).map(Polynomial)
+
+    class TestPrefixFoldProperty:
+        @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+        @given(st.lists(fold_values, min_size=5, max_size=5), st.lists(fold_terms, min_size=1,
+                                                                        max_size=3))
+        def test_fold_is_the_sum_of_the_chains(self, values, drawn):
+            # a drawn term may be followed at once by its negation, which
+            # cancels its leaf, and nodes above it where nothing else passes
+            left, right = dict(zip("ab", values)), dict(enumerate(values[2:]))
+            sums = {u: [term for sign, (a, bs), cancel in terms
+                        for term in [(sign, (a, *bs))] + [(-sign, (a, *bs))] * cancel]
+                    for u, terms in enumerate(drawn)}
+            results = product_sums(left, right, sums)
+            assert results == {u: chain_sum(left, right, terms) for u, terms in sums.items()}
 
 
 class TestPackedFormatStaysInPoly:
@@ -580,6 +703,12 @@ class TestVandermonde:
         with pytest.raises(ValueError, match=re.escape(message)):
             vandermonde(True)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rejects_orders_below_one(self, n):
+        message = f"vandermonde requires a positive integer order, got {n}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            vandermonde(n)
+
 
 class TestAlternant:
     @pytest.mark.parametrize("exponents", [
@@ -665,6 +794,12 @@ class TestVariableMapping:
         with pytest.raises(ValueError, match=re.escape(message)):
             (x(1) * x(2)).map_variables({2: True})
 
+    @pytest.mark.parametrize("target", [0, -1])
+    def test_rejects_targets_below_one(self, target):
+        message = f"variable index must be a positive integer, got {target}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            (x(1) * x(2)).map_variables({2: target})
+
 
 class TestExactDivision:
     def test_integer_division(self):
@@ -679,6 +814,30 @@ class TestExactDivision:
             div_exact(5, 3)
         with pytest.raises(ArithmeticError):
             div_exact(5 * x(1), 3)
+
+    @pytest.mark.parametrize("value,divisor,message", [
+        (5, 3, "inexact division 5/3"),
+        (-7, 2, "inexact division -7/2"),
+        (6 * x(1) + 4 * x(2) ** 2 + Fraction(5, 2) * x(3) + 9, 3, "inexact division 4/3"),
+        (Fraction(1, 2) * x(1) - 7 * x(2), -2, "inexact division -7/-2"),
+    ])
+    def test_inexact_division_names_its_first_coefficient(self, value, divisor, message):
+        with pytest.raises(ArithmeticError,
+                           match=re.escape(f"{message}; this indicates an implementation bug")):
+            div_exact(value, divisor)
+
+    def test_polynomial_quotients_are_exact_per_coefficient(self):
+        p = 6 * x(1) ** 3 - 12 * x(2) + Fraction(3, 5) * x(1) * x(3) - 30
+        q = div_exact(p, -6)
+        assert q.terms == {((1, 3),): -1, ((2, 1),): 2, ((1, 1), (3, 1)): Fraction(-1, 10), (): 5}
+        assert all(type(c) is int for mono, c in q.terms.items() if mono != ((1, 1), (3, 1)))
+        assert q._width == p._width
+        assert div_exact(Polynomial.zero(), 5) == 0
+
+    @pytest.mark.parametrize("value", [6, Fraction(1, 2), 6 * x(1), Polynomial.zero()])
+    def test_division_by_zero(self, value):
+        with pytest.raises(ZeroDivisionError, match="division of exact coefficients by zero"):
+            div_exact(value, 0)
 
     @pytest.mark.parametrize("value,divisor,message", [
         (4, 2.0, "divisor 2.0 is not an integer"),
@@ -738,4 +897,11 @@ class TestRendering:
     ])
     def test_parse_rejects_variable_zero_and_zero_denominators(self, text, message):
         with pytest.raises(ValueError, match=re.escape(message)):
+            parse_polynomial(text)
+
+    @pytest.mark.parametrize("text,rest", [
+        ("y1 + x1", "y1 + x1"), ("x1 + y2", " y2"), ("2*x1 ** 3", "* 3"), ("x1 x2", " x2"),
+    ])
+    def test_parse_names_the_text_it_stops_at(self, text, rest):
+        with pytest.raises(ValueError, match=re.escape(f"cannot parse polynomial near {rest!r}")):
             parse_polynomial(text)
