@@ -30,7 +30,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from bisect import bisect_left
 from fractions import Fraction
 from math import factorial, floor, inf, isfinite, lgamma, log, log10, prod
 
@@ -55,11 +54,11 @@ from .hpf import (
 )
 from .involution import check_involution
 from .poly import is_integer, vandermonde, vandermonde_at
-from .randgen import Lcg, random_point, random_skew_function, random_skew_spec
+from .randgen import Lcg, check_point_order, random_point, random_skew_function, random_skew_spec
 
 MAX_SYMBOLIC_N = 8  # symbolic results hold up to n! terms; also the --mode auto switch
 WORK_BUDGET = 3 * 10**7  # estimated steps a run may take without --force
-COUNT_STEPS = 100_000  # the most steps an estimate spends counting
+COUNT_STEPS = 100_000  # the most steps _log10_gamma spends counting |Gamma|
 
 
 # -- spec files -------------------------------------------------------------
@@ -74,7 +73,8 @@ def _parse_rational(raw, where: str) -> Fraction | int:
         try:
             value = Fraction(raw)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"{where}: cannot parse rational {raw!r}: {exc}") from None
+            reason = exc if isinstance(exc, ValueError) else "zero denominator"
+            raise ValueError(f"{where}: cannot parse rational {raw!r}: {reason}") from None
         return int(value) if value.denominator == 1 else value
     raise ValueError(
         f"{where}: coefficient must be an integer or a 'p/q' string, got {raw!r}"
@@ -195,10 +195,10 @@ def _log10_partitions(n: int, k: int) -> float:
 
 
 def _log10_gamma(n: int, k: int) -> float:
-    """|Gamma(n, k)|, counted while counting the partitions of m = k(n-k)/2
-    into at most k parts takes at most COUNT_STEPS steps, else its lower bound
-    C(m+k-1, k-1)/k! (each orders into at most k! compositions of m into k
-    parts).  Past the cutoff k^3 (n/k - 1) > 2 COUNT_STEPS, where P(n, k),
+    """|Gamma(n, k)|, the one count an estimate makes: counted while counting
+    the partitions of m = k(n-k)/2 into at most k parts takes at most
+    COUNT_STEPS steps, else bounded below by C(m+k-1, k-1)/k! (each orders
+    into at most k! compositions of m into k parts).  Past that cutoff, P(n, k),
     n!/(n/k)! and C(n-2, k-2) + n^2 are each far past WORK_BUDGET alone."""
     m = k * (n - k) // 2
     if min(k, m) * m <= COUNT_STEPS:
@@ -219,28 +219,12 @@ def _log10_chain(n: int, k: int) -> float:
 
 def _log10_laplace(n: int, k: int) -> float:
     """Entries spec evaluation fills at a point: per level m < k, C(n-k+m, m)
-    prefix tables of at most C(k, m)|Gamma| minors (past COUNT_STEPS levels,
-    at least (2^k - 2)|Gamma| in all), and C(n, k) dot products of k|Gamma|.
-    The ratio of level m + 1 to level m decreases in m, so the levels are
-    summed outward from the largest by that ratio, down to 10^-20 of it."""
-
-    def ratio(m: int) -> float:  # log10 of level m + 1 over level m
-        return log10((n - k + m + 1) * (k - m) / (m + 1) ** 2)
-
-    def walk(m: int, step: int):  # each level's log10 over the peak's, from the peak
-        x = 0.0
-        while 0 < m + step < k and x > -20:
-            x += ratio(m) if step > 0 else -ratio(m - 1)
-            m += step
-            yield x
-
-    if k <= COUNT_STEPS:
-        peak = bisect_left(range(1, k - 1), True, key=lambda m: ratio(m) < 0) + 1
-        prefixes = _log10_comb(n - k + peak, peak) + _log10_comb(k, peak) + _log10_sum(
-            0.0, *walk(peak, 1), *walk(peak, -1))
-    else:
-        prefixes = k * log10(2)
-    return _log10_gamma(n, k) + _log10_sum(prefixes, _log10_comb(n, k) + log10(k))
+    prefix tables of at most C(k, m)|Gamma| minors, and C(n, k) dot products
+    of k|Gamma|.  Points mode refuses n > 201 before sizing it, so the sum
+    here has at most 200 levels."""
+    return _log10_gamma(n, k) + _log10_sum(
+        *(_log10_comb(n - k + m, m) + _log10_comb(k, m) for m in range(1, k)),
+        _log10_comb(n, k) + log10(k))
 
 
 # -- commands ---------------------------------------------------------------
@@ -294,6 +278,7 @@ def cmd_verify(args) -> int:
             f"use --mode points or pass --force")
             or log10(2 * args.trials) + _log10_sum(_log10_chain(n, k), _log10_factorial(n)))
     else:
+        check_point_order(n)  # an order no point can hold is refused before it is sized
         _guard(args, f"n={n}", lambda: log10(args.trials * args.points) + _log10_sum(
             _log10_partitions(n, k) + log10(n // k), _log10_laplace(n, k)))
     for trial in range(args.trials):

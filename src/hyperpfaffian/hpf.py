@@ -31,7 +31,7 @@ polynomial, with one :func:`~hyperpfaffian.poly.product_sums` call; only
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, filterfalse, islice
 from math import comb, factorial, prod
 from operator import mul
 from typing import Mapping, Sequence, Union
@@ -163,10 +163,14 @@ class SkewFunction:
                     f"value on {subset!r} is not an exact rational or polynomial: {value!r}"
                 )
             stored[subset] = value
-        expected = set(combinations(range(1, n + 1), k))
-        if set(stored) != expected:
-            missing = sorted(expected - set(stored))[:3]
-            extra = sorted(set(stored) - expected)[:3]
+
+        def absent():  # each walk below stops within the table's own length
+            return filterfalse(stored.__contains__, combinations(range(1, n + 1), k))
+
+        if len(stored) != comb(n, k) or next(absent(), None) is not None:
+            missing = list(islice(absent(), 3))
+            extra = sorted(s for s in stored if not (
+                len(s) == k and s == tuple(sorted(set(s))) and 0 < s[0] and s[-1] <= n))[:3]
             raise ValueError(
                 f"values must cover exactly the sorted {k}-subsets of [{n}]"
                 + (f"; missing {missing}" if missing else "")

@@ -68,6 +68,12 @@ def random_skew_spec(n: int, k: int, rng: Lcg) -> SkewSpec:
     return SkewSpec(n, k, coeffs)
 
 
+def check_point_order(n: int) -> None:
+    """Refuse an order n past the 201 distinct coordinates a point can hold."""
+    if n > 201:
+        raise ValueError(f"a point has at most 201 distinct coordinates in [-100, 100], got n={n}")
+
+
 def random_point(n: int, rng: Lcg) -> tuple[int, ...]:
     """Point with pairwise distinct coordinates in [-100, 100].
 
@@ -79,8 +85,7 @@ def random_point(n: int, rng: Lcg) -> tuple[int, ...]:
     """
     if not is_integer(n) or n < 0:
         raise ValueError(f"number of coordinates must be a nonnegative integer, got {n!r}")
-    if n > 201:
-        raise ValueError(f"a point has at most 201 distinct coordinates in [-100, 100], got n={n}")
+    check_point_order(n)
     values = list(range(-100, 101))
     for i in range(n):
         j = i + rng.below(201 - i)

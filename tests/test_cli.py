@@ -16,6 +16,7 @@ from hyperpfaffian.poly import parse_polynomial, render, vandermonde
 from hyperpfaffian.randgen import Lcg, random_skew_function
 
 SMALLEST_SPEC = {"n": 2, "k": 2, "terms": [{"r": [0, 1], "a": "1"}]}
+POINT_LIMIT = "a point has at most 201 distinct coordinates in [-100, 100], got n="
 TORELLI_4 = {"n": 4, "k": 2, "terms": [{"r": [0, 3], "a": 1}, {"r": [1, 2], "a": "-3"}]}
 
 
@@ -138,6 +139,22 @@ class TestSpecFileValidation:
         assert code == 2
         assert needle in err
 
+    @pytest.mark.parametrize("document,error", [
+        ({"n": 2, "k": 2, "terms": [{"r": [0, 1], "a": True}]},
+         "terms[0]: coefficient must be a rational, got True"),
+        ({"n": 2, "k": 2, "terms": [{"r": [0, 1], "a": "x"}]},
+         "terms[0]: cannot parse rational 'x': Invalid literal for Fraction: 'x'"),
+        ({"n": 2, "k": 2, "terms": [{"r": [0, 1], "a": "1/0"}]},
+         "terms[0]: cannot parse rational '1/0': zero denominator"),
+        ([1, 2], "{path}: spec file must contain a JSON object"),
+        ({"n": 2, "k": 2, "terms": {"r": [0, 1], "a": 1}},
+         "{path}: field 'terms' must be a list of records"),
+    ], ids=["bool", "unparsable", "zero-denominator", "top-level-list", "terms-not-a-list"])
+    def test_refusals_name_their_place(self, tmp_path, capsys, document, error):
+        path = write_spec(tmp_path, document)
+        assert run(capsys, "compute", "--input", path, "--method", "theorem") == (
+            2, "", f"error: {error.format(path=path)}\n")
+
     def test_invalid_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")
@@ -208,20 +225,18 @@ class TestVerify:
         assert "--force" in err
 
     def test_points_beyond_201_coordinates_refused(self, capsys, monkeypatch):
-        below = Lcg.below
+        # explicit or auto, forced or not: refused before any guard, spec or point
+        import hyperpfaffian.cli as cli
 
-        def no_coordinate_draw(rng, bound):  # coefficients draw below 18, a first coordinate 201
-            if bound == 201:
-                raise AssertionError("a coordinate was drawn for an impossible point")
-            return below(rng, bound)
+        def unreachable(*args):
+            raise AssertionError("an impossible points order was sized or drawn")
 
-        monkeypatch.setattr(Lcg, "below", no_coordinate_draw)
-        code, out, err = run(
-            capsys, "verify", "--n", "202", "--k", "2", "--mode", "points", "--force"
-        )
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ") and "at most 201 distinct coordinates" in err
+        for name in ("_guard", "random_skew_spec", "random_point"):
+            monkeypatch.setattr(cli, name, unreachable)
+        for mode in ("points", "auto"):
+            for force in ((), ("--force",)):
+                argv = ("verify", "--n", "202", "--k", "2", "--mode", mode, *force)
+                assert run(capsys, *argv) == (2, "", f"error: {POINT_LIMIT}202\n")
 
 
 class TestCoeffs:
@@ -397,7 +412,8 @@ class TestCompose:
 class TestRefusalsAtEverySize:
     """A refusal names its estimate's power of ten, or the symbolic cap's
     size exactly while it fits the int-to-str digit limit and as an order of
-    magnitude beyond it, and answers at once."""
+    magnitude beyond it, or, for a points order past n = 201, the point
+    limit before any estimate; each answers at once."""
 
     @pytest.mark.parametrize("argv,message", [
         # |W| = about 10^9780, times n^2
@@ -406,15 +422,11 @@ class TestRefusalsAtEverySize:
          "refusing n=2000, k=1000: about 10^6864.8 steps"),
         (("verify", "--n", "2000", "--k", "2", "--mode", "symbolic"),
          "refusing symbolic mode at n=2000: results can reach 2000! = about 10^5735 terms"),
-        # 10^4564 partitions per point, 50 points
-        (("verify", "--n", "3000", "--k", "2"), "refusing n=3000: about 10^4569.3 steps"),
-        (("verify", "--n", "1000000", "--k", "2"), "refusing n=1000000: about 10^2782860.3 steps"),
-        # past COUNT_STEPS levels the prefix tables count at least 2^k - 2 minors
-        (("verify", "--n", "200000", "--k", "200000", "--mode", "points"),
-         "refusing n=200000: about 10^60207.7 steps"),
-        # just under COUNT_STEPS levels, summed near their peak
-        (("verify", "--n", "200000", "--k", "100000", "--mode", "points"),
-         "refusing n=200000: about 10^133299.9 steps"),
+        # points orders no point can hold, in auto mode and explicit
+        (("verify", "--n", "3000", "--k", "2"), f"{POINT_LIMIT}3000"),
+        (("verify", "--n", "1000000", "--k", "2"), f"{POINT_LIMIT}1000000"),
+        (("verify", "--n", "200000", "--k", "200000", "--mode", "points"), f"{POINT_LIMIT}200000"),
+        (("verify", "--n", "200000", "--k", "100000", "--mode", "points"), f"{POINT_LIMIT}200000"),
         (("torelli", "--n", "3000"),
          "refusing n=3000: brute force sums over about 10^4564 matchings"),
         (("compose", "--k", "2", "--n", "4", "--p", "4000"), "refusing p=4000: about 10^8729.1 steps"),
@@ -427,6 +439,7 @@ class TestRefusalsAtEverySize:
         assert time.perf_counter() - start < 1
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {message}")
+        assert ("--force" in err) != message.startswith(POINT_LIMIT)  # --force helps or not
 
     def test_compute_refuses_at_once(self, tmp_path, capsys):
         path = write_spec(tmp_path, {"n": 3000, "k": 2, "terms": []})
@@ -458,21 +471,23 @@ class TestRefusalsAtEverySize:
 
     HUGE = "1" + "0" * 400  # an order whose sizes have a log10 beyond a float
 
-    @pytest.mark.parametrize("argv,order", [
-        (("verify", "--n", HUGE, "--k", "2"), f"n={HUGE}"),
-        (("verify", "--n", HUGE, "--k", "2", "--mode", "symbolic"), f"n={HUGE}"),
-        (("involution", "--n", HUGE, "--k", "2"), f"n={HUGE}, k=2"),
-        (("involution", "--n", HUGE, "--k", HUGE), f"n={HUGE}, k={HUGE}"),
-        (("coeffs", "--n", HUGE, "--k", "2"), f"n={HUGE}"),
-        (("torelli", "--n", HUGE), f"n={HUGE}"),
-        (("compose", "--k", "2", "--n", "2", "--p", HUGE), f"p={HUGE}"),
+    @pytest.mark.parametrize("argv,message", [
+        (("verify", "--n", HUGE, "--k", "2"), f"{POINT_LIMIT}{HUGE}"),  # never sized
+        (("verify", "--n", HUGE, "--k", "2", "--mode", "symbolic"),
+         f"refusing n={HUGE}: too large to size"),
+        (("involution", "--n", HUGE, "--k", "2"), f"refusing n={HUGE}, k=2: too large to size"),
+        (("involution", "--n", HUGE, "--k", HUGE),
+         f"refusing n={HUGE}, k={HUGE}: too large to size"),
+        (("coeffs", "--n", HUGE, "--k", "2"), f"refusing n={HUGE}: too large to size"),
+        (("torelli", "--n", HUGE), f"refusing n={HUGE}: too large to size"),
+        (("compose", "--k", "2", "--n", "2", "--p", HUGE), f"refusing p={HUGE}: too large to size"),
     ], ids=["verify", "verify-symbolic", "involution", "involution-k-equals-n", "coeffs",
             "torelli", "compose"])
-    def test_orders_beyond_a_float_refuse_at_once(self, capsys, argv, order):
+    def test_orders_beyond_a_float_refuse_at_once(self, capsys, argv, message):
         start = time.perf_counter()
         code, out, err = run(capsys, *argv)
         assert time.perf_counter() - start < 1
-        assert (code, out, err) == (2, "", f"error: refusing {order}: too large to size\n")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_compute_order_beyond_a_float_refuses_at_once(self, tmp_path, capsys):
         path = tmp_path / "spec.json"
@@ -485,14 +500,16 @@ class TestRefusalsAtEverySize:
     def test_validation_allocates_nothing_of_size_n(self, capsys):
         import tracemalloc
 
-        tracemalloc.start()
-        try:
-            code, _, err = run(capsys, "verify", "--n", str(10**7), "--k", "2")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert code == 2 and err.startswith("error: refusing n=10000000:")
-        assert peak < 10 * 2**20
+        for mode, error in [("points", f"error: {POINT_LIMIT}10000000\n"),
+                            ("symbolic", "error: refusing symbolic mode at n=10000000:")]:
+            tracemalloc.start()
+            try:
+                code, _, err = run(capsys, "verify", "--n", str(10**7), "--k", "2", "--mode", mode)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 2 and err.startswith(error)
+            assert peak < 10 * 2**20
 
     @pytest.mark.parametrize("argv,error", [
         (("verify", "--n", "20", "--k", "0"),
@@ -695,35 +712,49 @@ class TestWorkEstimates:
             assert 10 ** estimate(capsys, monkeypatch, *argv) == pytest.approx(steps, rel=1e-9)
             monkeypatch.undo()
 
-    def test_laplace_term_past_the_level_cutoff_is_its_lower_bound(self, monkeypatch):
+    def test_laplace_levels_ignore_the_count_cutoff(self, monkeypatch):
         # at n = k every prefix count C(m, m) is 1 and |Gamma| is 1, so the
-        # prefix tables hold exactly 2^k - 2 minors, counted or bounded
+        # prefix tables hold exactly 2^k - 2 minors, each level summed
+        # however few steps COUNT_STEPS leaves the count of |Gamma|
         import hyperpfaffian.cli as cli
 
         counted = cli._log10_laplace(40, 40)
-        monkeypatch.setattr(cli, "COUNT_STEPS", 38)  # the 39 levels of k = 40 are past it
-        assert cli._log10_laplace(40, 40) == pytest.approx(counted, rel=1e-9)
+        monkeypatch.setattr(cli, "COUNT_STEPS", 38)  # fewer than the 39 levels of k = 40
+        assert cli._log10_laplace(40, 40) == counted
         assert 10 ** counted == pytest.approx(2**40 - 2 + 40, rel=1e-9)
 
     @pytest.mark.parametrize("n,k", [(12, 4), (40, 40), (300, 100), (2000, 10), (5000, 1000)])
     def test_laplace_levels_are_their_exact_sum(self, n, k):
-        # summed outward from the largest level, rising levels at (2000, 10)
+        # a plain sum at any order, also past the n <= 201 that points mode sizes
         import hyperpfaffian.cli as cli
 
         levels = sum(comb(n - k + m, m) * comb(k, m) for m in range(1, k))
         assert cli._log10_laplace(n, k) - cli._log10_gamma(n, k) == pytest.approx(
             log10(levels + comb(n, k) * k), rel=1e-12)
 
-    def test_laplace_term_below_the_level_cutoff_takes_few_steps(self, monkeypatch):
-        # k - 1 = 99,999 levels, of which a few thousand near the largest are summed
+    def test_laplace_term_is_the_exact_level_sum_at_every_points_order(self):
+        # every order points mode sizes: even k, k | n, n <= 201
         import hyperpfaffian.cli as cli
 
-        calls = []
-        for name in ("log10", "lgamma"):
-            function = getattr(cli, name)
-            monkeypatch.setattr(cli, name, lambda x, f=function: calls.append(x) or f(x))
-        cli._log10_laplace(200_000, 100_000)
-        assert len(calls) < 10_000
+        for k in range(2, 202, 2):
+            for n in range(k, 202, k):
+                levels = sum(comb(n - k + m, m) * comb(k, m) for m in range(1, k))
+                assert cli._log10_laplace(n, k) - cli._log10_gamma(n, k) == pytest.approx(
+                    log10(levels + comb(n, k) * k), rel=1e-12), (n, k)
+
+    def test_points_refusal_past_201_never_calls_the_laplace_term(self, capsys, monkeypatch):
+        # k - 1 = 99,999 levels that no points run can reach are never summed
+        import hyperpfaffian.cli as cli
+
+        def unreachable(n, k):
+            raise AssertionError(f"sized the points order n={n}, k={k}")
+
+        monkeypatch.setattr(cli, "_log10_laplace", unreachable)
+        for force in ((), ("--force",)):
+            start = time.perf_counter()
+            argv = ("verify", "--n", "200000", "--k", "100000", "--mode", "points", *force)
+            assert run(capsys, *argv) == (2, "", f"error: {POINT_LIMIT}200000\n")
+            assert time.perf_counter() - start < 1
 
     @pytest.mark.parametrize("n,k", [(4, 2), (6, 2), (4, 4), (6, 6)])
     def test_elements_are_the_enumerated_count(self, capsys, monkeypatch, n, k):
@@ -735,10 +766,10 @@ class TestWorkEstimates:
 
     @pytest.mark.parametrize("argv", [
         ("involution", "--n", "50004", "--k", "2"),
-        ("verify", "--n", "50004", "--k", "2"),
+        ("verify", "--n", "150", "--k", "50"),  # points orders stop at n = 201
         ("coeffs", "--n", "50004", "--k", "2"),
         ("involution", "--n", "2000", "--k", "1000"),
-        ("verify", "--n", "2000", "--k", "1000"),
+        ("verify", "--n", "200", "--k", "100"),
         ("coeffs", "--n", "2000", "--k", "1000"),
     ])
     def test_a_bounded_gamma_is_past_the_budget(self, capsys, monkeypatch, argv):

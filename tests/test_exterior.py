@@ -67,6 +67,32 @@ class TestBasics:
         element = ExteriorElement(3, {0b101: 2, 0b010: 3})
         assert repr(element) == "ExteriorElement(n=3, {(2,): 3, (1, 3): 2})"
 
+    @pytest.mark.parametrize("values,message", [
+        ({(1, 1): 1}, "repeated element 1 in subset (1, 1)"),
+        ({(1, 2): 1, (2, 1): 2}, "subset (2, 1) listed twice"),
+    ], ids=["repeated", "twice"])
+    def test_rejects_a_subset_named_twice(self, values, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ExteriorElement.from_subset_values(3, values)
+
+    def test_coefficient_of_a_subset(self):
+        element = ExteriorElement.from_subset_values(3, {(1, 3): 5})
+        assert element.coefficient((3, 1)) == 5
+        assert element.coefficient((1, 2)) == 0
+
+    def test_sum_of_mismatched_generator_counts(self):
+        with pytest.raises(ValueError, match="mismatched generator counts: 2 vs 3"):
+            gen(2, 1) + gen(3, 1)
+
+    def test_unknown_operands(self):
+        class Reflected:  # each operator answers with its name
+            __eq__ = lambda self, other: "eq"
+            __radd__ = lambda self, other: "radd"
+
+        assert [gen(2, 1) == Reflected(), gen(2, 1) + Reflected()] == ["eq", "radd"]
+        with pytest.raises(TypeError, match="cannot wedge with int"):
+            gen(2, 1).wedge(3)
+
     def test_top_coefficient(self):
         five = ExteriorElement.from_subset_values(3, {(1, 2, 3): 5})
         assert five.top_coefficient() == 5

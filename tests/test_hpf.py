@@ -1,5 +1,6 @@
 import random
 import re
+import time
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -23,7 +24,7 @@ from hyperpfaffian.hpf import (
     torelli_spec,
 )
 from hyperpfaffian.poly import Polynomial, vandermonde
-from hyperpfaffian.randgen import Lcg, random_point, random_skew_spec
+from hyperpfaffian.randgen import Lcg, check_point_order, random_point, random_skew_spec
 
 
 def x(i):
@@ -109,6 +110,27 @@ class TestSkewSpec:
         assert spec.coefficient((1, 2)) == 0
         assert spec.coefficient((0, 3)) == 1
 
+    def test_rejects_two_keys_of_one_exponent_tuple(self):
+        with pytest.raises(ValueError, match=re.escape("duplicate exponent tuple [0, 1]")):
+            SkewSpec(2, 2, {(0, 1): 1, range(2): 2})
+
+    def test_equality_reads_every_field(self):
+        spec = torelli_spec(4)
+        assert spec == SkewSpec(4, 2, {(1, 2): -3, (0, 3): 1})
+        assert spec.__eq__(spec.coeffs) is NotImplemented
+        for one, other in [  # each pair differs in one field: n, k, degree, coeffs
+                (SkewSpec(4, 2, {}, degree=3), SkewSpec(6, 2, {}, degree=3)),
+                (SkewSpec(4, 2, {}, degree=0), SkewSpec(4, 4, {}, degree=0)),
+                (SkewSpec(4, 2, {}), SkewSpec(4, 2, {}, degree=2)),
+                (spec, SkewSpec(4, 2, {(0, 3): 1}))]:
+            assert one != other
+        with pytest.raises(TypeError):
+            hash(spec)
+
+    def test_repr_names_every_field(self):
+        assert repr(torelli_spec(4)) == (
+            "SkewSpec(n=4, k=2, degree=3, coeffs={(0, 3): 1, (1, 2): -3})")
+
 
 class TestSkewExpand:
     def test_smallest_case(self):
@@ -169,6 +191,31 @@ class TestSkewFunction:
     def test_requires_every_sorted_subset(self):
         with pytest.raises(ValueError, match="missing"):
             SkewFunction(4, 2, {(1, 2): 1})
+
+    @pytest.mark.parametrize("keys,found", [
+        ([(1, 2), (1, 3), (2, 1), (0, 1), (3, 4)], "; missing [(1, 4), (2, 3), (2, 4)]; "
+                                                   "unexpected [(0, 1), (2, 1)]"),
+        ([*combinations(range(1, 5), 2), (1, 5)], "; unexpected [(1, 5)]"),
+        ([(1, 2, 3)], "; missing [(1, 2), (1, 3), (1, 4)]; unexpected [(1, 2, 3)]"),
+        ([(1, 1), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4)], "; missing [(3, 4)]; unexpected [(1, 1)]"),
+        ([(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)], "; missing [(3, 4)]"),
+        ([*combinations(range(1, 5), 2), (5, 6), (2, 2), (1, 5), (0, 1)],
+         "; unexpected [(0, 1), (1, 5), (2, 2)]"),
+    ], ids=["both", "above-n", "long", "repeated", "short", "four-unexpected"])
+    def test_names_the_first_missing_and_unexpected_subsets(self, keys, found):
+        message = "values must cover exactly the sorted 2-subsets of [4]" + found
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            SkewFunction(4, 2, dict.fromkeys(keys, 1))
+
+    def test_refuses_a_wrong_table_without_listing_every_subset(self):
+        # C(40, 20) = 137,846,528,820 subsets; the first three are found at once
+        first = tuple(range(1, 20))
+        message = (f"values must cover exactly the sorted 20-subsets of [40]; missing "
+                   f"[{first + (20,)}, {first + (21,)}, {first + (22,)}]")
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            SkewFunction(40, 20, {})
+        assert time.perf_counter() - start < 1
 
     @pytest.mark.parametrize("value", [0.5, False])
     def test_rejects_inexact_values(self, value):
@@ -243,6 +290,11 @@ class TestPfExterior:
     def test_single_pair(self):
         f = symbolic_skew_function(2, 2)
         assert pf_exterior(f) == f[(1, 2)]
+
+    def test_refuses_an_arity_that_does_not_divide_the_order(self):
+        f = SkewFunction(6, 4, dict.fromkeys(combinations(range(1, 7), 4), 1))
+        with pytest.raises(ValueError, match="arity 4 does not divide order 6"):
+            pf_exterior(f)
 
     def test_matches_definition_symbolically(self):
         f = symbolic_skew_function(4, 2)
@@ -502,8 +554,11 @@ class TestPointEvaluation:
             raise AssertionError("a coordinate was drawn for an impossible point")
 
         monkeypatch.setattr(Lcg, "below", no_draw)
-        with pytest.raises(ValueError, match="at most 201 distinct coordinates"):
-            random_point(202, Lcg(1))
+        message = "a point has at most 201 distinct coordinates in [-100, 100], got n=202"
+        for refuse in (lambda: random_point(202, Lcg(1)), lambda: check_point_order(202)):
+            with pytest.raises(ValueError, match=re.escape(message) + "$"):
+                refuse()
+        assert check_point_order(201) is None
 
     @pytest.mark.parametrize("n", [0, 1, 40, 200, 201])
     def test_random_point_draws_once_per_coordinate(self, n, monkeypatch):

@@ -57,6 +57,36 @@ class TestConstruction:
         assert wop.blocks == ((2, 1), (3, 4))
         assert wop.weights == ((1, 2), (0, 3))
 
+    @pytest.mark.parametrize("blocks,weights,message", [
+        ((), (), "need the same positive number of blocks and weight vectors"),
+        (((1, 2),), (), "need the same positive number of blocks and weight vectors"),
+        (((1,), (2,)), ((0,), (1,)), "block size must be a positive even integer, got 1"),
+        (((1, 2, 3),), ((0, 1, 2),), "block size must be a positive even integer, got 3"),
+    ], ids=["empty", "unmatched", "odd-one", "odd-three"])
+    def test_rejects_unmatched_or_odd_blocks(self, blocks, weights, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            WeightedOrientedPartition(blocks, weights)
+
+    def test_fields_cannot_be_assigned_or_deleted(self):
+        wop = worked_example()
+        for name in WeightedOrientedPartition.__slots__:
+            value = getattr(wop, name)
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+                setattr(wop, name, None)
+            with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+                delattr(wop, name)
+            assert getattr(wop, name) is value
+        with pytest.raises(AttributeError, match="cannot assign to field 'extra'"):
+            wop.extra = 1
+
+    def test_equality_leaves_other_types_to_themselves(self):
+        class Reflected:  # answers == with its name
+            __eq__ = lambda self, other: "eq"
+
+        assert (worked_example() == Reflected()) == "eq"
+        assert worked_example() == worked_example() != WeightedOrientedPartition(
+            ((1, 2), (3, 4)), ((0, 3), (1, 2)))
+
     def test_weights_travel_with_blocks(self):
         wop = worked_example()
         assert wop.blocks == WORKED_BLOCKS

@@ -110,6 +110,25 @@ class TestArithmetic:
         with pytest.raises(ValueError, match=re.escape(f"() is not an exact rational: {coeff!r}")):
             Polynomial.constant(coeff)
 
+    def test_unknown_operands_get_their_reflected_operators(self):
+        class Reflected:  # each operator answers with its name
+            __eq__ = lambda self, other: "eq"
+            __radd__ = lambda self, other: "radd"
+            __rsub__ = lambda self, other: "rsub"
+            __rmul__ = lambda self, other: "rmul"
+
+        x1 = Polynomial.variable(1)
+        assert [x1 == Reflected(), x1 + Reflected(), x1 - Reflected(), x1 * Reflected()] == [
+            "eq", "radd", "rsub", "rmul"]
+
+    def test_an_exponent_past_the_field_is_absent_not_carried(self):
+        # 1 << 16 in x1's field would carry into x2's, the key of x2 itself
+        assert Polynomial.variable(2).coefficient({1: 1 << 16}) == 0
+        assert Polynomial.variable(2).coefficient({2: 1}) == 1
+
+    def test_repr_wraps_the_rendering(self):
+        assert repr(2 * Polynomial.variable(1) - 3) == "Polynomial(-3 + 2*x1)"
+
     def test_variable_rejects_bool_index(self):
         message = "variable index must be a positive integer, got True"
         with pytest.raises(ValueError, match=re.escape(message)):
