@@ -1,7 +1,7 @@
 """Exact hyperpfaffians of skew-symmetric k-ary polynomials.
 
 Three independent evaluation routes -- the signed sum over equal-block set
-partitions, the exterior-algebra wedge power, and a Vandermonde closed
+partitions, the exterior-algebra divided power, and a Vandermonde closed
 form for full-degree coefficient specs -- together with the weighted
 oriented partition machinery (a sign-reversing pairing plus a
 permutation/tiling factorization) that explains why they agree.  All

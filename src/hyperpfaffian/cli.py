@@ -211,7 +211,8 @@ def _log10_chain(n: int, k: int) -> float:
     partition, t^2 + ... + t^(n/k) for blocks of t = k!|Gamma| terms (t alone
     at n = k, where the one block multiplies 1).  An upper bound: it is the
     definition route's count when no two of its folded tails share a
-    monomial, and a tail that merges some has fewer terms to multiply."""
+    monomial, and a tail that merges some has fewer terms to multiply.  The
+    exterior route's count, divided power and top step, is tested below it."""
     blocks, terms = n // k, _log10_factorial(k) + _log10_gamma(n, k)
     return _log10_partitions(n, k) + _log10_sum(
         *(j * terms for j in range(min(2, blocks), blocks + 1)))

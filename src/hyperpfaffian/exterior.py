@@ -12,12 +12,12 @@ This is the performance-sensitive kernel: wedging two elements touches
 every pair of stored subsets, and the bitmask encoding keeps the
 disjointness test and the crossing count at machine speed.  Coefficients of
 either type are multiplied and summed by :func:`hyperpfaffian.poly.product_sums`,
-one call per wedge; only :mod:`hyperpfaffian.poly` knows the packed format and value types.
+one call per wedge or divided-power level; only :mod:`hyperpfaffian.poly` knows
+the packed format and value types.
 """
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Iterator, Mapping, Sequence
 
 from .poly import Polynomial, Scalar, accumulate, is_integer, product_sums
@@ -57,6 +57,21 @@ def merge_sign(s_mask: int, t_mask: int) -> int:
         crossings += (s_mask >> above).bit_count()
         remaining ^= low
     return -1 if crossings & 1 else 1
+
+
+def _wedge_table(left: dict, right: dict, pairs) -> dict:
+    """The table of the sum of merge_sign(s, t) left[s] right[t] over the
+    given disjoint (s, t) pairs, at s | t: one product_sums call."""
+    firsts: dict = {}  # the left mask of each pair, by union
+    for s, t in pairs:
+        firsts.setdefault(s | t, []).append(s)
+
+    def terms(union, lefts):  # made as summed: held for every union, they doubled peak memory
+        for s in lefts:
+            yield merge_sign(s, union ^ s), (s, union ^ s)
+
+    products = product_sums(left, right, {u: terms(u, ss) for u, ss in firsts.items()})
+    return {m: c for m, c in products.items() if c}
 
 
 class ExteriorElement:
@@ -145,44 +160,17 @@ class ExteriorElement:
         return self + (-other)
 
     def wedge(self, other: "ExteriorElement") -> "ExteriorElement":
-        """Bilinear product; overlapping subset pairs contribute nothing.
-
-        A square (``other is self``) visits each unordered pair of disjoint
-        subsets once.  merge_sign(T, S) = (-1)^(|S||T|) merge_sign(S, T), so
-        a pair of odd grades cancels and any other pair counts twice.
-        """
+        """Bilinear product; overlapping subset pairs contribute nothing."""
         if not isinstance(other, ExteriorElement):
             raise TypeError(f"cannot wedge with {type(other).__name__}")
         if self.n != other.n:
             raise ValueError(f"mismatched generator counts: {self.n} vs {other.n}")
-        left, right = self.table, other.table
-        if other is self:
-            masks = list(left)
-            pairs = chain([(0, 0)] if 0 in left else [], (
-                (s, t) for i, s in enumerate(masks) for t in masks[i + 1:]
-                if not s & t and not s.bit_count() & t.bit_count() & 1
-            ))
-        else:
-            pairs = ((s, t) for s in left for t in right if not s & t)
-        firsts: dict = {}  # the left mask of each pair, by union
-        for s, t in pairs:
-            firsts.setdefault(s | t, []).append(s)
-        twice = 2 if other is self else 1  # but a square's pair (0, 0) counts once
-
-        def terms(union, lefts):  # made as summed: held for every union, they doubled peak memory
-            for s in lefts:
-                yield (twice if union else 1) * merge_sign(s, union ^ s), (s, union ^ s)
-
-        products = product_sums(left, right, {u: terms(u, ss) for u, ss in firsts.items()})
-        return ExteriorElement._raw(self.n, {m: c for m, c in products.items() if c})
+        pairs = ((s, t) for s in self.table for t in other.table if not s & t)
+        return ExteriorElement._raw(self.n, _wedge_table(self.table, other.table, pairs))
 
     def wedge_power(self, m: int) -> "ExteriorElement":
         """m-fold wedge of the element with itself; m = 0 gives the scalar 1.
-
-        Uses binary exponentiation, which halves the number of full
-        products for the even-grade elements this library powers up; each
-        squaring visits every unordered subset pair once (see :meth:`wedge`).
-        """
+        Uses binary exponentiation: about log2(m) wedges."""
         if not is_integer(m) or m < 0:
             raise ValueError(f"wedge power must be a nonnegative integer, got {m!r}")
         if m == 0:
@@ -196,6 +184,27 @@ class ExteriorElement:
             if m:
                 base = base.wedge(base)
         return result
+
+    def divided_power(self, m: int) -> "ExteriorElement":
+        """E^m / m! for an element E whose subsets all have even, nonzero
+        size, without division: such subsets commute, so the coefficient of S
+        sums merge_sign(B, S - B) E[B] (E^(m-1) / (m-1)!)[S - B] over the
+        subsets B that hold the least element of S, one level per power."""
+        for mask in self.table:
+            if not mask or mask.bit_count() & 1:
+                raise ValueError(f"divided power needs subsets of even, nonzero size, "
+                                 f"got {_subset_of(mask)!r}")
+        if not is_integer(m) or m < 2:
+            return self.wedge_power(m)  # 1, the element, or wedge_power's refusal
+        by_low: list[list[int]] = [[] for _ in range(self.n)]  # subsets by their least element
+        for s in self.table:
+            by_low[(s & -s).bit_length() - 1].append(s)
+        power = self.table
+        for _ in range(m - 1):
+            power = _wedge_table(self.table, power, (
+                (s, t) for t in power for below in by_low[:(t & -t).bit_length() - 1]
+                for s in below if not s & t))
+        return ExteriorElement._raw(self.n, power)
 
     def __repr__(self) -> str:
         body = ", ".join(f"{subset}: {coeff}" for subset, coeff in self.subsets())

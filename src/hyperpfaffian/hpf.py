@@ -16,23 +16,23 @@ The three routes:
 
 * :func:`pf_definition` -- the signed sum over equal-block partitions of
   the products of block values;
-* :func:`pf_exterior` -- the top coefficient of E1 ^ R^(n/k-1), divided
-  exactly by (n/k-1)!, where E1 holds the subsets with 1 of the
-  subset-weighted generator sum E = E1 + R;
+* :func:`pf_exterior` -- the top coefficient of E1 ^ R^(n/k-1) / (n/k-1)!,
+  where E1 holds the subsets with 1 of the subset-weighted generator sum
+  E = E1 + R, with the divided power of R taken without division;
 * :func:`pf_closed_form` -- for a SkewSpec of full degree k/2*(n-1), the
   closed form: a signed sum of coefficient products over composition
   tilings times the Vandermonde product.
 
 All three agree exactly; the test suite checks this symbolically and at
 integer points.  The first two sum their signed products, scalar or
-polynomial, with one :func:`~hyperpfaffian.poly.product_sums` call; only
+polynomial, in :func:`~hyperpfaffian.poly.product_sums` calls; only
 :mod:`hyperpfaffian.poly` knows the packed monomial format and the value types.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, filterfalse, islice
-from math import comb, factorial, prod
+from math import comb, prod
 from operator import mul
 from typing import Mapping, Sequence, Union
 
@@ -50,7 +50,6 @@ from .poly import (
     alternant,
     check_integers,
     check_point,
-    div_exact,
     is_integer,
     is_scalar,
     product_sums,
@@ -295,20 +294,20 @@ def pf_definition(f: SkewFunction) -> Value:
 
 
 def pf_exterior(f: SkewFunction) -> Value:
-    """Hyperpfaffian from wedge powers of E = E1 + R, where E1 holds the subsets
-    with 1.  E1 ^ E1 = 0 and even grades commute, so E^m = R^m + m E1 ^ R^(m-1)
-    for m = n/k, and R^m has no top coefficient: top(E^m) / m! is the exact
-    top(E1 ^ R^(m-1)) / (m-1)!, one product per subset with 1 and its complement."""
+    """Hyperpfaffian as the top coefficient of E^m / m!, m = n/k, for E = E1 + R,
+    where E1 holds the subsets with 1.  E1 ^ E1 = 0 and even grades commute, so
+    E^m / m! = R^m / m! + E1 ^ R^(m-1) / (m-1)!, and R^m has no top coefficient:
+    one product per subset with 1 and its complement in the divided power of R."""
     blocks = f.n // f.k
     if f.n % f.k:
         raise ValueError(f"arity {f.k} does not divide order {f.n}")
     # every value, zeros too, stays in the left table, so the top has the value type of f
     table = {sum(1 << (e - 1) for e in subset): value for subset, value in f.values.items()}
     rest = ExteriorElement(f.n, {mask: value for mask, value in table.items() if not mask & 1})
-    power = rest.wedge_power(blocks - 1).table
+    power = rest.divided_power(blocks - 1).table
     pairs = [(merge_sign(s, t), (s, t))
              for s in table if s & 1 and (t := s ^ ((1 << f.n) - 1)) in power]
-    return div_exact(product_sums(table, power, {0: pairs})[0], factorial(blocks - 1))
+    return product_sums(table, power, {0: pairs})[0]
 
 
 def theorem_coefficient(spec: SkewSpec) -> Scalar:

@@ -24,7 +24,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import chain, permutations
-from math import prod
+from math import factorial, prod
 from operator import lshift, or_
 from typing import Sequence, Union
 
@@ -367,13 +367,24 @@ def alternant(exponents: Sequence[int], variables: Sequence[int] | None = None) 
             is_integer(b) and a < b for a, b in zip((0,) + variables, variables)):
         raise ValueError(f"variables {variables!r} are not {len(exponents)} strictly increasing "
                          f"positive integers")
+    m = len(exponents)
     signs = [1]  # lexicographic permutations: the d-th smallest exponent next adds d inversions
-    for size in range(2, len(exponents) + 1):
+    for size in range(2, m + 1):
         signs = [-s if d & 1 else s for d in range(size) for s in signs]
+    # each permutation of all but the last 4 exponents, in order, adds its key to the
+    # memoized keys of the orders of the rest (memoizing every suffix raised peak memory)
+    split, block = max(m - 4, 0), factorial(min(m, 4))
     width = _width(exponents[-1] if exponents else 0)
     shifts = [width * (v - 1) for v in variables]
-    return Polynomial._raw({sum(map(lshift, perm, shifts)): s
-                            for perm, s in zip(permutations(exponents), signs)}, width)
+    ups, downs = signs[:block], [-s for s in signs[:block]]
+    lows, packed = {}, {}  # the keys of the orders of each rest; the terms
+    for prefix, sign in zip(permutations(exponents, split), signs[::block]):
+        rest = tuple(e for e in exponents if e not in prefix)
+        if rest not in lows:
+            lows[rest] = [sum(map(lshift, perm, shifts[split:])) for perm in permutations(rest)]
+        high = sum(map(lshift, prefix, shifts))
+        packed.update(zip([high + low for low in lows[rest]], ups if sign > 0 else downs))
+    return Polynomial._raw(packed, width)
 
 
 @lru_cache(maxsize=None, typed=True)  # typed, so a cached order 1 does not answer True

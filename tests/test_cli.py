@@ -641,18 +641,15 @@ class TestWorkEstimates:
     outcomes that the budget decides, at least 2x from it; and the |Gamma|
     lower bound used only where the estimate is past the budget without it."""
 
-    # (the definition route's products for the Lcg(1) spec, the chain's count)
+    # (each symbolic route's products for the Lcg(1) spec, the chain's count)
     FOLDED_PRODUCTS = {(2, 2): (2, 2), (4, 2): (48, 48), (6, 2): (2_700, 3_780),
                        (8, 2): (208_320, 490_560), (4, 4): (24, 24), (8, 4): (4_536_000, 4_536_000)}
 
-    @pytest.mark.parametrize("n,k", [(2, 2), (4, 2), (6, 2), (8, 2), (4, 4), (8, 4)])
-    def test_symbolic_chain_is_the_products_of_the_definition_route(self, monkeypatch, n, k):
-        # block values are in disjoint variables, so no product cancels before
-        # the sum: the chain is the count of a fold whose tails never merge,
-        # exact up to float rounding, and a bound where some do
-        import hyperpfaffian.cli as cli
+    @staticmethod
+    def route_products(monkeypatch, route, n, k):
+        """The monomial products a route makes on the Lcg(1) spec at (n, k)."""
         import hyperpfaffian.poly as poly
-        from hyperpfaffian.hpf import pf_definition, skew_function_from_spec
+        from hyperpfaffian.hpf import skew_function_from_spec
         from hyperpfaffian.randgen import random_skew_spec
 
         products = []
@@ -663,11 +660,34 @@ class TestWorkEstimates:
             return addmul(acc, a, b, sign)
 
         f = skew_function_from_spec(random_skew_spec(n, k, Lcg(1)))
-        monkeypatch.setattr(poly, "addmul", counted)
-        pf_definition(f)
+        with monkeypatch.context() as patch:
+            patch.setattr(poly, "addmul", counted)
+            route(f)
+        return sum(products)
+
+    @pytest.mark.parametrize("n,k", [(2, 2), (4, 2), (6, 2), (8, 2), (4, 4), (8, 4)])
+    def test_symbolic_chain_is_the_products_of_the_definition_route(self, monkeypatch, n, k):
+        # block values are in disjoint variables, so no product cancels before
+        # the sum: the chain is the count of a fold whose tails never merge,
+        # exact up to float rounding, and a bound where some do
+        import hyperpfaffian.cli as cli
+        from hyperpfaffian.hpf import pf_definition
+
         folded, chain = self.FOLDED_PRODUCTS[n, k]
-        assert sum(products) == folded <= chain
+        assert self.route_products(monkeypatch, pf_definition, n, k) == folded <= chain
         assert 10 ** cli._log10_chain(n, k) == pytest.approx(chain, rel=1e-9)
+
+    @pytest.mark.parametrize("n,k", [(2, 2), (4, 2), (6, 2), (8, 2), (4, 4), (8, 4)])
+    def test_symbolic_chain_bounds_the_products_of_the_exterior_route(self, monkeypatch, n, k):
+        # the divided power's levels and the top step make, at these orders, as
+        # many products as the definition's folded tails: so the guard's two
+        # chains cover both routes
+        import hyperpfaffian.cli as cli
+        from hyperpfaffian.hpf import pf_exterior
+
+        folded, _ = self.FOLDED_PRODUCTS[n, k]
+        products = self.route_products(monkeypatch, pf_exterior, n, k)
+        assert products == folded <= round(10 ** cli._log10_chain(n, k))
 
     @pytest.mark.parametrize("n,k", [(12, 4), (12, 6), (16, 4)])
     def test_laplace_term_bounds_the_entries_within_half(self, n, k):

@@ -1,7 +1,9 @@
 import random
 import re
+from fractions import Fraction
 from functools import reduce
 from itertools import combinations
+from math import factorial
 
 import pytest
 
@@ -164,14 +166,14 @@ class TestWedgePower:
         rng = random.Random(40 + m)
         for grade in (2, 4):
             a = random_element(rng, 6, grade=grade)
-            # distinct copies, so that no step of the fold takes the square path
+            # distinct copies, so that the fold wedges no element with itself
             copies = [ExteriorElement(a.n, dict(a.table)) for _ in range(m)]
             fold = reduce(ExteriorElement.wedge, copies)
             assert a.wedge_power(m) == fold
 
     def test_square_with_a_scalar_part(self):
-        # the square pairs the scalar part (mask 0) with itself once; a copy
-        # takes the general path, which pairs every ordered couple
+        # the scalar part (mask 0) pairs with itself once, and with each
+        # other subset on either side
         e = ExteriorElement(3, {0: 2, 0b001: 1, 0b110: 3})
         copy = ExteriorElement(3, dict(e.table))
         assert e.wedge(e) == e.wedge(copy) == ExteriorElement(
@@ -206,3 +208,75 @@ class TestPolynomialCoefficients:
         b = ExteriorElement.from_subset_values(4, {(3, 4): q})
         assert a.wedge(b).top_coefficient() == p * q
         assert b.wedge(a).top_coefficient() == p * q
+
+
+def even_element(rng, n, grades, coefficient):
+    """Random element on subsets of the given even grades, each drawn with
+    probability 0.6 and given a nonzero coefficient."""
+    table = {}
+    for grade in grades:
+        for subset in combinations(range(1, n + 1), grade):
+            if rng.random() < 0.6:
+                table[sum(1 << (e - 1) for e in subset)] = coefficient(rng)
+    return ExteriorElement(n, table)
+
+
+COEFFICIENTS = {
+    "int": lambda rng: rng.choice([-3, -2, -1, 1, 2, 3]),
+    "fraction": lambda rng: Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([2, 3, 5])),
+    "polynomial": lambda rng: rng.randint(1, 3) * Polynomial.variable(rng.randint(9, 10))
+    - rng.randint(0, 2),
+}
+
+
+class TestDividedPower:
+    @pytest.mark.parametrize("kind", sorted(COEFFICIENTS))
+    @pytest.mark.parametrize("grades", [(2,), (4,), (2, 4)], ids=["2", "4", "2+4"])
+    @pytest.mark.parametrize("m", range(5))
+    def test_times_m_factorial_is_the_wedge_power(self, m, grades, kind):
+        rng = random.Random(f"{m}-{grades}-{kind}")
+        e = even_element(rng, 8, grades, COEFFICIENTS[kind])
+        divided = e.divided_power(m)
+        times = ExteriorElement(e.n, {s: factorial(m) * c for s, c in divided.table.items()})
+        assert times == e.wedge_power(m)
+        # a power that reaches the top grade, so the check is not 0 == 0
+        assert divided or min(grades) * m > e.n
+
+    def test_zeroth_is_the_scalar_one_and_first_is_the_element(self):
+        e = ExteriorElement.from_subset_values(6, {(1, 2): 3, (3, 4, 5, 6): Fraction(1, 2)})
+        assert e.divided_power(0) == ExteriorElement.scalar(6, 1)
+        assert e.divided_power(1) == e
+
+    def test_disjoint_two_subsets(self):
+        # the pairs of 4 disjoint subsets, each taken once with its merge sign
+        e = ExteriorElement.from_subset_values(
+            4, {(1, 2): 2, (3, 4): 3, (1, 3): 5, (2, 4): 7, (1, 4): 11, (2, 3): 13})
+        assert e.divided_power(2) == ExteriorElement.from_subset_values(
+            4, {(1, 2, 3, 4): 2 * 3 - 5 * 7 + 11 * 13})
+        assert not e.divided_power(3)
+
+    def test_three_blocks_with_their_merge_signs(self):
+        # (1, 6) takes 1 first, and (2, 5) ^ (3, 4) crosses twice
+        e = ExteriorElement.from_subset_values(
+            6, {(1, 6): 2, (2, 3): 3, (4, 5): 5, (2, 5): 7, (3, 4): 11})
+        assert e.divided_power(3) == ExteriorElement.from_subset_values(
+            6, {(1, 2, 3, 4, 5, 6): 2 * (3 * 5 + 7 * 11)})
+
+    @pytest.mark.parametrize("table,subset", [
+        ({0b11: 1, 0b111: 2}, "(1, 2, 3)"),
+        ({0b1100: 1, 0b1: 2}, "(1,)"),
+        ({0: 5, 0b11: 1}, "()"),
+    ], ids=["odd", "one", "scalar"])
+    def test_refuses_odd_and_empty_subsets(self, table, subset):
+        message = f"divided power needs subsets of even, nonzero size, got {subset}"
+        for m in (0, 1, 2):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                ExteriorElement(4, table).divided_power(m)
+
+    @pytest.mark.parametrize("m", [-1, True, 1.0])
+    def test_refuses_powers_as_wedge_power_does(self, m):
+        e = ExteriorElement.from_subset_values(4, {(1, 2): 1})
+        message = f"wedge power must be a nonnegative integer, got {m!r}"
+        for power in (e.wedge_power, e.divided_power):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                power(m)

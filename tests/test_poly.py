@@ -199,6 +199,10 @@ class TestArithmetic:
         with pytest.raises(ValueError, match=re.escape(message)):
             p.coefficient(exponents)
 
+    def test_degree_of_zero_is_zero(self):
+        assert Polynomial.zero().degree() == 0
+        assert (x(1) * x(2) ** 2 - 3).degree() == 3
+
     def test_add_cancellation(self):
         assert (x(1) + x(2)) + (-x(2)) == x(1)
 
@@ -220,6 +224,8 @@ class TestArithmetic:
         p = x(1) + 1
         assert 2 * p == p * 2 == 2 * x(1) + 2
         assert p - 1 == x(1)
+        assert 3 - p == 2 - x(1)
+        assert 2 - x(1) == Polynomial({(): 2, ((1, 1),): -1})
         assert sum([x(1), x(2), x(1)]) == 2 * x(1) + x(2)
 
     def test_zero_coefficients_never_stored(self):
@@ -568,12 +574,13 @@ class TestPrefixFold:
         assert products == [2 * len(b.terms), 1 * len(b.terms)]
         assert sum(products) == len(a.terms) * len(b.terms)
 
-    # the parent's counts and calls for the Lcg(1) spec: the exterior route's
-    # terms have one right key each, and (8, 4) partitions two blocks, so
-    # nothing is shared; at (8, 2) the chain of three products per
-    # partition made 490,560
+    # counts and calls for the Lcg(1) spec: the exterior route's terms have
+    # one right key each, and (8, 4) partitions two blocks, so nothing is
+    # shared; at (8, 2) the chain of three products per partition made
+    # 490,560, and the divided power's levels make as many products as the
+    # definition's folded tails
     @pytest.mark.parametrize("route,n,k,products,calls", [
-        (pf_exterior, 8, 2, 288_960, 266),
+        (pf_exterior, 8, 2, 208_320, 196),
         (pf_exterior, 8, 4, 4_536_000, 420),
         (pf_definition, 8, 2, 208_320, 196),
     ], ids=["exterior-8-2", "exterior-8-4", "definition-8-2"])
@@ -641,7 +648,8 @@ class TestValueTypeStaysInPoly:
     """Only poly tells scalar from polynomial values: the two summing routes
     and the wedge hand either kind to product_sums alike."""
 
-    FUNCTIONS = {"hpf.py": {"pf_definition", "pf_exterior"}, "exterior.py": {"wedge"}}
+    FUNCTIONS = {"hpf.py": {"pf_definition", "pf_exterior"},
+                 "exterior.py": {"wedge", "divided_power", "_wedge_table"}}
 
     def test_routes_and_wedge_do_not_test_the_value_type(self):
         package = Path(hyperpfaffian.__file__).parent
@@ -760,6 +768,15 @@ class TestAlternant:
         assert on_block == alternant_by_permutations(exponents, variables)
         renamed = alternant(exponents).map_variables(dict(enumerate(variables, start=1)))
         assert list(on_block.terms.items()) == list(renamed.terms.items())
+
+    @pytest.mark.parametrize("m", range(5, 9))
+    def test_stored_order_is_the_permutation_walk(self, m):
+        # past 4 variables each prefix's block of keys is joined to memoized
+        # suffix keys; the terms still come in lexicographic order
+        exponents, variables = tuple(range(0, 3 * m, 3)), tuple(range(2, 2 * m + 2, 2))
+        walk = [(tuple((v, e) for v, e in zip(variables, order) if e), inversion_sign(order))
+                for order in permutations(exponents)]
+        assert list(alternant(exponents, variables).terms.items()) == walk
 
     @pytest.mark.parametrize("m", range(1, 6))
     def test_default_variables_are_one_to_m(self, m):
@@ -888,6 +905,8 @@ class TestRendering:
     def test_graded_ordering(self):
         p = x(1) ** 3 + x(2) + 1
         assert render(p) == "1 + x2 + x1^3"
+        # equal degrees, stored against the order: every variable's exponent decides
+        assert render(x(2) ** 2 + x(3) ** 2 + x(1) * x(3)) == "x3^2 + x2^2 + x1*x3"
 
     @pytest.mark.parametrize(
         "text",

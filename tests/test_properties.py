@@ -5,7 +5,8 @@ oriented partition sum against the partition-sum hyperpfaffian; for the
 spec-at-point evaluator against the symbolic values; for the
 partition-sum route against the exterior route on rational values and on
 polynomial values that all hold x1; for the top coefficient of a wedge
-power taken along element 1; for the wedge product's associativity and
+power taken along element 1; for the divided power against the wedge
+power; for the wedge product's associativity and
 graded commutativity, and its square against the product with a copy; for the
 partition sum being of degree one in each block value; and for the
 relabeling sign law on the partition-sum and exterior routes and the
@@ -18,7 +19,7 @@ written.
 
 from fractions import Fraction
 from itertools import combinations
-from math import prod
+from math import factorial, prod
 
 import pytest
 
@@ -221,6 +222,23 @@ def test_top_of_a_power_is_taken_along_element_one(values):
         rest = ExteriorElement(e.n, {s: c for s, c in e.table.items() if not s & 1})
         along = first.wedge(rest.wedge_power(m - 1)).top_coefficient()
         assert e.wedge_power(m).top_coefficient() == m * along
+
+    check()
+
+
+@wedge_coefficients
+def test_divided_power_times_m_factorial_is_the_wedge_power(values):
+    n = 6  # room for three 2-subsets, or a 2-subset and a 4-subset
+    even = [m for m in range(1, 1 << n) if m.bit_count() % 2 == 0]
+    elements = st.dictionaries(st.sampled_from(even), values, max_size=10).map(
+        lambda table: ExteriorElement(n, table))
+
+    @settings(bounded, max_examples=40)
+    @given(elements, st.integers(0, 4))
+    def check(e, m):
+        divided = e.divided_power(m)
+        times = ExteriorElement(n, {s: factorial(m) * c for s, c in divided.table.items()})
+        assert times == e.wedge_power(m)
 
     check()
 
