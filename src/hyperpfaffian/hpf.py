@@ -217,14 +217,17 @@ def skew_function_from_spec_at(spec: SkewSpec, point: Sequence[Scalar]) -> SkewF
     """Scalar values of the spec's polynomial at a point, per sorted subset.
 
     The value on a subset s is sum_r a_r * det[x_(s_i)^(r_j)], so the
-    k!-term expansion is never built.  Each determinant is expanded along
-    its last row, D_m[E] = sum_j (-1)^(m-1+j) x_(s_m)^(E_j) D_(m-1)[E - E_j],
-    over the exponent sets E inside some r, up to m = k-1.  The last row's
-    expansion and the a_r fold, per coordinate, into one weight per level
-    k-1 set, so a subset's value is one dot product of its level k-1 minors
-    with the weights of its last coordinate.  Subsets are visited depth
-    first in sorted order, so a shared prefix's minors are computed once,
-    and only one chain of k-1 minor tables is alive at a time.
+    k!-term expansion is never built.  Each determinant's first k-2 rows are
+    expanded along their last row, D_m[E] = sum_j (-1)^(m-1+j) x_(s_m)^(E_j)
+    D_(m-1)[E - E_j], over the exponent sets E inside some r, up to m = k-2.
+    Its last two rows are expanded at once (the generalized Laplace
+    expansion): per pair of coordinates i < j, one weight per level k-2 set
+    F sums (-1)^(p+q+1) a_r (x_i^(r_p) x_j^(r_q) - x_i^(r_q) x_j^(r_p)) over
+    the r and positions p < q with r - {r_p, r_q} = F, so a subset's value is
+    one dot product of its level k-2 minors with the weights of its last two
+    coordinates.  Only the pairs that can end a subset get weights.  Subsets
+    are visited depth first in sorted order, so a shared prefix's minors are
+    computed once, and only one chain of k-2 minor tables is alive at a time.
     """
     n, k = spec.n, spec.k
     if len(point) != n:
@@ -236,31 +239,36 @@ def skew_function_from_spec_at(spec: SkewSpec, point: Sequence[Scalar]) -> SkewF
     # (sign parity, exponent E_j, slot of E - E_j in the level m-1 table).
     slots: dict[tuple[int, ...], int] = {(): 0}
     rules: list[list] = [[]]
-    for m in range(1, k):
+    for m in range(1, k - 1):
         sets = sorted({part for r in spec.coeffs for part in combinations(r, m)})
         rules.append([
             [((m - 1 + j) % 2, e[j], slots[e[:j] + e[j + 1:]]) for j in range(m)]
             for e in sets
         ])
         slots = {e: slot for slot, e in enumerate(sets)}
-    # weights[i][slot]: the sum of (-1)^(k-1+j) a_r x_(i+1)^(r_j) over the
-    # r and j with r - r_j at that slot of the level k-1 table
-    weights = []
-    for row in rows:
+    # per r and positions p < q: (-1)^(p+q+1) a_r, r_p, r_q and the slot of
+    # r - {r_p, r_q} in the level k-2 table
+    terms = [(-a if (p + q + 1) % 2 else a, r[p], r[q], slots[r[:p] + r[p + 1:q] + r[q + 1:]])
+             for r, a in spec.coeffs.items() for p, q in combinations(range(k), 2)]
+
+    def pair_weights(i: int, j: int) -> list[Scalar]:
+        xi, xj = rows[i], rows[j]
         weight: list[Scalar] = [0] * len(slots)
-        for r, a in spec.coeffs.items():
-            for j, exponent in enumerate(r):
-                term = a * row[exponent]
-                weight[slots[r[:j] + r[j + 1:]]] += -term if (k - 1 + j) % 2 else term
-        weights.append(weight)
+        for a, e, f, slot in terms:
+            weight[slot] += a * (xi[e] * xj[f] - xi[f] * xj[e])
+        return weight
+
+    # weights[i - (k-2)][j - i - 1] for the pairs i < j that can end a subset
+    weights = [[pair_weights(i, j) for j in range(i + 1, n)] for i in range(k - 2, n)]
     values: dict[tuple[int, ...], Value] = {}
 
     def descend(prefix: tuple[int, ...], start: int, minors: list) -> None:
         m = len(prefix) + 1
         for i in range(start, n - k + m):
             subset = prefix + (i + 1,)
-            if m == k:
-                values[subset] = sum(map(mul, minors, weights[i]))
+            if m == k - 1:
+                for j, weight in enumerate(weights[i - k + 2], i + 2):
+                    values[subset + (j,)] = sum(map(mul, minors, weight))
                 continue
             row = powers[i]
             table = []
@@ -272,6 +280,7 @@ def skew_function_from_spec_at(spec: SkewSpec, point: Sequence[Scalar]) -> SkewF
             descend(subset, i + 1, table)
 
     descend((), 0, [1])
+    descend = None  # its closure holds it: freed now, not by a later collection
     return SkewFunction(n, k, values)
 
 

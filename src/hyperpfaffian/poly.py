@@ -33,6 +33,10 @@ Scalar = Union[int, Fraction]
 Monomial = tuple
 #: bits per exponent field of a packed monomial
 WIDTH = 16
+#: the largest variable index: a packed key spends W bits on every variable
+#: up to its highest, so x_4096 alone is an 8 KB key at W = 16, and an
+#: index near 10^9 would allocate gigabytes
+MAX_VARIABLE = 1 << 12
 
 
 def is_scalar(value) -> bool:
@@ -76,12 +80,21 @@ def accumulate(out: dict, items) -> dict:
     return out
 
 
+def _check_variable(var, name: str | None = None) -> None:
+    """Refuse a variable index that is not an int in 1..MAX_VARIABLE, before
+    any key is built, naming it, or its text ``name``."""
+    shown = var if name is None else name
+    if not is_integer(var) or var < 1:
+        raise ValueError(f"variable index must be a positive integer, got {shown!r}")
+    if var > MAX_VARIABLE:
+        raise ValueError(f"variable index must be at most {MAX_VARIABLE}, got {shown!r}")
+
+
 def _check_pairs(pairs) -> None:
-    """Refuse a ``(variable, exponent)`` pair that is not a positive and a
-    nonnegative int, naming the value."""
+    """Refuse a ``(variable, exponent)`` pair that is not a variable index and
+    a nonnegative int, naming the value."""
     for var, exp in pairs:
-        if not is_integer(var) or var < 1:
-            raise ValueError(f"variable index must be a positive integer, got {var!r}")
+        _check_variable(var)
         if not is_integer(exp) or exp < 0:
             raise ValueError(f"exponent of x{var} must be a nonnegative integer, got {exp!r}")
 
@@ -191,8 +204,7 @@ class Polynomial:
 
     @classmethod
     def variable(cls, index: int) -> "Polynomial":
-        if not is_integer(index) or index < 1:
-            raise ValueError(f"variable index must be a positive integer, got {index!r}")
+        _check_variable(index)
         return cls._raw({1 << WIDTH * (index - 1): 1}, WIDTH)
 
     @classmethod
@@ -307,8 +319,7 @@ class Polynomial:
         image = {}
         for var in self.variables():
             target = mapping.get(var, var)
-            if not is_integer(target) or target < 1:
-                raise ValueError(f"variable index must be a positive integer, got {target!r}")
+            _check_variable(target)
             image[var] = target
         return Polynomial._raw(*_pack(([(image[v], e) for v, e in m], c)
                                       for m, c in self.terms.items()))
@@ -367,6 +378,8 @@ def alternant(exponents: Sequence[int], variables: Sequence[int] | None = None) 
             is_integer(b) and a < b for a, b in zip((0,) + variables, variables)):
         raise ValueError(f"variables {variables!r} are not {len(exponents)} strictly increasing "
                          f"positive integers")
+    if variables:
+        _check_variable(variables[-1])  # the largest
     m = len(exponents)
     signs = [1]  # lexicographic permutations: the d-th smallest exponent next adds d inversions
     for size in range(2, m + 1):
@@ -567,12 +580,11 @@ def parse_polynomial(text: str) -> Polynomial:
             if factor is None:
                 raise ValueError(f"cannot parse polynomial near {text[pos:]!r}")
             number, denominator, name, var, exp = factor.groups()
-            if name and int(var) < 1:
-                raise ValueError(f"variable index must be a positive integer, got {name!r}")
-            if denominator and not int(denominator):
-                raise ValueError(f"zero denominator in {int(number)}/0")
             if name:
+                _check_variable(int(var), name)
                 pairs.append((int(var), int(exp or 1)))
+            elif denominator and not int(denominator):
+                raise ValueError(f"zero denominator in {int(number)}/0")
             else:
                 coeff *= Fraction(int(number), int(denominator)) if denominator else int(number)
             pos = factor.end()

@@ -691,7 +691,8 @@ class TestWorkEstimates:
 
     @pytest.mark.parametrize("n,k", [(12, 4), (12, 6), (16, 4)])
     def test_laplace_term_bounds_the_entries_within_half(self, n, k):
-        # the entries skew_function_from_spec_at fills: per level m < k, one
+        # the one-row count the estimate was calibrated on, when spec evaluation
+        # expanded every level but the last by one row: per level m < k, one
         # table per prefix of the distinct m-subsets of the exponent tuples, and
         # per k-subset a dot product over the level k-1 table
         import hyperpfaffian.cli as cli
@@ -704,6 +705,27 @@ class TestWorkEstimates:
         sets = [len({part for r in gamma for part in combinations(r, m)}) for m in range(k)]
         entries = sum(comb(n - k + m, m) * sets[m] for m in range(1, k)) + comb(n, k) * sets[-1]
         assert entries <= 10 ** cli._log10_laplace(n, k) <= 1.5 * entries
+
+    # the two-row fold's entries, counted in the next test
+    FOLD_ENTRIES = {(12, 4): 80_640, (12, 6): 1_682_954, (16, 4): 514_969}
+
+    @pytest.mark.parametrize("n,k", [(12, 4), (12, 6), (16, 4)])
+    def test_laplace_term_bounds_the_entries_of_the_two_row_fold(self, n, k):
+        # the entries skew_function_from_spec_at fills: per level m <= k-2, one
+        # table per prefix of the distinct m-subsets of the exponent tuples; per
+        # pair of coordinates that can end a subset, a weight term per tuple and
+        # pair of its positions; and per k-subset a dot product over the level
+        # k-2 table
+        import hyperpfaffian.cli as cli
+        from itertools import combinations
+
+        from hyperpfaffian.combinat import increasing_compositions
+
+        gamma = list(increasing_compositions(n, k))
+        sets = [len({part for r in gamma for part in combinations(r, m)}) for m in range(k - 1)]
+        entries = (sum(comb(n - k + m, m) * sets[m] for m in range(1, k - 1))
+                   + comb(n - k + 2, 2) * comb(k, 2) * len(gamma) + comb(n, k) * sets[-1])
+        assert entries == self.FOLD_ENTRIES[n, k] <= 10 ** cli._log10_laplace(n, k)
 
     @staticmethod
     def partitions(n, k):

@@ -176,7 +176,12 @@ class TestWedgePower:
         # other subset on either side
         e = ExteriorElement(3, {0: 2, 0b001: 1, 0b110: 3})
         copy = ExteriorElement(3, dict(e.table))
-        assert e.wedge(e) == e.wedge(copy) == ExteriorElement(
+        square: dict = {}  # the oracle: each ordered pair of disjoint subsets
+        for s, x in e.table.items():
+            for t, y in e.table.items():
+                if not s & t:
+                    square[s | t] = square.get(s | t, 0) + merge_sign(s, t) * x * y
+        assert e.wedge(e) == ExteriorElement(3, square) == ExteriorElement(
             3, {0: 4, 0b001: 4, 0b110: 12, 0b111: 6})
         assert e.wedge_power(2) == e.wedge(copy)
         assert e.wedge_power(3) == e.wedge(copy).wedge(copy)

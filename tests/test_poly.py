@@ -1,6 +1,8 @@
 import ast
 import random
 import re
+import time
+import tracemalloc
 from fractions import Fraction
 from functools import reduce
 from itertools import permutations
@@ -309,6 +311,54 @@ class TestMonomialKeys:
         merged = (x(1) * x(3) + x(2) * x(3) ** 2).map_variables({1: 3, 2: 3})
         self.assert_canonical(merged)
         assert merged == x(3) ** 2 + x(3) ** 3
+
+    # every public way to name a variable; a key spends WIDTH bits per variable
+    # up to its highest, so each must check the index before it builds one
+    ENTRIES = {
+        "constructor": lambda v: Polynomial({((v, 1),): 1}),
+        "variable": lambda v: Polynomial.variable(v),
+        "monomial": lambda v: Polynomial.monomial({v: 2}),
+        "map_variables": lambda v: x(1).map_variables({1: v}),
+        "parse": lambda v: parse_polynomial(f"3*x{v}^2"),
+        "alternant": lambda v: alternant((0, 1), (1, v)),
+    }
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_every_entry_accepts_the_largest_variable(self, entry):
+        p = self.ENTRIES[entry](poly.MAX_VARIABLE)
+        assert poly.MAX_VARIABLE == 4096
+        assert max(p.variables()) == poly.MAX_VARIABLE
+        self.assert_canonical(p)
+
+    @pytest.mark.parametrize("index", [4097, 10**9, 10**40])
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_every_entry_refuses_a_variable_past_the_bound(self, entry, index):
+        shown = repr(f"x{index}") if entry == "parse" else index
+        message = f"variable index must be at most 4096, got {shown}"
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            self.ENTRIES[entry](index)
+        assert time.perf_counter() - start < 0.1
+
+    def test_parse_refuses_a_huge_variable_before_allocating(self):
+        # x1000000000 would be a key of 16 * 10^9 bits, 2 GB
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match="got 'x1000000000'$"):
+                parse_polynomial("x1000000000")
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.01
+        assert peak < 1 << 20
+
+    def test_lookups_past_the_bound_build_no_key(self):
+        p = x(1) + 2
+        assert p.terms.get(((10**9, 1),)) is None
+        with pytest.raises(ValueError, match="variable index must be at most 4096, got 1000000000$"):
+            p.coefficient({10**9: 1})
 
 
 @pytest.mark.parametrize("exp", [2**16 - 1, 2**16, 2**70], ids=["field-top", "field-over", "huge"])

@@ -7,7 +7,7 @@ partition-sum route against the exterior route on rational values and on
 polynomial values that all hold x1; for the top coefficient of a wedge
 power taken along element 1; for the divided power against the wedge
 power; for the wedge product's associativity and
-graded commutativity, and its square against the product with a copy; for the
+graded commutativity, and its square against a sum over subset pairs; for the
 partition sum being of degree one in each block value; and for the
 relabeling sign law on the partition-sum and exterior routes and the
 closed form.
@@ -31,7 +31,7 @@ from hyperpfaffian.combinat import (  # noqa: E402
     permutation_sign,
     signed_equal_block_partitions,
 )
-from hyperpfaffian.exterior import ExteriorElement  # noqa: E402
+from hyperpfaffian.exterior import ExteriorElement, merge_sign  # noqa: E402
 from hyperpfaffian.hpf import (  # noqa: E402
     SkewFunction,
     SkewSpec,
@@ -201,7 +201,12 @@ def test_square_matches_the_product_with_a_copy(values):
     @settings(bounded, max_examples=40)
     @given(elements)
     def check(a):
-        assert a.wedge(a) == a.wedge(ExteriorElement(a.n, dict(a.table)))
+        square: dict = {}  # the oracle: each ordered pair of disjoint subsets
+        for s, x in a.table.items():
+            for t, y in a.table.items():
+                if not s & t:
+                    square[s | t] = square.get(s | t, 0) + merge_sign(s, t) * x * y
+        assert a.wedge(a) == ExteriorElement(a.n, square)
 
     check()
 
