@@ -34,6 +34,7 @@ from fractions import Fraction
 from math import factorial, floor, inf, isfinite, lgamma, log, log10, prod
 
 from .combinat import (
+    check_even,
     composition_tilings,
     increasing_composition_count,
     increasing_compositions,
@@ -42,7 +43,6 @@ from .combinat import (
 from .compose import check_orders, verify_composition
 from .hpf import (
     SkewSpec,
-    check_torelli_order,
     pf_closed_form,
     pf_definition,
     pf_exterior,
@@ -224,12 +224,12 @@ def _log10_laplace(n: int, k: int) -> float:
     and C(n, k) dot products of k|Gamma|.  The two-row fold fills fewer: the
     tables up to m = k-2, C(n-k+2, 2)C(k, 2)|Gamma| pair weight terms and
     C(n, k) dot products of the level k-2 minors, 31-66% of this at (16,4),
-    (12,4), (12,6) and (8,4).  Only at n = k, one subset, it fills k^2 - 3k
-    more than this 2^k - 2 + k.  Points mode refuses n > 201 before sizing
-    it, so the sum here has at most 200 levels."""
+    (12,4), (12,6) and (8,4).  At n = k, one subset and |Gamma| = 1, it fills
+    2^k - 2 + k(k-2), so there the dot product is sized at k(k-1).  Points
+    mode refuses n > 201 before sizing it, so the sum has at most 200 levels."""
     return _log10_gamma(n, k) + _log10_sum(
         *(_log10_comb(n - k + m, m) + _log10_comb(k, m) for m in range(1, k)),
-        _log10_comb(n, k) + log10(k))
+        _log10_comb(n, k) + log10(k if n > k else k * (k - 1)))
 
 
 # -- commands ---------------------------------------------------------------
@@ -274,14 +274,16 @@ def cmd_verify(args) -> int:
         raise ValueError("--trials and --points must be positive")
     mode = args.mode if args.mode != "auto" else "symbolic" if n <= MAX_SYMBOLIC_N else "points"
     composition_tilings(n, k)  # validates (n, k) before the guards and the trial loop
-    # per trial: two routes' product chains and n! closed-form terms, or per point P(n, k)
-    # partitions of n/k products and the entries spec evaluation fills
+    # per trial, twice: the route chains, n! closed-form terms and C(n, k) block values of
+    # k!|Gamma| terms; or per point P(n, k) partitions of n/k products and the fold's entries
     if mode == "symbolic":
         _guard(args, f"n={n}", lambda: n > MAX_SYMBOLIC_N and (
             f"refusing symbolic mode at n={n}: results can reach {n}! = "
             f"{_size(lambda: factorial(n), _log10_factorial(n))} terms; "
             f"use --mode points or pass --force")
-            or log10(2 * args.trials) + _log10_sum(_log10_chain(n, k), _log10_factorial(n)))
+            or log10(2 * args.trials) + _log10_sum(
+                _log10_chain(n, k), _log10_factorial(n),
+                _log10_comb(n, k) + _log10_factorial(k) + _log10_gamma(n, k)))
     else:
         check_point_order(n)  # an order no point can hold is refused before it is sized
         _guard(args, f"n={n}", lambda: log10(args.trials * args.points) + _log10_sum(
@@ -330,7 +332,7 @@ def cmd_coeffs(args) -> int:
 
 def cmd_torelli(args) -> int:
     n = args.n
-    check_torelli_order(n)
+    check_even(n, "n", "order")
     _guard(args, f"n={n}", lambda: n > MAX_SYMBOLIC_N and (
         f"refusing n={n}: brute force sums over "  # P(n, 2) = (n-1)!!
         f"{_size(lambda: prod(range(1, n, 2)), _log10_partitions(n, 2))} matchings "

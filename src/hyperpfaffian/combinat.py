@@ -21,14 +21,15 @@ concatenated; the canonical order (ascending minimum) is fixed only to
 make representations and enumeration output reproducible.
 
 All enumerators are pure generators yielding in lexicographic order on the
-canonical representation.
+canonical representation.  The rules that admit (n, k) and a weight vector
+are checked, and worded, here alone; every other module calls these checks.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import combinations, permutations, starmap
-from operator import gt, itemgetter
+from operator import ge, gt, itemgetter
 from typing import Iterator, Sequence
 
 from .poly import check_integers, is_integer
@@ -66,17 +67,45 @@ def concatenation_sign(blocks: Sequence[Sequence]) -> int:
 partition_sign = oriented_sign = tiling_sign = concatenation_sign
 
 
-def check_composition_args(n: int, k: int) -> None:
-    if not is_integer(k) or k < 2 or k % 2:
-        raise ValueError(f"block size k must be a positive even integer, got k={k!r}")
+def full_degree(n: int, k: int) -> int:
+    """k/2*(n-1), the sum of every admissible weight vector."""
+    return k * (n - 1) // 2
+
+
+def check_even(value, name: str = "k", role: str = "block size") -> None:
+    """The order rule for k: a positive even int, called `role` `name` in a refusal."""
+    if not is_integer(value) or value < 2 or value % 2:
+        raise ValueError(f"{role} {name} must be a positive even integer, got {name}={value!r}")
+
+
+def check_order(n: int, k: int, names: tuple = ("n", "k")) -> None:
+    """The order rule: k a positive even int, then n a positive int, as `names` call them."""
+    check_even(k, names[1])
     if not is_integer(n) or n < 1:
-        raise ValueError(f"n must be a positive integer, got n={n!r}")
+        raise ValueError(f"{names[0]} must be a positive integer, got {names[0]}={n!r}")
 
 
-def _check_block_args(n: int, k: int) -> None:
-    check_composition_args(n, k)
+def check_divides(n: int, k: int, names: tuple = ("n", "k")) -> None:
+    """The order rule, then k | n."""
+    check_order(n, k, names)
     if n % k:
-        raise ValueError(f"n must be a positive multiple of k, got n={n}, k={k}")
+        raise ValueError(f"{names[0]} must be a positive multiple of {names[1]}, "
+                         f"got {names[0]}={n}, {names[1]}={k}")
+
+
+def check_weight_vectors(vectors, k: int, total: int, name: str) -> None:
+    """The Gamma-tuple rule: k ints, nonnegative, strictly increasing, summing to `total`."""
+    for vector in vectors:
+        if (len(vector) != k or not all(map(is_integer, vector)) or vector[0] < 0
+                or any(map(ge, vector, vector[1:])) or sum(vector) != total):
+            raise ValueError(f"{name} {list(vector)} is not a strictly increasing {k}-tuple "
+                             f"of nonnegative integers that sums to {total}")
+
+
+def check_full_degree(n: int, k: int, degree: int) -> None:
+    """Refuse a degree other than the full one, which the closed form needs."""
+    if degree != full_degree(n, k):
+        raise ValueError(f"degree must be k/2*(n-1) = {full_degree(n, k)}, got {degree}")
 
 
 def _splits(k: int) -> list[tuple[itemgetter, itemgetter, int]]:
@@ -159,7 +188,7 @@ def _block_walk(ground: Sequence[int], k: int, target: int | None = None
 
 def signed_equal_block_partitions(n: int, k: int) -> Iterator[tuple[int, Blocks]]:
     """Yield (sign, partition) pairs over all equal-block partitions of [n]."""
-    _check_block_args(n, k)
+    check_divides(n, k)
     return _block_walk(range(1, n + 1), k)  # lazy: validating allocates nothing of size n
 
 
@@ -231,8 +260,8 @@ def increasing_compositions_summing(total: int, parts: int) -> Iterator[Composit
 def increasing_compositions(n: int, k: int) -> Iterator[Composition]:
     """The admissible weight vectors for ground set size n and block size k:
     strictly increasing k-tuples of nonnegative integers with sum k/2*(n-1)."""
-    check_composition_args(n, k)
-    return increasing_compositions_summing(k * (n - 1) // 2, k)
+    check_order(n, k)
+    return increasing_compositions_summing(full_degree(n, k), k)
 
 
 def increasing_composition_count(n: int, k: int) -> int:
@@ -243,8 +272,8 @@ def increasing_composition_count(n: int, k: int) -> int:
     partition of k/2*(n-1) - k(k-1)/2 into at most k parts, and conjugation
     makes it one into parts of size at most k.
     """
-    check_composition_args(n, k)
-    total = k * (n - 1) // 2 - k * (k - 1) // 2
+    check_order(n, k)
+    total = full_degree(n, k) - k * (k - 1) // 2
     if total < 0:
         return 0
     ways = [1] + [0] * total  # ways[m]: partitions of m into the parts seen so far
@@ -260,5 +289,5 @@ def composition_tilings(n: int, k: int) -> Iterator[tuple[Composition, ...]]:
     Each tiling is represented as a tuple of compositions ordered by first
     part, and tilings appear in lexicographic order on that representation.
     """
-    _check_block_args(n, k)
-    return (tiling for _, tiling in _block_walk(range(n), k, k * (n - 1) // 2))
+    check_divides(n, k)
+    return (tiling for _, tiling in _block_walk(range(n), k, full_degree(n, k)))

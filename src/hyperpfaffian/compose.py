@@ -10,18 +10,15 @@ from itertools import combinations
 from math import factorial
 from typing import NamedTuple
 
+from .combinat import check_divides
 from .hpf import SkewFunction, Value, pf_definition
 from .poly import div_exact
 
 
 def check_orders(k: int, n: int, p: int) -> None:
-    for name, value in (("k", k), ("n", n), ("p", p)):
-        if not isinstance(value, int) or value < 2 or value % 2:
-            raise ValueError(f"{name} must be a positive even integer, got {value!r}")
-    if n % k:
-        raise ValueError(f"k={k} must divide n={n}")
-    if p % n:
-        raise ValueError(f"n={n} must divide p={p}")
+    """k | n and n | p by combinat's rules, so all three are positive and even."""
+    check_divides(n, k)
+    check_divides(p, n, ("p", "n"))
 
 
 def composition_constant(k: int, n: int, p: int) -> int:
@@ -69,8 +66,7 @@ def verify_composition(f: SkewFunction, k: int, n: int, p: int) -> CompositionCh
         raise ValueError(
             f"function has arity {f.k} on [{f.n}], expected arity k={k} on [p={p}]"
         )
-    check_orders(k, n, p)
-    composed = build_g(f, n)
+    composed = build_g(f, n)  # checks the orders first
     return CompositionCheck(
         constant=composition_constant(k, n, p),
         pf_composed=pf_definition(composed),

@@ -66,7 +66,9 @@ def _wedge_table(left: dict, right: dict, pairs) -> dict:
     for s, t in pairs:
         firsts.setdefault(s | t, []).append(s)
 
-    def terms(union, lefts):  # made as summed: held for every union, they doubled peak memory
+    # made as summed on the scalar path, where held for every union they doubled
+    # peak memory; product_sums lists every union's terms first for polynomials
+    def terms(union, lefts):
         for s in lefts:
             yield merge_sign(s, union ^ s), (s, union ^ s)
 

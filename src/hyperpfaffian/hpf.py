@@ -37,7 +37,13 @@ from operator import mul
 from typing import Mapping, Sequence, Union
 
 from .combinat import (
+    check_divides,
+    check_even,
+    check_full_degree,
+    check_order,
+    check_weight_vectors,
     composition_tilings,
+    full_degree,
     inversion_sign,
     permutation_sign,
     signed_equal_block_partitions,
@@ -63,11 +69,11 @@ class SkewSpec:
     """Coefficient description of a homogeneous skew-symmetric polynomial.
 
     ``coeffs`` maps strictly increasing k-tuples of nonnegative exponents
-    (each summing to ``degree``) to nonzero rational coefficients.  The
-    default degree, k/2*(n-1), is the one for which the closed form
-    applies; lower homogeneous degrees are legal and make the
-    hyperpfaffian vanish.  This is the one place a spec is checked; the
-    CLI's spec-file loader checks only the file format before building it.
+    (each summing to ``degree``) to rational coefficients, zeros dropped.
+    The default degree, k/2*(n-1), is the one for which the closed form
+    applies; lower ones are legal and make the hyperpfaffian vanish.  This
+    is the one place a spec is checked, by combinat's rules: the CLI's
+    loader checks only the file format, the closed form only the degree.
     """
 
     __slots__ = ("n", "k", "degree", "coeffs")
@@ -79,40 +85,29 @@ class SkewSpec:
         coeffs: Mapping[Sequence[int], Scalar],
         degree: int | None = None,
     ):
-        if not is_integer(n) or n < 1:
-            raise ValueError(f"order n must be a positive integer, got {n!r}")
-        if not is_integer(k) or k < 2 or k % 2:
-            raise ValueError(f"arity k must be a positive even integer, got {k!r}")
+        check_order(n, k)
         if degree is None:
-            degree = k * (n - 1) // 2
+            degree = full_degree(n, k)
         if not is_integer(degree) or degree < 0:
             raise ValueError(f"degree must be a nonnegative integer, got {degree!r}")
         self.n = n
         self.k = k
         self.degree = degree
+        keys = [tuple(key) for key in coeffs]
+        check_weight_vectors(keys, k, degree, "exponent tuple")
         cleaned: dict[tuple[int, ...], Scalar] = {}
-        for key, value in coeffs.items():
-            exponents = tuple(key)
-            shown = list(exponents)  # as a spec file writes it
-            if len(exponents) != k or not all(map(is_integer, exponents)):
-                raise ValueError(f"exponent tuple {shown} is not a {k}-tuple of integers")
-            if exponents[0] < 0 or any(a >= b for a, b in zip(exponents, exponents[1:])):
-                raise ValueError(f"exponent tuple {shown} is not strictly increasing")
-            if sum(exponents) != degree:
-                raise ValueError(
-                    f"exponent tuple {shown} sums to {sum(exponents)}, expected {degree}"
-                )
+        for exponents, value in zip(keys, coeffs.values()):
             if not is_scalar(value):
                 raise ValueError(f"coefficient for {exponents!r} is not an exact rational: {value!r}")
             if exponents in cleaned:
-                raise ValueError(f"duplicate exponent tuple {shown}")
+                raise ValueError(f"duplicate exponent tuple {list(exponents)}")
             if value:
                 cleaned[exponents] = value
         self.coeffs = dict(sorted(cleaned.items()))
 
     @property
     def full_degree(self) -> int:
-        return self.k * (self.n - 1) // 2
+        return full_degree(self.n, self.k)
 
     def coefficient(self, exponents: Sequence[int]) -> Scalar:
         """Coefficient lookup; tuples absent from the spec count as 0."""
@@ -147,10 +142,9 @@ class SkewFunction:
     __slots__ = ("n", "k", "values")
 
     def __init__(self, n: int, k: int, values: Mapping[Sequence[int], Value]):
-        if not is_integer(n) or n < 1:
-            raise ValueError(f"order n must be a positive integer, got {n!r}")
-        if not is_integer(k) or k < 2 or k % 2 or k > n:
-            raise ValueError(f"arity k must be a positive even integer <= n, got k={k!r}")
+        check_order(n, k)
+        if k > n:
+            raise ValueError(f"block size k must be at most n, got k={k}, n={n}")
         self.n = n
         self.k = k
         stored: dict[tuple[int, ...], Value] = {}
@@ -307,9 +301,8 @@ def pf_exterior(f: SkewFunction) -> Value:
     where E1 holds the subsets with 1.  E1 ^ E1 = 0 and even grades commute, so
     E^m / m! = R^m / m! + E1 ^ R^(m-1) / (m-1)!, and R^m has no top coefficient:
     one product per subset with 1 and its complement in the divided power of R."""
+    check_divides(f.n, f.k)
     blocks = f.n // f.k
-    if f.n % f.k:
-        raise ValueError(f"arity {f.k} does not divide order {f.n}")
     # every value, zeros too, stays in the left table, so the top has the value type of f
     table = {sum(1 << (e - 1) for e in subset): value for subset, value in f.values.items()}
     rest = ExteriorElement(f.n, {mask: value for mask, value in table.items() if not mask & 1})
@@ -322,10 +315,7 @@ def pf_exterior(f: SkewFunction) -> Value:
 def theorem_coefficient(spec: SkewSpec) -> Scalar:
     """The closed form's scalar: the signed sum over composition tilings of
     the products of spec coefficients (absent tuples contribute 0)."""
-    if spec.degree != spec.full_degree:
-        raise ValueError(
-            f"closed form needs degree k/2*(n-1) = {spec.full_degree}, got {spec.degree}"
-        )
+    check_full_degree(spec.n, spec.k, spec.degree)
     return sum(tiling_sign(tiling) * prod(map(spec.coefficient, tiling))
                for tiling in composition_tilings(spec.n, spec.k))
 
@@ -336,23 +326,17 @@ def pf_closed_form(spec: SkewSpec) -> Polynomial:
     return theorem_coefficient(spec) * vandermonde(spec.n)
 
 
-def check_torelli_order(n: int) -> None:
-    """Refuse an order that is not a positive even int, naming it."""
-    if not is_integer(n) or n < 2 or n % 2:
-        raise ValueError(f"order must be a positive even integer, got {n!r}")
-
-
 def torelli_constant(n: int) -> int:
     """The order-n Pfaffian of (y - x)^(n-1) divided by the Vandermonde
     product: a signed product of the first n/2 binomial coefficients."""
-    check_torelli_order(n)
+    check_even(n, "n", "order")
     sign = -1 if comb(n // 2, 2) & 1 else 1
     return sign * prod(comb(n - 1, i) for i in range(n // 2))
 
 
 def torelli_spec(n: int) -> SkewSpec:
     """The binomial coefficient spec of f(x, y) = (y - x)^(n-1)."""
-    check_torelli_order(n)
+    check_even(n, "n", "order")
     coeffs = {
         (i, n - 1 - i): (-1) ** i * comb(n - 1, i)
         for i in range(n // 2)

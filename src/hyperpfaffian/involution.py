@@ -36,7 +36,11 @@ from operator import itemgetter
 from typing import Iterator, NamedTuple, Optional
 
 from .combinat import (
+    check_full_degree,
+    check_order,
+    check_weight_vectors,
     composition_tilings,
+    full_degree,
     increasing_compositions,
     oriented_partitions,
     oriented_sign,
@@ -66,20 +70,13 @@ class WeightedOrientedPartition:
         if not blocks or len(blocks) != len(weights):
             raise ValueError("need the same positive number of blocks and weight vectors")
         k = len(blocks[0])
-        if k < 2 or k % 2:
-            raise ValueError(f"block size must be a positive even integer, got {k}")
         elements = [element for block in blocks for element in block]
-        check_integers(elements, "block element")
-        check_integers(chain.from_iterable(weights), "weight")
         n = len(elements)
+        check_order(n, k)
+        check_integers(elements, "block element")
         if any(len(block) != k for block in blocks) or set(elements) != set(range(1, n + 1)):
             raise ValueError(f"blocks {blocks!r} do not partition 1..{n} into {k}-tuples")
-        target = k * (n - 1) // 2
-        for weight in weights:
-            if len(weight) != k or sorted(set(weight)) != list(weight):
-                raise ValueError(f"weight vector {weight!r} is not strictly increasing")
-            if weight[0] < 0 or sum(weight) != target:
-                raise ValueError(f"weight vector {weight!r} must be nonnegative with sum {target}")
+        check_weight_vectors(weights, k, full_degree(n, k), "weight vector")
         blocks, order, weight_of, sign = _canonical(blocks)
         weights = tuple(weights[b] for b in order)
         self._fill(blocks, weights, weight_of(_flat(weights)), sign)
@@ -277,11 +274,8 @@ def check_involution(spec: SkewSpec) -> InvolutionCheck:
     partition of a full-degree spec, then that the repeated class cancels
     and the distinct class counts n! times the tilings.  Elements are
     checked until the first failure, but both sums cover every element."""
-    if spec.degree != spec.full_degree:
-        raise ValueError(
-            f"weighted expansion needs degree k/2*(n-1) = {spec.full_degree}, got {spec.degree}"
-        )
     n, k = spec.n, spec.k
+    check_full_degree(n, k, spec.degree)
     counts = [0, 0]  # repeated, distinct
     sums: tuple[dict, dict] = ({}, {})  # keyed by weight_of, which fixes the monomial
     factorizations = set()

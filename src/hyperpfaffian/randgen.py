@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .combinat import increasing_compositions
+from .combinat import check_order, increasing_compositions
 from .hpf import SkewFunction, SkewSpec
 from .poly import is_integer
 
@@ -95,6 +95,7 @@ def random_point(n: int, rng: Lcg) -> tuple[int, ...]:
 
 def random_skew_function(n: int, k: int, rng: Lcg) -> SkewFunction:
     """Nonzero integer values on all sorted k-subsets, in subset order."""
+    check_order(n, k)  # before the subsets are drawn
     values = {
         subset: rng.nonzero_coefficient()
         for subset in combinations(range(1, n + 1), k)

@@ -130,7 +130,7 @@ class TestSpecFileValidation:
             ({"n": 4, "k": 3, "terms": []}, "even"),
             ({"n": 4, "terms": []}, "'k'"),
             ({"n": 4, "k": 2, "terms": [], "extra": 1}, "extra"),
-            ({"n": 4, "k": -2, "terms": [{"r": [0, 3], "a": "1"}]}, "positive even integer, got -2"),
+            ({"n": 4, "k": -2, "terms": [{"r": [0, 3], "a": "1"}]}, "positive even integer, got k=-2"),
         ],
     )
     def test_malformed_documents(self, tmp_path, capsys, document, needle):
@@ -517,12 +517,14 @@ class TestRefusalsAtEverySize:
         (("verify", "--n", "15", "--k", "2", "--mode", "points"),
          "error: n must be a positive multiple of k, got n=15, k=2\n"),
         (("compose", "--k", "2", "--n", "-2", "--p", "10"),
-         "error: n must be a positive even integer, got -2\n"),
+         "error: n must be a positive integer, got n=-2\n"),
         (("verify", "--n", "0", "--k", "2"), "error: n must be a positive integer, got n=0\n"),
         (("coeffs", "--n", "-2", "--k", "2"), "error: n must be a positive integer, got n=-2\n"),
-        (("torelli", "--n", "9"), "error: order must be a positive even integer, got 9\n"),
+        (("torelli", "--n", "9"), "error: order n must be a positive even integer, got n=9\n"),
+        (("involution", "--n", "6", "--k", "4"),
+         "error: n must be a positive multiple of k, got n=6, k=4\n"),
     ], ids=["verify-k-zero", "verify-indivisible", "compose-negative", "verify-zero",
-            "coeffs-negative", "torelli-odd"])
+            "coeffs-negative", "torelli-odd", "involution-indivisible"])
     def test_invalid_orders_are_named_before_the_guard(self, capsys, argv, error):
         assert run(capsys, *argv) == (2, "", error)
 
@@ -689,6 +691,30 @@ class TestWorkEstimates:
         products = self.route_products(monkeypatch, pf_exterior, n, k)
         assert products == folded <= round(10 ** cli._log10_chain(n, k))
 
+    @pytest.mark.parametrize("n,k", [(4, 4), (6, 6), (8, 8), (8, 4), (8, 2)])
+    def test_symbolic_estimate_bounds_the_alternant_terms(self, capsys, monkeypatch, n, k):
+        # the C(n, k) block values of k!|Gamma| terms, one alternant per subset
+        # and tuple, which the route chains leave out
+        import hyperpfaffian.hpf as hpf
+        from hyperpfaffian.randgen import random_skew_spec
+
+        log10_steps = estimate(capsys, monkeypatch, "verify", "--n", str(n), "--k", str(k),
+                               "--mode", "symbolic", "--trials", "1")
+        monkeypatch.undo()
+        built = []
+        alternant = hpf.alternant
+
+        def counted(*args):
+            built.append(alternant(*args))
+            return built[-1]
+
+        monkeypatch.setattr(hpf, "alternant", counted)
+        spec = random_skew_spec(n, k, Lcg(1))
+        hpf.skew_function_from_spec(spec)
+        assert len(built) == comb(n, k) * len(spec.coeffs)
+        terms = sum(len(value.terms) for value in built)
+        assert terms == len(built) * factorial(k) <= 10 ** log10_steps
+
     @pytest.mark.parametrize("n,k", [(12, 4), (12, 6), (16, 4)])
     def test_laplace_term_bounds_the_entries_within_half(self, n, k):
         # the one-row count the estimate was calibrated on, when spec evaluation
@@ -706,10 +732,13 @@ class TestWorkEstimates:
         entries = sum(comb(n - k + m, m) * sets[m] for m in range(1, k)) + comb(n, k) * sets[-1]
         assert entries <= 10 ** cli._log10_laplace(n, k) <= 1.5 * entries
 
-    # the two-row fold's entries, counted in the next test
-    FOLD_ENTRIES = {(12, 4): 80_640, (12, 6): 1_682_954, (16, 4): 514_969}
+    # the two-row fold's entries, counted in the next test; at n = k they are
+    # 2^k - 2 + k^2 - 2k, k^2 - 3k past the one-row count
+    FOLD_ENTRIES = {(12, 4): 80_640, (12, 6): 1_682_954, (16, 4): 514_969, (4, 4): 22,
+                    (6, 6): 86, (8, 8): 302, (10, 10): 1_102, (12, 12): 4_214}
 
-    @pytest.mark.parametrize("n,k", [(12, 4), (12, 6), (16, 4)])
+    @pytest.mark.parametrize("n,k", [(12, 4), (12, 6), (16, 4), (4, 4), (6, 6), (8, 8),
+                                     (10, 10), (12, 12)])
     def test_laplace_term_bounds_the_entries_of_the_two_row_fold(self, n, k):
         # the entries skew_function_from_spec_at fills: per level m <= k-2, one
         # table per prefix of the distinct m-subsets of the exponent tuples; per
@@ -738,7 +767,8 @@ class TestWorkEstimates:
         t = 2 * gamma(4, 2)  # a (4, 2) block value's terms
         points = sum(comb(8 + m, m) * comb(4, m) for m in range(1, 4)) + comb(12, 4) * 4
         cases = {
-            ("verify", "--n", "4", "--k", "2", "--trials", "3"): 2 * 3 * (p(4, 2) * t**2 + 24),
+            ("verify", "--n", "4", "--k", "2", "--trials", "3"):
+                2 * 3 * (p(4, 2) * t**2 + 24 + comb(4, 2) * t),
             ("verify", "--n", "12", "--k", "4", "--trials", "2", "--points", "3"):
                 2 * 3 * (p(12, 4) * 3 + points * gamma(12, 4)),
             ("involution", "--n", "6", "--k", "2"):
@@ -757,22 +787,29 @@ class TestWorkEstimates:
     def test_laplace_levels_ignore_the_count_cutoff(self, monkeypatch):
         # at n = k every prefix count C(m, m) is 1 and |Gamma| is 1, so the
         # prefix tables hold exactly 2^k - 2 minors, each level summed
-        # however few steps COUNT_STEPS leaves the count of |Gamma|
+        # however few steps COUNT_STEPS leaves the count of |Gamma|, and the
+        # one dot product is sized at k(k-1)
         import hyperpfaffian.cli as cli
 
         counted = cli._log10_laplace(40, 40)
         monkeypatch.setattr(cli, "COUNT_STEPS", 38)  # fewer than the 39 levels of k = 40
         assert cli._log10_laplace(40, 40) == counted
-        assert 10 ** counted == pytest.approx(2**40 - 2 + 40, rel=1e-9)
+        assert 10 ** counted == pytest.approx(2**40 - 2 + 40 * 39, rel=1e-9)
+
+    @staticmethod
+    def one_row_fold(n, k):
+        """The one-row fold's levels and dot products per |Gamma|, the dot
+        product sized at k(k-1) where n = k."""
+        levels = sum(comb(n - k + m, m) * comb(k, m) for m in range(1, k))
+        return levels + comb(n, k) * (k if n > k else k * (k - 1))
 
     @pytest.mark.parametrize("n,k", [(12, 4), (40, 40), (300, 100), (2000, 10), (5000, 1000)])
     def test_laplace_levels_are_their_exact_sum(self, n, k):
         # a plain sum at any order, also past the n <= 201 that points mode sizes
         import hyperpfaffian.cli as cli
 
-        levels = sum(comb(n - k + m, m) * comb(k, m) for m in range(1, k))
         assert cli._log10_laplace(n, k) - cli._log10_gamma(n, k) == pytest.approx(
-            log10(levels + comb(n, k) * k), rel=1e-12)
+            log10(self.one_row_fold(n, k)), rel=1e-12)
 
     def test_laplace_term_is_the_exact_level_sum_at_every_points_order(self):
         # every order points mode sizes: even k, k | n, n <= 201
@@ -780,9 +817,8 @@ class TestWorkEstimates:
 
         for k in range(2, 202, 2):
             for n in range(k, 202, k):
-                levels = sum(comb(n - k + m, m) * comb(k, m) for m in range(1, k))
                 assert cli._log10_laplace(n, k) - cli._log10_gamma(n, k) == pytest.approx(
-                    log10(levels + comb(n, k) * k), rel=1e-12), (n, k)
+                    log10(self.one_row_fold(n, k)), rel=1e-12), (n, k)
 
     def test_points_refusal_past_201_never_calls_the_laplace_term(self, capsys, monkeypatch):
         # k - 1 = 99,999 levels that no points run can reach are never summed
@@ -972,7 +1008,8 @@ class TestDefaultsAndReports:
     def test_spec_file_with_a_negative_exponent(self, tmp_path, capsys):
         path = write_spec(tmp_path, {"n": 2, "k": 2, "terms": [{"r": [-1, 2], "a": 1}]})
         assert run(capsys, "compute", "--input", path, "--method", "theorem") == (
-            2, "", "error: exponent tuple [-1, 2] is not strictly increasing\n")
+            2, "", "error: exponent tuple [-1, 2] is not a strictly increasing 2-tuple of "
+                   "nonnegative integers that sums to 1\n")
 
 
 class TestTooDeep:

@@ -7,9 +7,13 @@ or is refused at once.
 Every outcome must be exit 0 with nothing on stderr, exit 1 only beside a
 MISMATCH report, or exit 2 with exactly one ``error:`` line that is not an
 internal error; no exception may escape ``main``, and no command may run
-past 5 s (an estimate that misses a run's cost fails here, not hangs).  The examples are
-derandomized and no example database is written.  Needs Hypothesis, and is
-skipped when it is not installed.
+past 5 s (an estimate that misses a run's cost fails here, not hangs).  A
+second fuzz gives every subcommand orders that break an admissibility rule
+(odd or nonpositive block sizes, nonpositive orders, non-multiples; in a
+spec file also bools and floats), which must exit 2 with one ``error:``
+line and nothing on stdout.  The examples are derandomized and no example
+database is written.  Needs Hypothesis, and is skipped when it is not
+installed.
 """
 
 import contextlib
@@ -120,3 +124,47 @@ def test_every_generated_command_answers_cleanly(spec_dir, argv):
     else:
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
         assert not err.startswith("error: internal"), (argv, err)
+
+
+def admissible(n, k):
+    """combinat's order rule and k | n."""
+    return k >= 2 and k % 2 == 0 and n >= 1 and n % k == 0
+
+
+small = st.integers(-4, 13)
+bad_pairs = st.tuples(small, small).filter(lambda nk: not admissible(*nk))
+spec_orders = st.one_of(small, st.sampled_from([True, False, 2.0, 4.0]))
+
+
+def flags(names, values):
+    return [word for name, value in zip(names, values) for word in (f"--{name}", str(value))]
+
+
+bad_commands = st.one_of(
+    bad_pairs.map(lambda nk: ["verify", *flags("nk", nk)]),
+    st.tuples(bad_pairs, st.sampled_from(["symbolic", "points"])).map(
+        lambda drawn: ["verify", *flags("nk", drawn[0]), "--mode", drawn[1]]),
+    bad_pairs.map(lambda nk: ["coeffs", *flags("nk", nk)]),
+    bad_pairs.map(lambda nk: ["involution", *flags("nk", nk)]),
+    small.filter(lambda n: not admissible(n, 2)).map(lambda n: ["torelli", "--n", str(n)]),
+    st.tuples(small, small, small).filter(
+        lambda knp: not (admissible(knp[1], knp[0]) and admissible(knp[2], knp[1]))).map(
+        lambda knp: ["compose", *flags("knp", knp)]),
+    # a spec may have any order n >= 1, so only the order rule refuses it
+    st.tuples(spec_orders, spec_orders).filter(
+        lambda nk: not (type(nk[0]) is int and nk[0] >= 1 and type(nk[1]) is int
+                        and nk[1] >= 2 and nk[1] % 2 == 0)).map(lambda nk: ["compute", *nk]),
+)
+
+
+@fuzzed
+@given(bad_commands, st.sampled_from(["definition", "exterior", "theorem"]))
+def test_every_subcommand_refuses_bad_orders_on_one_line(spec_dir, argv, method):
+    if argv[0] == "compute":  # the orders go into a spec file as JSON values
+        path = spec_dir / "bad.json"
+        path.write_text(json.dumps({"n": argv[1], "k": argv[2], "terms": []}), encoding="utf-8")
+        argv = ["compute", "--input", str(path), "--method", method]
+    code, out, err = run(argv)
+    assert (code, out) == (2, ""), (argv, err)
+    assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    assert not err.startswith("error: internal"), (argv, err)

@@ -407,3 +407,110 @@ class TestCompositionTilings:
             composition_tilings(3, 2)
         with pytest.raises(ValueError):
             composition_tilings(8, 6)
+
+
+
+def _rule_cases():
+    """(id, call, message) for every public entry that takes orders or an
+    exponent tuple and a bad value for each, with combinat's wording."""
+    from hyperpfaffian.compose import build_g, composition_constant, verify_composition
+    from hyperpfaffian.hpf import (SkewFunction, SkewSpec, pf_definition, pf_exterior,
+                                   theorem_coefficient, torelli_constant, torelli_spec)
+    from hyperpfaffian.involution import (WeightedOrientedPartition, check_involution,
+                                          compose_distinct, weighted_oriented_partitions)
+    from hyperpfaffian.randgen import Lcg, random_skew_function, random_skew_spec
+
+    def k_refused(k):
+        return f"block size k must be a positive even integer, got k={k!r}"
+
+    def n_refused(n, name="n"):
+        return f"{name} must be a positive integer, got {name}={n!r}"
+
+    def not_multiple(n, k, names="nk"):
+        return (f"{names[0]} must be a positive multiple of {names[1]}, "
+                f"got {names[0]}={n}, {names[1]}={k}")
+
+    order = {  # the order rule alone: a spec or a function may have any order n
+        "increasing_compositions": increasing_compositions,
+        "increasing_composition_count": increasing_composition_count,
+        "SkewSpec": lambda n, k: SkewSpec(n, k, {}),
+        "SkewFunction": lambda n, k: SkewFunction(n, k, {}),
+        "random_skew_spec": lambda n, k: random_skew_spec(n, k, Lcg(1)),
+        "random_skew_function": lambda n, k: random_skew_function(n, k, Lcg(1)),
+    }
+    divides = {  # the order rule, then k | n
+        "signed_equal_block_partitions": signed_equal_block_partitions,
+        "equal_block_partitions": equal_block_partitions,
+        "oriented_partitions": oriented_partitions,
+        "composition_tilings": composition_tilings,
+        "weighted_oriented_partitions": weighted_oriented_partitions,
+        "composition_constant": lambda n, k: composition_constant(k, n, n),
+    }
+    cases = []
+    for name, entry in {**order, **divides}.items():
+        for k in (3, 0, -2, True, 2.0):
+            cases.append((f"{name}-k={k!r}", lambda e=entry, k=k: e(8, k), k_refused(k)))
+        for n in (0, -2, True, 2.0):
+            cases.append((f"{name}-n={n!r}", lambda e=entry, n=n: e(n, 2), n_refused(n)))
+    for name, entry in divides.items():
+        for n, k in ((6, 4), (7, 2)):
+            cases.append((f"{name}-{n},{k}", lambda e=entry, n=n, k=k: e(n, k), not_multiple(n, k)))
+    # a function at (6, 4) is legal; the routes on it need 4 | 6
+    f64 = SkewFunction(6, 4, dict.fromkeys(combinations(range(1, 7), 4), 1))
+    for name, route in (("pf_definition", pf_definition), ("pf_exterior", pf_exterior)):
+        cases.append((f"{name}-6,4", lambda r=route: r(f64), not_multiple(6, 4)))
+    # (k, n, p): compose names each by its flag
+    f82 = random_skew_function(8, 2, Lcg(1))
+    for n, message in ((3, not_multiple(3, 2)), (0, n_refused(0)), (-2, n_refused(-2)),
+                       (True, n_refused(True)), (2.0, n_refused(2.0)),
+                       (6, not_multiple(8, 6, "pn"))):
+        cases.append((f"build_g-n={n!r}", lambda n=n: build_g(f82, n), message))
+        cases.append((f"verify_composition-n={n!r}",
+                      lambda n=n: verify_composition(f82, 2, n, 8), message))
+    for p, message in ((6, not_multiple(6, 4, "pn")), (0, n_refused(0, "p")),
+                       (-4, n_refused(-4, "p")), (True, n_refused(True, "p")),
+                       (8.0, n_refused(8.0, "p"))):
+        cases.append((f"composition_constant-p={p!r}",
+                      lambda p=p: composition_constant(2, 4, p), message))
+    for n in (9, 0, -2, True, 2.0):
+        message = f"order n must be a positive even integer, got n={n!r}"
+        cases.append((f"torelli_constant-n={n!r}", lambda n=n: torelli_constant(n), message))
+        cases.append((f"torelli_spec-n={n!r}", lambda n=n: torelli_spec(n), message))
+    # the Gamma-tuple rule, on a spec's exponent tuples and an element's weight vectors
+    for bad in ((2, 1), (-1, 4), (0, 2), (0, 1, 2), (False, 3), (0.0, 3.0), (1, 2.0)):
+        tail = f"{list(bad)} is not a strictly increasing 2-tuple of nonnegative integers " \
+               f"that sums to 3"
+        cases.append((f"SkewSpec-{bad}", lambda bad=bad: SkewSpec(4, 2, {bad: 1}),
+                      f"exponent tuple {tail}"))
+        cases.append((f"WeightedOrientedPartition-{bad}", lambda bad=bad:
+                      WeightedOrientedPartition(((1, 2), (3, 4)), (bad, (1, 2))),
+                      f"weight vector {tail}"))
+    for tiling in (((3, 0), (1, 2)), ((0, 1), (2, 3)), ((False, 3), (1, 2)), ((0.0, 3), (1, 2))):
+        message = (f"weight vector {list(tiling[0])} is not a strictly increasing 2-tuple of "
+                   f"nonnegative integers that sums to 3")
+        cases.append((f"compose_distinct-{tiling}",
+                      lambda t=tiling: compose_distinct((1, 2, 3, 4), t), message))
+    # the full degree, which the closed form and the weighted expansion need
+    low = SkewSpec(4, 2, {}, degree=2)
+    for name, entry in (("theorem_coefficient", theorem_coefficient),
+                        ("check_involution", check_involution)):
+        cases.append((f"{name}-degree", lambda e=entry: e(low),
+                      "degree must be k/2*(n-1) = 3, got 2"))
+    return cases
+
+
+RULE_CASES = _rule_cases()
+
+
+class TestAdmissibilityRules:
+    """Every public entry that takes (n, k), (k, n, p), a Torelli order or an
+    exponent tuple refuses a bad value with combinat's wording of the rule
+    it breaks: odd, zero, negative, bool and float orders, non-multiples,
+    and tuples out of order, negative, off the sum, too long or inexact."""
+
+    @pytest.mark.parametrize("call,message", [case[1:] for case in RULE_CASES],
+                             ids=[case[0] for case in RULE_CASES])
+    def test_refuses_with_the_owners_wording(self, call, message):
+        with pytest.raises(ValueError) as refused:
+            call()
+        assert str(refused.value) == message

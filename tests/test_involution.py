@@ -31,6 +31,12 @@ WORKED_BLOCKS = ((9, 1, 2, 4), (5, 3, 8, 10), (11, 12, 7, 6))
 WORKED_WEIGHTS = ((1, 4, 5, 12), (0, 1, 7, 14), (2, 4, 6, 10))
 
 
+def inadmissible(vector, total):
+    """combinat's refusal of a weight 2-tuple that breaks the Gamma-tuple rule."""
+    return (f"weight vector {list(vector)} is not a strictly increasing 2-tuple of nonnegative "
+            f"integers that sums to {total}")
+
+
 def worked_example():
     return WeightedOrientedPartition(WORKED_BLOCKS, WORKED_WEIGHTS)
 
@@ -60,8 +66,8 @@ class TestConstruction:
     @pytest.mark.parametrize("blocks,weights,message", [
         ((), (), "need the same positive number of blocks and weight vectors"),
         (((1, 2),), (), "need the same positive number of blocks and weight vectors"),
-        (((1,), (2,)), ((0,), (1,)), "block size must be a positive even integer, got 1"),
-        (((1, 2, 3),), ((0, 1, 2),), "block size must be a positive even integer, got 3"),
+        (((1,), (2,)), ((0,), (1,)), "block size k must be a positive even integer, got k=1"),
+        (((1, 2, 3),), ((0, 1, 2),), "block size k must be a positive even integer, got k=3"),
     ], ids=["empty", "unmatched", "odd-one", "odd-three"])
     def test_rejects_unmatched_or_odd_blocks(self, blocks, weights, message):
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -103,15 +109,14 @@ class TestConstruction:
             WeightedOrientedPartition(((1, 2), (3, 4)), ((0, 1), (1, 2)))
 
     def test_rejects_a_negative_first_weight(self):
-        message = "weight vector (-1, 4) must be nonnegative with sum 3"
-        with pytest.raises(ValueError, match=re.escape(message)):
+        with pytest.raises(ValueError, match=re.escape(inadmissible((-1, 4), 3))):
             WeightedOrientedPartition(((1, 2), (3, 4)), ((-1, 4), (1, 2)))
 
     @pytest.mark.parametrize("blocks,weights,message", [
         (((1.0, 2.0),), ((0.0, 1.0),), "block element 1.0 is not an integer"),
         (((True, 2),), ((False, True),), "block element True is not an integer"),
-        (((1, 2),), ((0.0, 1.0),), "weight 0.0 is not an integer"),
-        (((2, 1), (3, 4)), ((0, 3), (True, 2)), "weight True is not an integer"),
+        (((1, 2),), ((0.0, 1.0),), inadmissible((0.0, 1.0), 1)),
+        (((2, 1), (3, 4)), ((0, 3), (True, 2)), inadmissible((True, 2), 3)),
     ])
     def test_rejects_inexact_elements_and_weights(self, blocks, weights, message):
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -363,8 +368,8 @@ class TestDecomposition:
             compose_distinct((2, 1), ((0, 5),))
 
     @pytest.mark.parametrize("tiling,message", [
-        (((0, 1), (2, 3)), "weight vector (0, 1) must be nonnegative with sum 3"),
-        (((3, 0), (1, 2)), "weight vector (3, 0) is not strictly increasing"),
+        (((0, 1), (2, 3)), inadmissible((0, 1), 3)),
+        (((3, 0), (1, 2)), inadmissible((3, 0), 3)),
     ], ids=["sum", "order"])
     def test_compose_refuses_inadmissible_vectors(self, tiling, message):
         with pytest.raises(ValueError, match=re.escape(message)):
