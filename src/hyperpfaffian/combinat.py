@@ -93,13 +93,22 @@ def check_divides(n: int, k: int, names: tuple = ("n", "k")) -> None:
                          f"got {names[0]}={n}, {names[1]}={k}")
 
 
-def check_weight_vectors(vectors, k: int, total: int, name: str) -> None:
-    """The Gamma-tuple rule: k ints, nonnegative, strictly increasing, summing to `total`."""
+def check_weight_vectors(vectors, k: int, total: int, name: str) -> tuple:
+    """The Gamma-tuple rule: k ints, nonnegative, strictly increasing, summing
+    to `total`.  Returns the vectors as tuples."""
+    checked = []
     for vector in vectors:
-        if (len(vector) != k or not all(map(is_integer, vector)) or vector[0] < 0
-                or any(map(ge, vector, vector[1:])) or sum(vector) != total):
-            raise ValueError(f"{name} {list(vector)} is not a strictly increasing {k}-tuple "
+        try:
+            entries = tuple(vector)
+        except TypeError:  # not iterable
+            entries = None
+        if (entries is None or len(entries) != k or not all(map(is_integer, entries))
+                or entries[0] < 0 or any(map(ge, entries, entries[1:])) or sum(entries) != total):
+            shown = vector if entries is None else list(entries)
+            raise ValueError(f"{name} {shown!r} is not a strictly increasing {k}-tuple "
                              f"of nonnegative integers that sums to {total}")
+        checked.append(entries)
+    return tuple(checked)
 
 
 def check_full_degree(n: int, k: int, degree: int) -> None:

@@ -93,8 +93,7 @@ class SkewSpec:
         self.n = n
         self.k = k
         self.degree = degree
-        keys = [tuple(key) for key in coeffs]
-        check_weight_vectors(keys, k, degree, "exponent tuple")
+        keys = check_weight_vectors(coeffs, k, degree, "exponent tuple")
         cleaned: dict[tuple[int, ...], Scalar] = {}
         for exponents, value in zip(keys, coeffs.values()):
             if not is_scalar(value):

@@ -16,15 +16,22 @@ monomial.  The surviving distinct-weight elements factor bijectively into
 a permutation of [n] (reading each element's weight plus one) and a
 composition tiling, with multiplicative signs; summing them yields the
 tiling coefficient times the Vandermonde determinant.
-:func:`check_involution` checks all of this in one walk over the set.
-The walk builds its elements and pairing images unchecked, since the
-enumerators and the swap make them valid by construction; the public
+
+:func:`check_involution` checks all of this in one walk with two levels.
+A weight assignment (one weight vector per block) alone fixes the flat
+weights, the coefficient, the weight class and, in the distinct class, the
+sorted tiling and its sign, so the walk tables them once per assignment:
+|Gamma|^(n/k) entries, 27 at (n, k) = (6, 2) for 3,240 elements.  An
+oriented partition alone fixes the sign and the positions weight_of reads,
+found once per oriented partition.  Each element is a plain tuple (blocks,
+weights, weight_of, sign), checked and added into its class sum in place.
+Its pairing image comes from a swap plan memoized per (source blocks,
+swapped pair), whose canonical blocks, order, weight getter and sign are
+all taken from the image's own blocks.  The public functions wrap the
+tuple-level cores the check calls (:func:`_elements`, :func:`_pair`,
+:func:`_permutation`, :func:`_tiling`) and build their elements unchecked,
+as the enumerators and the swap make them valid by construction; the public
 constructor and :func:`compose_distinct` validate everything they are given.
-An element's sign and the positions its weight_of reads depend only on its
-blocks.  So the enumerator finds them once per oriented partition, and the
-pairing once per swap plan, memoized per (source blocks, swapped pair):
-the image's canonical blocks, their order, weight getter and sign, all
-taken from the image's own blocks.
 """
 
 from __future__ import annotations
@@ -48,7 +55,7 @@ from .combinat import (
     tiling_sign,
 )
 from .hpf import SkewSpec
-from .poly import Polynomial, Scalar, accumulate, check_integers
+from .poly import Polynomial, Scalar, check_integers
 
 
 class WeightedOrientedPartition:
@@ -66,19 +73,19 @@ class WeightedOrientedPartition:
 
     def __init__(self, blocks, weights):
         blocks = tuple(map(tuple, blocks))
-        weights = tuple(map(tuple, weights))
+        weights = tuple(weights)
         if not blocks or len(blocks) != len(weights):
             raise ValueError("need the same positive number of blocks and weight vectors")
         k = len(blocks[0])
-        elements = [element for block in blocks for element in block]
+        elements = _flat(blocks)
         n = len(elements)
         check_order(n, k)
         check_integers(elements, "block element")
-        if any(len(block) != k for block in blocks) or set(elements) != set(range(1, n + 1)):
+        if set(map(len, blocks)) != {k} or set(elements) != set(range(1, n + 1)):
             raise ValueError(f"blocks {blocks!r} do not partition 1..{n} into {k}-tuples")
-        check_weight_vectors(weights, k, full_degree(n, k), "weight vector")
+        weights = check_weight_vectors(weights, k, full_degree(n, k), "weight vector")
         blocks, order, weight_of, sign = _canonical(blocks)
-        weights = tuple(weights[b] for b in order)
+        weights = tuple(map(weights.__getitem__, order))
         self._fill(blocks, weights, weight_of(_flat(weights)), sign)
 
     @classmethod
@@ -128,11 +135,25 @@ class WeightedOrientedPartition:
     def coefficient(self, spec: SkewSpec) -> Scalar:
         """Product of the spec coefficients of the weight vectors (0 if any
         vector is absent from the spec)."""
-        return prod(spec.coeffs.get(weight, 0) for weight in self.weights)
+        return _coefficient(self.weights, spec.coeffs)
 
 
-def _flat(weights) -> tuple:
-    return tuple(chain.from_iterable(weights))
+def _fields(wop: WeightedOrientedPartition) -> tuple:
+    """The element tuple (blocks, weights, weight_of, sign) of `wop`."""
+    return wop.blocks, wop.weights, wop.weight_of, wop.sign
+
+
+def _flat(vectors) -> tuple:
+    return sum(vectors, ())  # faster than chain for a few short tuples
+
+
+def _coefficient(weights, coeffs) -> Scalar:
+    return prod(coeffs.get(weight, 0) for weight in weights)
+
+
+def _distinct(weights) -> bool:
+    """True when the weights, flat or weight_of, are pairwise distinct."""
+    return len(set(weights)) == len(weights)
 
 
 def _weight_getter(blocks) -> itemgetter:
@@ -147,9 +168,8 @@ def _weight_getter(blocks) -> itemgetter:
 def _canonical(blocks) -> tuple:
     """(blocks in canonical order, the source index of each, their
     :func:`_weight_getter`, their oriented sign)."""
-    minima = [min(block) for block in blocks]
-    order = sorted(range(len(blocks)), key=minima.__getitem__)
-    blocks = tuple(blocks[b] for b in order)
+    order = sorted(range(len(blocks)), key=list(map(min, blocks)).__getitem__)
+    blocks = tuple(map(blocks.__getitem__, order))
     return blocks, order, _weight_getter(blocks), oriented_sign(blocks)
 
 
@@ -166,24 +186,26 @@ def _swap_plan(blocks, i: int, j: int) -> tuple:
     return image, itemgetter(*order), weight_of, sign
 
 
+def _elements(oriented, assignments) -> Iterator[tuple]:
+    """(element tuple, entry) for every oriented partition of `oriented` with
+    every (weights, entry) of `assignments`, whose entry starts with the flat
+    weights: one sign and weight getter per oriented partition, whose blocks
+    the enumerator already gives in canonical order."""
+    for blocks in oriented:
+        weight_of, sign = _weight_getter(blocks), oriented_sign(blocks)
+        for weights, entry in assignments:
+            yield (blocks, weights, weight_of(entry[0]), sign), entry
+
+
 def weighted_oriented_partitions(n: int, k: int) -> Iterator[WeightedOrientedPartition]:
     """All weighted oriented partitions: every oriented partition paired
-    with every choice of weight vectors, one per block.  Built unchecked
-    from the two enumerators, whose blocks are already in canonical order:
-    one sign and weight getter per oriented partition, each assignment of
-    weight vectors flattened once."""
+    with every choice of weight vectors, one per block, built unchecked
+    from :func:`_elements`."""
     oriented = oriented_partitions(n, k)
-    vectors = tuple(increasing_compositions(n, k))
-
-    def walk() -> Iterator[WeightedOrientedPartition]:
-        assignments = [(weights, _flat(weights)) for weights in product(vectors, repeat=n // k)]
-        build = WeightedOrientedPartition._trusted
-        for blocks in oriented:
-            weight_of, sign = _weight_getter(blocks), oriented_sign(blocks)
-            for weights, flat in assignments:
-                yield build(blocks, weights, weight_of(flat), sign)
-
-    return walk()
+    assignments = [(weights, (_flat(weights),))
+                   for weights in product(increasing_compositions(n, k), repeat=n // k)]
+    build = WeightedOrientedPartition._trusted
+    return (build(*element) for element, _ in _elements(oriented, assignments))
 
 
 def has_distinct_weights(wop: WeightedOrientedPartition) -> bool:
@@ -193,17 +215,27 @@ def has_distinct_weights(wop: WeightedOrientedPartition) -> bool:
     nonnegative integers cannot total less, so distinct weights are
     necessarily exactly 0, ..., n-1.
     """
-    weights = wop.weight_of
-    return len(set(weights)) == len(weights)
+    return _distinct(wop.weight_of)
+
+
+def _repeated_pair(weight_of) -> Optional[tuple[int, int]]:
+    for i, weight in enumerate(weight_of):  # the first repeated weight met is at i
+        if weight_of.count(weight) > 1:
+            return i + 1, weight_of.index(weight, i + 1) + 1
+    return None
 
 
 def smallest_repeated_pair(wop: WeightedOrientedPartition) -> Optional[tuple[int, int]]:
     """The lexicographically least pair (i, j), i < j, with equal weights."""
-    weights = wop.weight_of
-    for i, weight in enumerate(weights):  # the first repeated weight met is at i
-        if weights.count(weight) > 1:
-            return i + 1, weights.index(weight, i + 1) + 1
-    return None
+    return _repeated_pair(wop.weight_of)
+
+
+def _pair(element: tuple) -> tuple:
+    """The pairing image of a repeated-weight element tuple, as a tuple."""
+    blocks, weights, weight_of, _ = element
+    blocks, order, weight_of, sign = _swap_plan(blocks, *_repeated_pair(weight_of))
+    weights = order(weights)
+    return blocks, weights, weight_of(_flat(weights)), sign
 
 
 def pairing_involution(wop: WeightedOrientedPartition) -> WeightedOrientedPartition:
@@ -215,12 +247,19 @@ def pairing_involution(wop: WeightedOrientedPartition) -> WeightedOrientedPartit
     original element.  Only defined on repeated-weight partitions.  The
     image is a new element, built unchecked, as the swap keeps it valid.
     """
-    pair = smallest_repeated_pair(wop)
-    if pair is None:
+    if _distinct(wop.weight_of):
         raise ValueError("all weights are distinct; there is no repeated pair to swap")
-    blocks, order, weight_of, sign = _swap_plan(wop.blocks, *pair)
-    weights = order(wop.weights)
-    return WeightedOrientedPartition._trusted(blocks, weights, weight_of(_flat(weights)), sign)
+    return WeightedOrientedPartition._trusted(*_pair(_fields(wop)))
+
+
+def _permutation(weight_of) -> tuple[int, ...]:
+    """The permutation of a distinct-weight element: e to its weight plus one."""
+    return tuple(weight + 1 for weight in weight_of)
+
+
+def _tiling(weights) -> tuple[tuple[int, ...], ...]:
+    """The tiling of a distinct-weight assignment: its vectors by first part."""
+    return tuple(sorted(weights))
 
 
 def decompose_distinct(
@@ -232,11 +271,9 @@ def decompose_distinct(
     is the set of weight vectors ordered by first part.  The signs
     multiply: sign(partition) = sign(tiling) * sign(permutation).
     """
-    if not has_distinct_weights(wop):
+    if not _distinct(wop.weight_of):
         raise ValueError("weights are repeated; the decomposition needs distinct weights")
-    perm = tuple(weight + 1 for weight in wop.weight_of)
-    tiling = tuple(sorted(wop.weights))
-    return perm, tiling
+    return _permutation(wop.weight_of), _tiling(wop.weights)
 
 
 def compose_distinct(
@@ -249,9 +286,7 @@ def compose_distinct(
         raise ValueError(f"{perm!r} is not a permutation of 1..{n}")
     element_of_weight = {perm[index] - 1: index + 1 for index in range(n)}
     try:
-        blocks = tuple(
-            tuple(element_of_weight[w] for w in vector) for vector in tiling
-        )
+        blocks = tuple(tuple(map(element_of_weight.__getitem__, vector)) for vector in tiling)
     except KeyError as exc:
         raise ValueError(f"weight {exc.args[0]} does not occur in the permutation") from None
     return WeightedOrientedPartition(blocks, tuple(tiling))
@@ -276,35 +311,51 @@ def check_involution(spec: SkewSpec) -> InvolutionCheck:
     checked until the first failure, but both sums cover every element."""
     n, k = spec.n, spec.k
     check_full_degree(n, k, spec.degree)
+    table = {}  # per assignment: flat weights, coefficient, tiling and its sign (None if repeated)
+    for weights in product(increasing_compositions(n, k), repeat=n // k):
+        flat = _flat(weights)
+        tiling = _tiling(weights) if _distinct(flat) else None
+        table[weights] = (flat, _coefficient(weights, spec.coeffs), tiling,
+                          None if tiling is None else tiling_sign(tiling))
     counts = [0, 0]  # repeated, distinct
     sums: tuple[dict, dict] = ({}, {})  # keyed by weight_of, which fixes the monomial
     factorizations = set()
     failure = None
-    for wop in weighted_oriented_partitions(n, k):
-        is_distinct = has_distinct_weights(wop)
+    build = WeightedOrientedPartition._trusted
+    for element, (_, coefficient, tiling, sign_of_tiling) in _elements(
+            oriented_partitions(n, k), table.items()):
+        blocks, weights, weight_of, sign = element
+        is_distinct = tiling is not None
         counts[is_distinct] += 1
-        coefficient = wop.coefficient(spec)
-        accumulate(sums[is_distinct], [(wop.weight_of, coefficient * wop.sign)])
+        terms = sums[is_distinct]
+        term = terms.get(weight_of, 0) + coefficient * sign
+        if term:
+            terms[weight_of] = term
+        else:
+            terms.pop(weight_of, None)
         if failure is not None:
             continue
         if is_distinct:
-            perm, tiling = decompose_distinct(wop)
+            perm = _permutation(weight_of)
             factorizations.add((perm, tiling))
-            if wop.sign != tiling_sign(tiling) * permutation_sign(perm):
-                failure = f"sign factorization fails on {wop}"
-            elif compose_distinct(perm, tiling) != wop:
-                failure = f"factorization does not round-trip on {wop}"
+            if sign != sign_of_tiling * permutation_sign(perm):
+                failure = f"sign factorization fails on {build(*element)}"
+            elif _fields(compose_distinct(perm, tiling)) != element:
+                failure = f"factorization does not round-trip on {build(*element)}"
             continue
-        image = pairing_involution(wop)
+        image = _pair(element)
+        image_blocks, image_weights, image_weight_of, image_sign = image
+        entry = table.get(image_weights)
         if (
-            image == wop
-            or has_distinct_weights(image)
-            or pairing_involution(image) != wop
-            or image.sign != -wop.sign
-            or image.weight_of != wop.weight_of
-            or image.coefficient(spec) != coefficient
+            (image_blocks, image_weights) == (blocks, weights)
+            or entry is None
+            or entry[2] is not None
+            or _pair(image) != element
+            or image_sign != -sign
+            or image_weight_of != weight_of
+            or entry[1] != coefficient
         ):
-            failure = f"pairing involution misbehaves on {wop}"
+            failure = f"pairing involution misbehaves on {build(*element)}"
     repeated, distinct = counts
     tilings = sum(1 for _ in composition_tilings(n, k))
     pair = {}  # one (variable, exponent) tuple per value, shared by every key

@@ -290,14 +290,16 @@ def patch_involution(monkeypatch, name, wrap):
 
 
 # Misbehaving stand-ins for the suite's steps, one check caught by each.
-def fixed_point_pairing(wop):
-    return wop
+# The walk calls the tuple-level cores: _pair on element tuples and
+# _permutation on weight_of.
+def fixed_point_pairing(element):
+    return element
 
 
-def sign_flipping_decomposition(decompose):
-    def swap_first_two(wop):
-        perm, tiling = decompose(wop)
-        return (perm[1], perm[0]) + perm[2:], tiling
+def sign_flipping_permutation(permutation):
+    def swap_first_two(weight_of):
+        perm = permutation(weight_of)
+        return (perm[1], perm[0]) + perm[2:]
     return swap_first_two
 
 
@@ -329,9 +331,9 @@ class TestInvolution:
         )
 
     @pytest.mark.parametrize("name,wrap,line", [
-        ("pairing_involution", lambda pairing: fixed_point_pairing,
+        ("_pair", lambda pairing: fixed_point_pairing,
          f"MISMATCH: pairing involution misbehaves on {FIRST_REPEATED}"),
-        ("decompose_distinct", sign_flipping_decomposition,
+        ("_permutation", sign_flipping_permutation,
          f"MISMATCH: sign factorization fails on {FIRST_DISTINCT}"),
         ("compose_distinct", reversing_composition,
          f"MISMATCH: factorization does not round-trip on {FIRST_DISTINCT}"),

@@ -127,6 +127,13 @@ class TestSkewSpec:
         assert spec.coefficient((1, 2)) == 0
         assert spec.coefficient((0, 3)) == 1
 
+    @pytest.mark.parametrize("bad", [5, None])
+    def test_rejects_a_key_that_is_not_iterable(self, bad):
+        message = (f"exponent tuple {bad!r} is not a strictly increasing 2-tuple of "
+                   f"nonnegative integers that sums to 3")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SkewSpec(4, 2, {bad: 1})
+
     def test_rejects_two_keys_of_one_exponent_tuple(self):
         with pytest.raises(ValueError, match=re.escape("duplicate exponent tuple [0, 1]")):
             SkewSpec(2, 2, {(0, 1): 1, range(2): 2})

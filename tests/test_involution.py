@@ -1,5 +1,6 @@
 import random
 import re
+from itertools import product
 from math import factorial
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from hyperpfaffian.combinat import (
     composition_tilings,
     increasing_compositions,
+    oriented_partitions,
     oriented_sign,
     permutation_sign,
     tiling_sign,
@@ -108,6 +110,13 @@ class TestConstruction:
         with pytest.raises(ValueError):
             WeightedOrientedPartition(((1, 2), (3, 4)), ((0, 1), (1, 2)))
 
+    @pytest.mark.parametrize("bad", [5, None])
+    def test_rejects_a_weight_vector_that_is_not_iterable(self, bad):
+        message = (f"weight vector {bad!r} is not a strictly increasing 2-tuple of "
+                   f"nonnegative integers that sums to 3")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            WeightedOrientedPartition(((1, 2), (3, 4)), (bad, (1, 2)))
+
     def test_rejects_a_negative_first_weight(self):
         with pytest.raises(ValueError, match=re.escape(inadmissible((-1, 4), 3))):
             WeightedOrientedPartition(((1, 2), (3, 4)), ((-1, 4), (1, 2)))
@@ -132,6 +141,10 @@ class TestConstruction:
             {1: 4, 2: 5, 3: 1, 4: 12, 6: 10, 7: 6, 8: 7, 9: 1, 10: 14, 11: 2, 12: 4}
         )
         assert wop.weight_monomial() == expected
+
+    def test_orders_of_a_single_block(self):
+        wop = WeightedOrientedPartition(((2, 1),), ((0, 1),))
+        assert (wop.n, wop.k, wop.sign, wop.weight_of) == (2, 2, -1, (1, 0))
 
     def test_coefficient_multiplies_spec_lookups(self):
         spec = SkewSpec(12, 4, {(1, 4, 5, 12): 2, (0, 1, 7, 14): 3, (2, 4, 6, 10): 5})
@@ -234,6 +247,30 @@ class TestTrustedConstruction:
         assert validated == [True] * check.distinct == [True] * 24
 
 
+class TestWrappersAndCores:
+    """The public functions wrap the tuple-level cores the check walks:
+    each gives, on every element, what its core gives on the element tuple."""
+
+    @pytest.mark.parametrize("n,k", [(4, 2), (6, 2), (4, 4)])
+    def test_each_wrapper_gives_what_its_core_gives(self, n, k):
+        assignments = [(weights, (involution._flat(weights),))
+                       for weights in product(increasing_compositions(n, k), repeat=n // k)]
+        elements = [element for element, _ in
+                    involution._elements(oriented_partitions(n, k), assignments)]
+        wops = list(weighted_oriented_partitions(n, k))
+        assert [involution._fields(wop) for wop in wops] == elements
+        paired = 0
+        for wop, element in zip(wops, elements):
+            if has_distinct_weights(wop):
+                assert decompose_distinct(wop) == (involution._permutation(element[2]),
+                                                   involution._tiling(element[1]))
+            else:
+                assert smallest_repeated_pair(wop) == involution._repeated_pair(element[2])
+                assert involution._fields(pairing_involution(wop)) == involution._pair(element)
+                paired += 1
+        assert paired == len(wops) - factorial(n) * sum(1 for _ in composition_tilings(n, k))
+
+
 class TestClassification:
     def test_worked_example_is_repeated(self):
         assert not has_distinct_weights(worked_example())
@@ -272,6 +309,7 @@ class TestPairingInvolution:
 
     def test_rejects_distinct_weights(self):
         wop = WeightedOrientedPartition(((1, 2),), ((0, 1),))
+        assert smallest_repeated_pair(wop) is None
         with pytest.raises(ValueError):
             pairing_involution(wop)
 
@@ -436,7 +474,7 @@ class TestCheckInvolution:
 
     def test_sums_cover_every_element_after_a_failure(self, monkeypatch):
         spec = random_skew_spec(4, 2, Lcg(3))
-        monkeypatch.setattr(involution, "pairing_involution", lambda wop: wop)
+        monkeypatch.setattr(involution, "_pair", lambda element: element)
         check = check_involution(spec)
         assert check.failure.startswith("pairing involution misbehaves on ")
         assert (check.elements, check.repeated, check.distinct) == (48, 24, 24)
@@ -467,11 +505,23 @@ class TestWalkMechanism:
         assert len(signs) == len(getters) == factorial(6) // factorial(3) == 120
 
     def test_inversion_signs_in_the_walk(self, monkeypatch):
-        # 120 oriented partitions, 360 swap plans, and three signs per
-        # distinct element: its tiling, its permutation, compose_distinct
+        # 120 oriented partitions, 360 swap plans, two signs per distinct
+        # element (its permutation and compose_distinct's constructor), and
+        # one tiling sign per distinct assignment: each tiling's n/k vectors
+        # in each of the (n/k)! block orders
         involution._swap_plan.cache_clear()
         calls = self.count_calls(monkeypatch, combinat, "inversion_sign")
         check = check_involution(random_skew_spec(6, 2, Lcg(8)))
         assert check.failure is None
         assert involution._swap_plan.cache_info().misses == 360
-        assert len(calls) == 120 + 360 + 3 * check.distinct == 2640
+        distinct_assignments = check.tilings * factorial(6 // 2)
+        assert len(calls) == 120 + 360 + 2 * check.distinct + distinct_assignments == 1926
+
+    @pytest.mark.parametrize("n,k,assignments", [(6, 2, 27), (8, 2, 256)])
+    def test_spec_coefficients_multiplied_once_per_assignment(self, monkeypatch, n, k,
+                                                              assignments):
+        products = self.count_calls(monkeypatch, involution, "prod")
+        check = check_involution(random_skew_spec(n, k, Lcg(n)))
+        gamma = sum(1 for _ in increasing_compositions(n, k))
+        assert check.failure is None
+        assert len(products) == gamma ** (n // k) == assignments
