@@ -93,6 +93,15 @@ def check_divides(n: int, k: int, names: tuple = ("n", "k")) -> None:
                          f"got {names[0]}={n}, {names[1]}={k}")
 
 
+def check_sequence(value, name: str) -> tuple:
+    """The shape rule of a block and of the blocks, weights or tiling that
+    list them: `value` as a tuple, refused as `name` if it is not iterable."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise ValueError(f"{name} {value!r} is not a sequence") from None
+
+
 def check_weight_vectors(vectors, k: int, total: int, name: str) -> tuple:
     """The Gamma-tuple rule: k ints, nonnegative, strictly increasing, summing
     to `total`.  Returns the vectors as tuples."""

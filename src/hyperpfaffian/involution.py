@@ -45,6 +45,7 @@ from typing import Iterator, NamedTuple, Optional
 from .combinat import (
     check_full_degree,
     check_order,
+    check_sequence,
     check_weight_vectors,
     composition_tilings,
     full_degree,
@@ -72,8 +73,8 @@ class WeightedOrientedPartition:
     __slots__ = ("blocks", "weights", "weight_of", "sign")
 
     def __init__(self, blocks, weights):
-        blocks = tuple(map(tuple, blocks))
-        weights = tuple(weights)
+        blocks = tuple(check_sequence(block, "block") for block in check_sequence(blocks, "blocks"))
+        weights = check_sequence(weights, "weights")
         if not blocks or len(blocks) != len(weights):
             raise ValueError("need the same positive number of blocks and weight vectors")
         k = len(blocks[0])
@@ -285,11 +286,16 @@ def compose_distinct(
     if set(perm) != set(range(1, n + 1)):
         raise ValueError(f"{perm!r} is not a permutation of 1..{n}")
     element_of_weight = {perm[index] - 1: index + 1 for index in range(n)}
+    tiling = check_sequence(tiling, "tiling")
     try:
         blocks = tuple(tuple(map(element_of_weight.__getitem__, vector)) for vector in tiling)
     except KeyError as exc:
         raise ValueError(f"weight {exc.args[0]} does not occur in the permutation") from None
-    return WeightedOrientedPartition(blocks, tuple(tiling))
+    except TypeError:  # a vector not iterable, or with an unhashable entry: the weight vector
+        k = n // len(tiling) or 1  # rule refuses it, at the k of n weights in len(tiling) vectors
+        check_weight_vectors(tiling, k, full_degree(n, k), "weight vector")
+        raise  # an unhashable int passes that rule, and its TypeError stands
+    return WeightedOrientedPartition(blocks, tiling)
 
 
 class InvolutionCheck(NamedTuple):

@@ -5,7 +5,8 @@ A :class:`Polynomial` maps monomials to nonzero exact rational coefficients
 (``int`` or :class:`fractions.Fraction`).  It stores a monomial as one int,
 the exponent of x_v in the W-bit field at offset W*(v-1), so multiplying two
 monomials is one integer addition (the packing of Monagan & Pearce, CASC
-2007).  W is :data:`WIDTH`, or more where an exponent might not fit.  Outside
+2007).  W is the narrowest width that provably holds every exponent: the bit
+length of the largest per-variable exponent bound, at least 1.  Outside
 this module a monomial is a tuple of ``(variable, exponent)`` pairs sorted by
 variable, exponents positive, () the constant: the constructor takes such
 keys and :attr:`Polynomial.terms` is a read-only view keyed by them.  Every
@@ -31,11 +32,9 @@ from typing import Sequence, Union
 Scalar = Union[int, Fraction]
 #: sorted tuple of (variable, exponent) pairs; () is the constant monomial
 Monomial = tuple
-#: bits per exponent field of a packed monomial
-WIDTH = 16
 #: the largest variable index: a packed key spends W bits on every variable
-#: up to its highest, so x_4096 alone is an 8 KB key at W = 16, and an
-#: index near 10^9 would allocate gigabytes
+#: up to its highest, so x_4096 alone is a key of 4096*W bits (8 KB once its
+#: exponents need W = 16), and an index near 10^9 would allocate gigabytes
 MAX_VARIABLE = 1 << 12
 
 
@@ -107,8 +106,18 @@ def _check_pairs(pairs) -> None:
 
 
 def _width(bound: int) -> int:
-    """The field width for exponents up to ``bound``."""
-    return max(WIDTH, bound.bit_length())
+    """The field width for exponents up to ``bound``: its bit length, and at
+    least 1, so that every key decodes."""
+    return bound.bit_length() or 1
+
+
+def _bound(pairs) -> int:
+    """The largest exponent of the product of ``(variable, exponent)`` pairs,
+    whose exponents of a repeated variable are added."""
+    exps: dict[int, int] = {}
+    for var, exp in pairs:
+        exps[var] = exps.get(var, 0) + exp
+    return max(exps.values(), default=0)
 
 
 def _key(pairs, width: int) -> int:
@@ -132,9 +141,9 @@ def _decode(key: int, width: int) -> Monomial:
 
 def _pack(items) -> tuple[dict, int]:
     """The packed terms of ``(pairs, coefficient)`` items, summed, and their
-    width, wide enough for the degree of every monomial."""
+    width, wide enough for every exponent of every monomial."""
     items = list(items)
-    width = _width(max((sum(exp for _, exp in pairs) for pairs, _ in items), default=0))
+    width = _width(max((_bound(pairs) for pairs, _ in items), default=0))
     return accumulate({}, ((_key(pairs, width), coeff) for pairs, coeff in items)), width
 
 
@@ -192,11 +201,11 @@ class Polynomial:
 
     @classmethod
     def zero(cls) -> "Polynomial":
-        return cls._raw({}, WIDTH)
+        return cls._raw({}, _width(0))
 
     @classmethod
     def one(cls) -> "Polynomial":
-        return cls._raw({0: 1}, WIDTH)
+        return cls._raw({0: 1}, _width(0))
 
     @classmethod
     def constant(cls, value: Scalar) -> "Polynomial":
@@ -205,7 +214,7 @@ class Polynomial:
     @classmethod
     def variable(cls, index: int) -> "Polynomial":
         _check_variable(index)
-        return cls._raw({1 << WIDTH * (index - 1): 1}, WIDTH)
+        return cls._raw({1 << _width(1) * (index - 1): 1}, _width(1))
 
     @classmethod
     def monomial(cls, exponents: Mapping[int, int], coeff: Scalar = 1) -> "Polynomial":
@@ -414,8 +423,8 @@ def vandermonde(n: int) -> Polynomial:
 # Every signed product sum goes through product_sums, which alone tells scalar
 # from polynomial values: Polynomial.__mul__, the wedge and the definition and
 # exterior routes.  It multiplies the stored packed terms with addmul, at the
-# default width unless the exponent bounds of a product's factors add up past it,
-# and folds the tails that consecutive terms share (Horner's rule on prefixes).
+# width of the largest per-variable bound of a product's factors added up, and
+# folds the tails that consecutive terms share (Horner's rule on prefixes).
 
 
 def _at_width(value: Scalar | Polynomial, width: int) -> dict[int, Scalar]:
@@ -430,12 +439,12 @@ def _at_width(value: Scalar | Polynomial, width: int) -> dict[int, Scalar]:
             for key, coeff in value._packed.items()}
 
 
-def _top(value: Scalar | Polynomial) -> int:
-    """A bound on every exponent of a value: the largest field of the OR of
-    its keys."""
+def _top(value: Scalar | Polynomial) -> Monomial:
+    """A bound on each exponent of a value, per variable: the fields of the OR
+    of its keys."""
     if not isinstance(value, Polynomial):
-        return 0
-    return max((e for _, e in _decode(reduce(or_, value._packed, 0), value._width)), default=0)
+        return ()
+    return _decode(reduce(or_, value._packed, 0), value._width)
 
 
 def addmul(acc: dict[int, Scalar], a: Mapping[int, Scalar], b: Mapping[int, Scalar],
@@ -446,10 +455,9 @@ def addmul(acc: dict[int, Scalar], a: Mapping[int, Scalar], b: Mapping[int, Scal
     zero are removed, so ``acc`` never stores a zero coefficient.
     """
     get = acc.get
-    b_items = list(b.items())
     for ma, ca in a.items():
         ca *= sign
-        for mb, cb in b_items:
+        for mb, cb in b.items():
             key = ma + mb
             coeff = get(key, 0) + ca * cb
             if coeff:
@@ -479,12 +487,14 @@ def product_sums(left: Mapping, right: Mapping, sums: Mapping) -> dict:
     ... * right[b_r] over the (sign, (a, b_1, ..., b_r)) of sums[u], for
     r >= 0 and any nonzero int sign.  Scalars in give plain scalar sums out;
     if any value of ``left`` or ``right`` is a Polynomial, every output is
-    one, zero included.  Then every product is taken at one width, the
-    default unless the exponent bounds of some term's factors add up past
-    it.  The terms are folded in their order on a stack of one tail sum per
-    key of the current prefix, so a run of terms that share a prefix
-    multiplies its factors once, and each output is summed one exponent of
-    x1 in left at a time, left[a]'s part times a's tail, with cancellation."""
+    one, zero included.  Then every product is taken at one width: the bit
+    length of the largest per-variable bound over the terms, a term's bound
+    being the sum of its factors' bounds, variable by variable.  The terms
+    are folded in their order on a stack of one tail sum per key of the
+    current prefix, so a run of terms that share a prefix multiplies its
+    factors once, and each output is summed one exponent of x1 in left at a
+    time, left[a]'s part times a's tail: merged by a plain update where it
+    shares no monomial with the sum so far, with cancellation where it does."""
     if not any(isinstance(v, Polynomial) for v in chain(left.values(), right.values())):
         return {u: sum(sign * left[a] * prod(map(right.__getitem__, bs))
                        for sign, (a, *bs) in terms) for u, terms in sums.items()}
@@ -492,8 +502,8 @@ def product_sums(left: Mapping, right: Mapping, sums: Mapping) -> dict:
     named = [keys for terms in sums.values() for _, keys in terms]
     left_top = {keys[0]: _top(left[keys[0]]) for keys in named}
     right_top = {b: _top(right[b]) for keys in named for b in keys[1:]}
-    width = _width(max((left_top[keys[0]] + sum(map(right_top.get, keys[1:])) for keys in named),
-                       default=0))
+    width = _width(max((_bound(chain(left_top[keys[0]], *map(right_top.get, keys[1:])))
+                        for keys in named), default=0))
     factors = {b: _at_width(right[b], width) for b in right_top}
     classes: dict[int, dict] = {}
     for a in left_top:  # x1 is the low field
@@ -520,7 +530,10 @@ def product_sums(left: Mapping, right: Mapping, sums: Mapping) -> dict:
             acc: dict[int, Scalar] = {}
             for a, tail in roots:
                 _add(acc, classes[c].get(a, {}), tail)
-            accumulate(result, acc.items())
+            if result.keys().isdisjoint(acc):
+                result.update(acc)
+            else:
+                accumulate(result, acc.items())
         results[u] = Polynomial._raw(result, width)
     return results
 

@@ -490,6 +490,19 @@ def _rule_cases():
                    f"nonnegative integers that sums to 3")
         cases.append((f"compose_distinct-{tiling}",
                       lambda t=tiling: compose_distinct((1, 2, 3, 4), t), message))
+    # a tiling vector that is not iterable, or holds an unhashable entry, by the same rule
+    for tiling, bad in (((5, (1, 2)), 5), (((0, [3]), (1, 2)), [0, [3]])):
+        message = (f"weight vector {bad!r} is not a strictly increasing 2-tuple of "
+                   f"nonnegative integers that sums to 3")
+        cases.append((f"compose_distinct-{tiling}",
+                      lambda t=tiling: compose_distinct((1, 2, 3, 4), t), message))
+    # the shape rule: what must be a sequence of tuples, or one of them, is not iterable
+    for name, call in (
+            ("blocks", lambda: WeightedOrientedPartition(5, ((0, 3), (1, 2)))),
+            ("block", lambda: WeightedOrientedPartition((5, (3, 4)), ((0, 3), (1, 2)))),
+            ("weights", lambda: WeightedOrientedPartition(((1, 2), (3, 4)), 5)),
+            ("tiling", lambda: compose_distinct((1, 2, 3, 4), 5))):
+        cases.append((f"{name}-not-iterable", call, f"{name} 5 is not a sequence"))
     # the full degree, which the closed form and the weighted expansion need
     low = SkewSpec(4, 2, {}, degree=2)
     for name, entry in (("theorem_coefficient", theorem_coefficient),

@@ -419,6 +419,13 @@ class TestDecomposition:
         with pytest.raises(ValueError, match=re.escape(message)):
             compose_distinct(perm, ((0, 1),))
 
+    def test_compose_keeps_a_type_error_the_rule_admits(self):
+        class Unhashable(int):
+            __hash__ = None
+
+        with pytest.raises(TypeError, match="unhashable"):
+            compose_distinct((1, 2, 3, 4), ((Unhashable(0), 3), (1, 2)))
+
 
 class TestSignedWeightedSum:
     """The two class sums of check_involution: together the partition sum,

@@ -12,11 +12,10 @@ from pathlib import Path
 import pytest
 
 import hyperpfaffian
-from hyperpfaffian import poly
+from hyperpfaffian import cli, poly
 from hyperpfaffian.combinat import inversion_sign
-from hyperpfaffian.hpf import pf_definition, pf_exterior, skew_function_from_spec
+from hyperpfaffian.hpf import pf_closed_form, pf_definition, pf_exterior, skew_function_from_spec
 from hyperpfaffian.poly import (
-    WIDTH,
     Polynomial,
     addmul,
     alternant,
@@ -256,14 +255,30 @@ class TestArithmetic:
             assert direct == p * q
 
 
-def packed_addmul(acc, a, b, sign):
-    """acc + sign*a*b by addmul on the stored packed terms, all of the
-    default width, whether or not the product fits it."""
-    assert acc._width == a._width == b._width == WIDTH
-    packed = dict(acc._packed)
-    addmul(packed, a._packed, b._packed, sign)
+def rule_width(*factors):
+    """Independent statement of the width rule for a product of factors: the
+    bit length, at least 1, of the largest per-variable sum of the factors'
+    bounds, a factor's bound on a variable being the OR of its exponents there."""
+    bound = {}
+    for factor in factors:
+        ors = {}
+        for mono in factor.terms:
+            for var, exp in mono:
+                ors[var] = ors.get(var, 0) | exp
+        for var, exp in ors.items():
+            bound[var] = bound.get(var, 0) + exp
+    return max(bound.values(), default=0).bit_length() or 1
+
+
+def packed_addmul(acc, a, b, sign, width=None):
+    """acc + sign*a*b by addmul on the packed terms of the three, repacked to
+    one common width whether or not the product fits it: by default the
+    rule's width for a*b, or acc's own where that is wider."""
+    width = width or max(acc._width, rule_width(a, b))
+    packed = dict(poly._at_width(acc, width))
+    addmul(packed, poly._at_width(a, width), poly._at_width(b, width), sign)
     assert all(packed.values()), "a zero coefficient is stored"
-    return Polynomial._raw(packed, WIDTH)
+    return Polynomial._raw(packed, width)
 
 
 class TestMonomialKeys:
@@ -312,7 +327,7 @@ class TestMonomialKeys:
         self.assert_canonical(merged)
         assert merged == x(3) ** 2 + x(3) ** 3
 
-    # every public way to name a variable; a key spends WIDTH bits per variable
+    # every public way to name a variable; a key spends W bits per variable
     # up to its highest, so each must check the index before it builds one
     ENTRIES = {
         "constructor": lambda v: Polynomial({((v, 1),): 1}),
@@ -434,9 +449,11 @@ class TestPackedKernel:
         expected = schoolbook_product(a, b)
         assert a * b == expected
         assert (a * b).coefficient({1: 70000}) == 1
-        # each factor fits the default width, but at that width x1^70000
-        # overflows x1's field into x2's
-        assert packed_addmul(Polynomial.zero(), a, b, 1) != expected
+        assert (a * b)._width == rule_width(a, b) == 17
+        # each factor fits its own width, 16 bits at most, but at that width
+        # x1^70000 overflows x1's field into x2's
+        assert (a._width, b._width) == (16, 15)
+        assert packed_addmul(Polynomial.zero(), a, b, 1, width=16) != expected
 
     def test_high_variable_index(self):
         acc = 7 * x(40) ** 2
@@ -461,7 +478,7 @@ class TestPackedKernel:
     def test_scalars_and_constants(self):
         assert Polynomial.constant(0)._packed == {}
         assert Polynomial.constant(Fraction(-3, 4))._packed == {0: Fraction(-3, 4)}
-        assert Polynomial._raw({0: 5}, WIDTH) == 5
+        assert Polynomial._raw({0: 5}, 1) == 5
         # scalars beside a polynomial are constants of the polynomial sum
         left, right = {0: Fraction(-3, 4), 1: 0}, {0: x(1) + 1}
         result = product_sums(left, right, {0: [(1, (0, 0))], 1: [(1, (1, 0))]})
@@ -472,18 +489,18 @@ class TestPackedKernel:
         # 2^15 + (2^15 - 1) = 2^16 - 1: the product fills its field, no wider
         a = Polynomial.monomial({1: 2**15}) - x(2)
         b = Polynomial.monomial({1: 2**15 - 1}) + 2 * Polynomial.monomial({2: 2**15 - 1})
-        assert (a * b)._width == WIDTH
+        assert (a * b)._width == 16
         assert a * b == schoolbook_product(a, b)
         assert (a * b).terms[((1, 2**16 - 1),)] == 1
         assert (a * b).coefficient({1: 2**15, 2: 2**15 - 1}) == 2
-        assert (a * a)._width > WIDTH  # 2^16 needs a wider field
+        assert (a * a)._width == 17  # 2^16 needs a wider field
         assert (a * a).coefficient({1: 2**16}) == 1
 
     def test_constants_add_nothing_to_the_width(self):
         # a constant's exponents are all 0, so x1^(2^16 - 1) times it still fits
         top = Polynomial.monomial({1: 2**16 - 1})
         for constant in (Polynomial.constant(3), Polynomial.zero()):
-            assert (constant * top)._width == (top * constant)._width == WIDTH
+            assert (constant * top)._width == (top * constant)._width == top._width == 16
 
     def test_mul_of_constants_and_zero(self):
         p = 3 * x(1) - x(2) ** 2
@@ -551,7 +568,7 @@ class TestPackedKernel:
     def test_view_refuses_what_is_not_a_stored_canonical_key(self):
         p = 3 * x(1) * x(2) ** 2
         assert p.terms[((1, 1), (2, 2))] == 3
-        for mono in [((2, 2), (1, 1)), ((1, 1), (2, 1), (2, 1)), ((1, 1),), ((1, 1 + (2 << WIDTH)),),
+        for mono in [((2, 2), (1, 1)), ((1, 1), (2, 1), (2, 1)), ((1, 1),), ((1, 1 + (2 << p._width)),),
                      ((1, -1),), ((0, 1),), ((1, 1.0), (2, 2)), "x1"]:
             assert mono not in p.terms
             with pytest.raises(KeyError):
@@ -662,13 +679,71 @@ if st is not None:
             results = product_sums(left, right, sums)
             assert results == {u: chain_sum(left, right, terms) for u, terms in sums.items()}
 
+    def edge_polynomials(w):
+        """Polynomials in x1..x3 whose exponents sit at 1, 2^w - 1 and 2^w."""
+        monos = st.dictionaries(st.integers(1, 3), st.sampled_from([1, 2**w - 1, 2**w]),
+                                max_size=3).map(lambda exps: tuple(sorted(exps.items())))
+        return st.dictionaries(monos, st.integers(-3, 3).filter(bool), max_size=4).map(Polynomial)
+
+    class TestWidthRuleProperty:
+        @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+        @given(st.integers(1, 17).flatmap(lambda w: st.lists(edge_polynomials(w), min_size=3,
+                                                               max_size=3)))
+        def test_products_are_exact_at_the_rule_width(self, factors):
+            a, b, c = factors
+            product = a * b
+            assert product == schoolbook_product(a, b)
+            assert product._width == rule_width(a, b)
+            chained = product_sums({0: a}, {0: b, 1: c}, {0: [(1, (0, 0, 1))]})[0]
+            assert chained == schoolbook_product(schoolbook_product(a, b), c)
+            assert chained._width == rule_width(a, b, c)
+
+
+class TestRoutesShareOneWidth:
+    """At (8, 2) and (6, 2) every exponent is at most 7, so the definition
+    and exterior routes and the closed form all pack at 3 bits a variable
+    (one 30-bit digit for 8 variables), and checking them repacks nothing."""
+
+    @staticmethod
+    def watch(monkeypatch):
+        """The (own width, asked width) of every polynomial that _at_width repacks."""
+        repacks = []
+        at_width = poly._at_width
+
+        def watched(value, width):
+            if isinstance(value, Polynomial) and value._width != width:
+                repacks.append((value._width, width))
+            return at_width(value, width)
+
+        monkeypatch.setattr(poly, "_at_width", watched)
+        return repacks
+
+    @pytest.mark.parametrize("n", [8, 6])
+    def test_routes_share_one_width(self, monkeypatch, n):
+        spec = random_skew_spec(n, 2, Lcg(1))
+        f = skew_function_from_spec(spec)
+        repacks = self.watch(monkeypatch)
+        routes = [pf_definition(f), pf_exterior(f), pf_closed_form(spec)]
+        assert [p._width for p in routes] == [3, 3, 3]
+        assert routes[0] == routes[1] == routes[2]
+        assert repacks == []
+
+    def test_symbolic_verify_repacks_nothing(self, monkeypatch, capsys):
+        # at (6, 2) the alternant of (2, 3) alone packs at 2 bits, so each
+        # block value's sum repacks that 2-term alternant; at (8, 2) nothing
+        repacks = self.watch(monkeypatch)
+        assert cli.main(["verify", "--n", "8", "--k", "2", "--mode", "symbolic",
+                         "--trials", "1", "--seed", "1"]) == 0
+        assert capsys.readouterr().out.endswith("definition = exterior = closed form\n")
+        assert repacks == []
+
 
 class TestPackedFormatStaysInPoly:
     """Only poly knows the packed format: every other module under src/
     multiplies through product_sums or Polynomial.__mul__, builds polynomials
     through public constructors and arithmetic, and reads none of their terms."""
 
-    KERNEL = {"addmul", "WIDTH"}
+    KERNEL = {"addmul", "_at_width", "_width"}
     STORED = {"terms", "_packed", "_width"}
 
     def test_no_other_module_reaches_the_packed_kernel(self):
@@ -692,6 +767,10 @@ class TestPackedFormatStaysInPoly:
     @pytest.mark.parametrize("name", ["pack", "unpack", "field_width", "degree", "_monomial"])
     def test_the_tuple_round_trip_is_gone(self, name):
         assert not hasattr(poly, name)
+
+    def test_the_width_floor_is_gone(self):
+        # one width rule, with no fixed floor beside it
+        assert not hasattr(poly, "WIDTH")
 
 
 class TestValueTypeStaysInPoly:
