@@ -8,110 +8,39 @@ permutation/tiling factorization) that explains why they agree.  All
 arithmetic is exact rational; every identity check is bit-exact.
 """
 
-from .combinat import (
-    composition_tilings,
-    equal_block_partitions,
-    increasing_compositions,
-    inversion_sign,
-    oriented_partitions,
-    oriented_sign,
-    partition_sign,
-    permutation_sign,
-    signed_equal_block_partitions,
-    tiling_sign,
-)
-from .compose import CompositionCheck, build_g, composition_constant, verify_composition
-from .exterior import ExteriorElement, merge_sign
-from .hpf import (
-    SkewFunction,
-    SkewSpec,
-    pf_closed_form,
-    pf_definition,
-    pf_exterior,
-    relabel,
-    skew_expand,
-    skew_function_at,
-    skew_function_from_spec,
-    skew_function_from_spec_at,
-    theorem_coefficient,
-    torelli_constant,
-    torelli_spec,
-)
-from .involution import (
-    WeightedOrientedPartition,
-    check_involution,
-    compose_distinct,
-    decompose_distinct,
-    has_distinct_weights,
-    pairing_involution,
-    smallest_repeated_pair,
-    weighted_oriented_partitions,
-)
-from .poly import (
-    Polynomial,
-    div_exact,
-    parse_polynomial,
-    render,
-    vandermonde,
-    vandermonde_at,
-)
-from .randgen import (
-    Lcg,
-    random_permutation,
-    random_point,
-    random_skew_function,
-    random_skew_spec,
-)
+from importlib import import_module
 
-__all__ = [
-    "CompositionCheck",
-    "ExteriorElement",
-    "Lcg",
-    "Polynomial",
-    "SkewFunction",
-    "SkewSpec",
-    "WeightedOrientedPartition",
-    "build_g",
-    "check_involution",
-    "compose_distinct",
-    "composition_constant",
-    "composition_tilings",
-    "decompose_distinct",
-    "div_exact",
-    "equal_block_partitions",
-    "has_distinct_weights",
-    "increasing_compositions",
-    "inversion_sign",
-    "merge_sign",
-    "oriented_partitions",
-    "oriented_sign",
-    "pairing_involution",
-    "parse_polynomial",
-    "partition_sign",
-    "permutation_sign",
-    "pf_closed_form",
-    "pf_definition",
-    "pf_exterior",
-    "random_permutation",
-    "random_point",
-    "random_skew_function",
-    "random_skew_spec",
-    "relabel",
-    "render",
-    "signed_equal_block_partitions",
-    "skew_expand",
-    "skew_function_at",
-    "skew_function_from_spec",
-    "skew_function_from_spec_at",
-    "smallest_repeated_pair",
-    "theorem_coefficient",
-    "tiling_sign",
-    "torelli_constant",
-    "torelli_spec",
-    "vandermonde",
-    "vandermonde_at",
-    "verify_composition",
-    "weighted_oriented_partitions",
-]
+# Each public name and the module that defines it.  A name is imported on first
+# access (PEP 562), so a command compiles only the modules it runs.
+_HOMES = {
+    **dict.fromkeys(("composition_tilings", "equal_block_partitions", "increasing_compositions",
+                     "inversion_sign", "oriented_partitions", "oriented_sign", "partition_sign",
+                     "permutation_sign", "signed_equal_block_partitions", "tiling_sign"),
+                    "combinat"),
+    **dict.fromkeys(("CompositionCheck", "build_g", "composition_constant",
+                     "verify_composition"), "compose"),
+    **dict.fromkeys(("ExteriorElement", "merge_sign"), "exterior"),
+    **dict.fromkeys(("SkewFunction", "SkewSpec", "pf_closed_form", "pf_definition",
+                     "pf_exterior", "relabel", "skew_expand", "skew_function_at",
+                     "skew_function_from_spec", "skew_function_from_spec_at",
+                     "theorem_coefficient", "torelli_constant", "torelli_spec"), "hpf"),
+    **dict.fromkeys(("WeightedOrientedPartition", "check_involution", "compose_distinct",
+                     "decompose_distinct", "has_distinct_weights", "pairing_involution",
+                     "smallest_repeated_pair", "weighted_oriented_partitions"), "involution"),
+    **dict.fromkeys(("Polynomial", "div_exact", "parse_polynomial", "render", "vandermonde",
+                     "vandermonde_at"), "poly"),
+    **dict.fromkeys(("Lcg", "random_permutation", "random_point", "random_skew_function",
+                     "random_skew_spec"), "randgen"),
+}
+
+__all__ = sorted(_HOMES)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{home}"), name)
+    return value

@@ -28,7 +28,6 @@ nonzero rational written as an integer or a ``"p/q"`` string.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 from math import factorial, floor, inf, isfinite, lgamma, log, log10, prod
@@ -52,7 +51,6 @@ from .hpf import (
     torelli_constant,
     torelli_spec,
 )
-from .involution import check_involution
 from .poly import is_integer, vandermonde, vandermonde_at
 from .randgen import Lcg, check_point_order, random_point, random_skew_function, random_skew_spec
 
@@ -93,6 +91,8 @@ def load_spec_file(path: str) -> SkewSpec:
     """Read a spec file, check its format and build the :class:`SkewSpec`,
     which checks the values; raises ValueError with a diagnostic naming the
     offending field or tuple."""
+    import json
+
     try:
         with open(path, encoding="utf-8") as handle:
             document = json.load(handle)
@@ -132,6 +132,8 @@ def load_spec_file(path: str) -> SkewSpec:
 
 def dump_spec(spec: SkewSpec) -> str:
     """One-line JSON rendering of a spec, suitable as a spec file."""
+    import json
+
     terms = [{"r": list(r), "a": str(a)} for r, a in spec.coeffs.items()]
     return json.dumps({"n": spec.n, "k": spec.k, "degree": spec.degree, "terms": terms})
 
@@ -350,6 +352,8 @@ def cmd_torelli(args) -> int:
 
 
 def cmd_involution(args) -> int:
+    from .involution import check_involution
+
     n, k = args.n, args.k
     composition_tilings(n, k)  # validates (n, k)
     # |W| = n!/(n/k)! |Gamma|^(n/k) elements, each walked with lookups over n weights

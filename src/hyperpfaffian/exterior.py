@@ -46,17 +46,22 @@ def _subset_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _parity_mask(mask: int) -> int:
+    """The parity mask of a subset: bit j is set when an odd number of its
+    elements lie above j."""
+    parity = 0
+    while mask:
+        low = mask & -mask
+        parity ^= low - 1
+        mask ^= low
+    return parity
+
+
 def merge_sign(s_mask: int, t_mask: int) -> int:
     """Sign of reordering the ascending concatenation of disjoint S and T:
-    (-1) to the number of pairs (s, t) in S x T with s > t."""
-    crossings = 0
-    remaining = t_mask
-    while remaining:
-        low = remaining & -remaining
-        above = low.bit_length()  # bits strictly above this generator
-        crossings += (s_mask >> above).bit_count()
-        remaining ^= low
-    return -1 if crossings & 1 else 1
+    (-1) to the number of pairs (s, t) in S x T with s > t, the parity of
+    the elements of T at which S's parity mask is set."""
+    return -1 if (_parity_mask(s_mask) & t_mask).bit_count() & 1 else 1
 
 
 def _wedge_table(left: dict, right: dict, pairs) -> dict:
@@ -65,12 +70,14 @@ def _wedge_table(left: dict, right: dict, pairs) -> dict:
     firsts: dict = {}  # the left mask of each pair, by union
     for s, t in pairs:
         firsts.setdefault(s | t, []).append(s)
+    parity = {s: _parity_mask(s) for s in left}  # once per left mask: a sign is one AND
 
     # made as summed on the scalar path, where held for every union they doubled
     # peak memory; product_sums lists every union's terms first for polynomials
     def terms(union, lefts):
         for s in lefts:
-            yield merge_sign(s, union ^ s), (s, union ^ s)
+            t = union ^ s
+            yield -1 if (parity[s] & t).bit_count() & 1 else 1, (s, t)
 
     products = product_sums(left, right, {u: terms(u, ss) for u, ss in firsts.items()})
     return {m: c for m, c in products.items() if c}

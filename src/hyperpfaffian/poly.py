@@ -236,6 +236,8 @@ class Polynomial:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Polynomial):
+            if len(self._packed) != len(other._packed):
+                return False
             width = max(self._width, other._width)
             return _at_width(self, width) == _at_width(other, width)
         if is_scalar(other):
@@ -374,6 +376,15 @@ def div_exact(value: Scalar | Polynomial, divisor: int):
     return quotients[0]
 
 
+def from_exponent_vectors(terms: Mapping[Sequence[int], Scalar]) -> Polynomial:
+    """The sum of c * x1^(e_1) * ... * xm^(e_m) over the (e, c) of ``terms``,
+    unchecked: for callers that made every e a tuple of nonnegative ints of
+    one length m <= MAX_VARIABLE and every c a nonzero exact rational."""
+    width = _width(max(chain.from_iterable(terms), default=0))
+    shifts = range(0, width * len(next(iter(terms), ())), width)
+    return Polynomial._raw({sum(map(lshift, e, shifts)): c for e, c in terms.items()}, width)
+
+
 def alternant(exponents: Sequence[int], variables: Sequence[int] | None = None) -> Polynomial:
     """The Leibniz expansion of det[x_(v_i)^(e_j)] for strictly increasing
     nonnegative ints e on strictly increasing positive ints v, by default
@@ -433,10 +444,13 @@ def _at_width(value: Scalar | Polynomial, width: int) -> dict[int, Scalar]:
     a repacked copy at another."""
     if not isinstance(value, Polynomial):
         return {0: value} if value else {}
-    if value._width == width:
-        return value._packed
-    return {_key(_decode(key, value._width), width): coeff
-            for key, coeff in value._packed.items()}
+    packed, old = value._packed, value._width
+    if old == width:
+        return packed
+    mask, keys = (1 << old) - 1, [0] * len(packed)
+    for i in range(-(-reduce(or_, packed, 0).bit_length() // old)):  # field by field
+        keys = [key | (m >> old * i & mask) << width * i for key, m in zip(keys, packed)]
+    return dict(zip(keys, packed.values()))
 
 
 def _top(value: Scalar | Polynomial) -> Monomial:
@@ -496,8 +510,17 @@ def product_sums(left: Mapping, right: Mapping, sums: Mapping) -> dict:
     time, left[a]'s part times a's tail: merged by a plain update where it
     shares no monomial with the sum so far, with cancellation where it does."""
     if not any(isinstance(v, Polynomial) for v in chain(left.values(), right.values())):
-        return {u: sum(sign * left[a] * prod(map(right.__getitem__, bs))
-                       for sign, (a, *bs) in terms) for u, terms in sums.items()}
+        results = {}
+        for u, terms in sums.items():
+            total = 0
+            for sign, keys in terms:
+                value, values = sign, left
+                for key in keys:  # left at the first key, right at the rest
+                    value *= values[key]
+                    values = right
+                total += value
+            results[u] = total
+        return results
     sums = {u: [(sign, tuple(keys)) for sign, keys in terms] for u, terms in sums.items()}
     named = [keys for terms in sums.values() for _, keys in terms]
     left_top = {keys[0]: _top(left[keys[0]]) for keys in named}

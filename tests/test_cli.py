@@ -1068,6 +1068,58 @@ class TestModuleEntryPoint:
                               capture_output=True, text=True, timeout=60)
         assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
+    @pytest.mark.parametrize("argv,loaded", [
+        (["verify", "--n", "8", "--k", "4", "--mode", "points", "--trials", "1", "--points", "1"],
+         []),
+        (["verify", "--n", "4", "--k", "2", "--mode", "symbolic", "--trials", "1"], []),
+        (["involution", "--n", "4", "--k", "2"], ["hyperpfaffian.involution"]),
+    ], ids=["verify-points", "verify-symbolic", "involution"])
+    def test_a_command_loads_only_what_it_runs(self, argv, loaded):
+        # -S, as above; a verify run compiles no involution code and no json
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        code = ("import sys, hyperpfaffian.cli as cli; "
+                f"code = cli.main({argv!r}); "
+                "print(code, sorted({'hyperpfaffian.involution', 'json'} & set(sys.modules)))")
+        done = subprocess.run([sys.executable, "-S", "-c", code],
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=60)
+        *_, verified, modules = done.stdout.splitlines()
+        assert (done.returncode, done.stderr, modules) == (0, "", f"0 {loaded}")
+        assert "verified" in verified
+
+
+class TestPackageNames:
+    """The package resolves each public name on first access from the
+    module that defines it."""
+
+    def test_every_public_name_resolves_to_its_definition(self):
+        import hyperpfaffian
+
+        assert len(hyperpfaffian.__all__) == len(set(hyperpfaffian.__all__)) == 48
+        for name in hyperpfaffian.__all__:
+            value = getattr(hyperpfaffian, name)
+            assert value.__module__.startswith("hyperpfaffian."), name
+            assert getattr(sys.modules[value.__module__], name) is value
+            assert getattr(hyperpfaffian, name) is value
+
+    def test_star_import(self):
+        namespace: dict = {}
+        exec("from hyperpfaffian import *", namespace)
+        import hyperpfaffian
+
+        assert set(namespace) - {"__builtins__"} == set(hyperpfaffian.__all__)
+        assert namespace["check_involution"] is hyperpfaffian.involution.check_involution
+
+    def test_an_unknown_name_is_an_attribute_error(self):
+        import hyperpfaffian
+
+        with pytest.raises(AttributeError, match="^module 'hyperpfaffian' has no attribute "
+                                                 "'no_such_name'$"):
+            hyperpfaffian.no_such_name
+        with pytest.raises(ImportError, match="no_such_name"):
+            exec("from hyperpfaffian import no_such_name", {})
+        assert hyperpfaffian.__version__ == "0.1.0"
+
 
 class TestTraceContract:
     """perfbench/trace_op.py traces a verify op by wrapping, on the cli

@@ -2,7 +2,7 @@ import random
 import re
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, product
 from math import factorial
 
 import pytest
@@ -50,6 +50,28 @@ class TestBasics:
         assert merge_sign(s, t) == -1
         # {1, 3} against {2, 4}: the single crossing (3, 2)
         assert merge_sign(t, s) == -1
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_merge_sign_is_the_crossing_parity(self, n):
+        # every ordered pair of disjoint subsets of [n], against a plain count
+        # of the pairs (s, t) in S x T with s > t; the wedge of the two basis
+        # elements takes the same sign through its own per-level parity masks
+        for labels in product(range(3), repeat=n):  # 0: in neither, 1: in S, 2: in T
+            s = sum(1 << i for i, label in enumerate(labels) if label == 1)
+            t = sum(1 << i for i, label in enumerate(labels) if label == 2)
+            crossings = sum(1 for i in range(n) for j in range(i) if s >> i & 1 and t >> j & 1)
+            sign = (-1) ** crossings
+            assert merge_sign(s, t) == sign, (s, t)
+            if n <= 6:
+                assert ExteriorElement(n, {s: 1}).wedge(ExteriorElement(n, {t: 1})).table == {
+                    s | t: sign}
+
+    def test_a_union_whose_terms_cancel_is_dropped(self):
+        # e1 ^ e2 and e2 ^ e1 cancel at {1, 2}; {1, 3} and {2, 3} stay
+        a = gen(3, 1) + gen(3, 2)
+        assert a.wedge(a + gen(3, 3)).table == {0b101: 1, 0b110: 1}
+        assert a.wedge(ExteriorElement(3, {0b001: 2, 0b010: 2, 0b100: -1})).table == {
+            0b101: -1, 0b110: -1}
 
     def test_mismatched_generator_counts(self):
         with pytest.raises(ValueError):

@@ -461,6 +461,23 @@ class TestSignedWeightedSum:
         assert check.repeated_sum.is_zero()
         assert check.distinct_sum == full == pf_closed_form(spec)
 
+    @pytest.mark.parametrize("n,k", [(4, 2), (6, 2), (4, 4), (6, 6)])
+    def test_sums_are_the_checked_construction(self, n, k):
+        # the class sums, built from trusted exponent vectors, against the
+        # sum of every element's term keyed by its (variable, exponent) pairs
+        # and built by the checking constructor
+        spec = random_skew_spec(n, k, Lcg(n * k))
+        sums = ({}, {})
+        for wop in weighted_oriented_partitions(n, k):
+            mono = tuple((v, e) for v, e in enumerate(wop.weight_of, 1) if e)
+            terms = sums[has_distinct_weights(wop)]
+            terms[mono] = terms.get(mono, 0) + wop.sign * wop.coefficient(spec)
+        check = check_involution(spec)
+        for built, terms in zip((check.repeated_sum, check.distinct_sum), sums):
+            old = Polynomial({mono: c for mono, c in terms.items() if c})
+            assert built == old and built.terms == old.terms
+        assert check.distinct_sum == pf_closed_form(spec) != 0
+
     def test_rejects_deficient_degree(self):
         spec = SkewSpec(4, 2, {(0, 1): 1}, degree=1)
         with pytest.raises(ValueError):

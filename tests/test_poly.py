@@ -738,6 +738,119 @@ class TestRoutesShareOneWidth:
         assert repacks == []
 
 
+class TestScalarProductSums:
+    """Scalar values give plain sums of sign * left[a] * right[b_1] * ...,
+    each written out here by hand."""
+
+    LEFT = {"a": 3, "b": -2, "h": Fraction(1, 2)}
+    RIGHT = {"c": 5, "d": -7, "q": Fraction(-2, 3)}
+
+    def test_terms_with_one_key(self):
+        # r = 0: a term is sign * left[a] alone
+        sums = {0: [(1, ("a",)), (1, ("b",))], 1: [(-1, ("a",))]}
+        assert product_sums(self.LEFT, self.RIGHT, sums) == {0: 3 + -2, 1: -3}
+
+    def test_signs_past_one_and_longer_chains(self):
+        sums = {0: [(3, ("a", "c")), (-5, ("b", "c", "d"))], 1: [(-2, ("b", "d", "d", "c"))]}
+        assert product_sums(self.LEFT, self.RIGHT, sums) == {
+            0: 3 * 3 * 5 + -5 * -2 * 5 * -7, 1: -2 * -2 * -7 * -7 * 5}
+
+    def test_fractions(self):
+        result = product_sums(self.LEFT, self.RIGHT, {0: [(1, ("h", "q")), (4, ("a", "q"))]})
+        assert result == {0: Fraction(1, 2) * Fraction(-2, 3) + 4 * 3 * Fraction(-2, 3)}
+        assert result[0] == Fraction(-25, 3) and type(result[0]) is Fraction
+
+    def test_an_empty_term_list_sums_to_zero(self):
+        result = product_sums(self.LEFT, self.RIGHT, {0: [], 1: iter(())})
+        assert result == {0: 0, 1: 0} and type(result[0]) is int
+
+    def test_terms_that_cancel_sum_to_zero(self):
+        # the wedge drops such a union from its table (see test_exterior)
+        sums = {0: [(1, ("a", "c")), (-1, ("a", "c")), (5, ("a", "d")), (7, ("a", "c"))]}
+        assert product_sums(self.LEFT, self.RIGHT, sums) == {0: 0}
+
+
+class TestRepacking:
+    """_at_width moves each exponent field to its place at another width;
+    equality compares polynomials packed at different widths."""
+
+    @staticmethod
+    def decoded(p, width):
+        """The reference repack: each key decoded to its pairs and encoded again."""
+        return {poly._key(poly._decode(key, p._width), width): c for key, c in p._packed.items()}
+
+    def test_repack_matches_decode_and_encode(self):
+        rng = random.Random(28)
+        for _ in range(60):
+            p = random_polynomial(rng, max_vars=rng.randint(1, 9), max_terms=8,
+                                  max_exp=rng.choice([1, 3, 7, 200]))
+            for width in range(p._width, p._width + 3):
+                repacked = poly._at_width(p, width)
+                assert repacked == self.decoded(p, width)
+                assert Polynomial._raw(repacked, width).terms == p.terms
+            top = max((e for mono in p.terms for _, e in mono), default=0)
+            narrow = max(top.bit_length(), 1)  # the narrowest width that holds p
+            assert poly._at_width(p, narrow) == self.decoded(p, narrow)
+
+    def test_equal_across_widths(self):
+        wide = (x(1) ** 9 + 5 * x(2) * x(3) ** 2) - x(1) ** 9  # width 4, exponents at most 2
+        narrow = 5 * x(2) * x(3) ** 2
+        assert (wide._width, narrow._width) == (4, 2)
+        assert wide == narrow and narrow == wide
+        assert not wide != narrow
+
+    def test_unequal_across_widths(self):
+        wide = (x(1) ** 9 + 5 * x(2) * x(3) ** 2 - x(3)) - x(1) ** 9
+        for other in (5 * x(2) * x(3) ** 2 + x(3),  # the same term count
+                      5 * x(2) * x(3) ** 2 - x(3) + 1,  # one term more
+                      5 * x(2) * x(3) - x(3)):  # a different exponent
+            assert wide._width != other._width
+            assert wide != other and other != wide
+
+    def test_different_term_counts_repack_nothing(self, monkeypatch):
+        wide, wider, narrow = x(1) ** 9, x(1) ** 9 + x(2), x(1) + x(2)
+        repacks = TestRoutesShareOneWidth.watch(monkeypatch)
+        assert wide != narrow and narrow != wide
+        assert repacks == []
+        assert wider != narrow  # equal counts: the narrow side repacks
+        assert repacks == [(1, 4)]
+
+    def test_scalars_across_widths(self):
+        five = (x(1) ** 9 + 5) - x(1) ** 9  # the constant 5 at width 4
+        assert five._width == 4
+        assert five == 5 and 5 == five and five == Fraction(10, 2)
+        assert five != 6 and five != 0 and five != x(1) + 4
+        zero = x(1) ** 9 - x(1) ** 9
+        assert zero == 0 and zero != 5 and zero == Polynomial.zero()
+        assert (x(1) ** 9 + Fraction(1, 3)) - x(1) ** 9 == Fraction(1, 3)
+
+
+class TestExponentVectors:
+    """from_exponent_vectors packs trusted exponent vectors: the same
+    polynomial as the checking constructor builds from their pairs."""
+
+    @staticmethod
+    def by_pairs(terms):
+        return Polynomial({tuple((v, e) for v, e in enumerate(w, 1) if e): c
+                           for w, c in terms.items()})
+
+    def test_matches_the_constructor(self):
+        rng = random.Random(2028)
+        for _ in range(40):
+            length = rng.randint(1, 9)
+            terms = {tuple(rng.choice([0, 0, 1, 2, rng.randint(0, 300)]) for _ in range(length)):
+                     rng.choice([rng.randint(1, 9), -1, Fraction(rng.randint(1, 9), 4)])
+                     for _ in range(rng.randint(1, 12))}
+            built = poly.from_exponent_vectors(terms)
+            assert built.terms == self.by_pairs(terms).terms
+            assert built._width == max(max(max(w) for w in terms).bit_length(), 1)
+
+    def test_constants_and_zero(self):
+        assert poly.from_exponent_vectors({}) == Polynomial.zero()
+        assert poly.from_exponent_vectors({(0, 0, 0): 4}).terms == {(): 4}
+        assert poly.from_exponent_vectors({(): Fraction(1, 2)}) == Fraction(1, 2)
+
+
 class TestPackedFormatStaysInPoly:
     """Only poly knows the packed format: every other module under src/
     multiplies through product_sums or Polynomial.__mul__, builds polynomials
