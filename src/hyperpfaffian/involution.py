@@ -27,10 +27,11 @@ found once per oriented partition.  Each element is a plain tuple (blocks,
 weights, weight_of, sign), checked and added into its class sum in place.
 Its pairing image comes from a swap plan memoized per (source blocks,
 swapped pair), whose canonical blocks, order, weight getter and sign are
-all taken from the image's own blocks.  The public functions wrap the
-tuple-level cores the check calls (:func:`_elements`, :func:`_pair`,
-:func:`_permutation`, :func:`_tiling`) and build their elements unchecked,
-as the enumerators and the swap make them valid by construction; the public
+all taken from the image's own blocks.  A public
+:class:`WeightedOrientedPartition` is that same tuple, as a named tuple
+whose constructor validates, so the public functions and the check run one
+code path on either.  The enumerator and the swap build elements unchecked
+(``_make``), as they make them valid by construction; the public
 constructor and :func:`compose_distinct` validate everything they are given.
 """
 
@@ -56,23 +57,30 @@ from .combinat import (
     tiling_sign,
 )
 from .hpf import SkewSpec
-from .poly import Polynomial, Scalar, check_integers, from_exponent_vectors
+from .poly import Polynomial, Scalar, accumulate, check_integers, from_exponent_vectors
 
 
-class WeightedOrientedPartition:
+class _Element(NamedTuple):  # a NamedTuple body may not define __new__; the subclass does
+    blocks: tuple
+    weights: tuple
+    weight_of: tuple
+    sign: int
+
+
+class WeightedOrientedPartition(_Element):
     """Ordered blocks plus one weight vector per block, kept aligned.
 
     Blocks are normalized to the canonical order (ascending minimum
-    element); the weight vectors travel with their blocks.  Instances are
-    immutable; equality, hashing and the repr read only the blocks and the
-    weights.  Besides those, each carries ``weight_of``, where
-    weight_of[e - 1] is the weight carried by element e, and ``sign``,
+    element); the weight vectors travel with their blocks.  An instance is
+    the tuple (blocks, weights, weight_of, sign) the check walks, where
+    weight_of[e - 1] is the weight carried by element e and sign is
     oriented_sign(blocks), which the canonical order keeps since k is even.
+    The inherited ``_make`` takes the four fields unchecked.
     """
 
-    __slots__ = ("blocks", "weights", "weight_of", "sign")
+    __slots__ = ()
 
-    def __init__(self, blocks, weights):
+    def __new__(cls, blocks, weights):
         blocks = tuple(check_sequence(block, "block") for block in check_sequence(blocks, "blocks"))
         weights = check_sequence(weights, "weights")
         if not blocks or len(blocks) != len(weights):
@@ -87,36 +95,11 @@ class WeightedOrientedPartition:
         weights = check_weight_vectors(weights, k, full_degree(n, k), "weight vector")
         blocks, order, weight_of, sign = _canonical(blocks)
         weights = tuple(map(weights.__getitem__, order))
-        self._fill(blocks, weights, weight_of(_flat(weights)), sign)
+        return cls._make((blocks, weights, weight_of(_flat(weights)), sign))
 
-    @classmethod
-    def _trusted(cls, blocks, weights, weight_of, sign) -> WeightedOrientedPartition:
-        """An element from its fields, unchecked: canonical `blocks`, their
-        `weights`, and the `weight_of` and `sign` their layout gives."""
-        wop = object.__new__(cls)
-        wop._fill(blocks, weights, weight_of, sign)
-        return wop
-
-    def _fill(self, blocks, weights, weight_of, sign: int) -> None:
-        set_field = object.__setattr__  # past the refusal below
-        set_field(self, "blocks", blocks)
-        set_field(self, "weights", weights)
-        set_field(self, "weight_of", weight_of)
-        set_field(self, "sign", sign)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.blocks, self.weights) == (other.blocks, other.weights)
-
-    def __hash__(self) -> int:
-        return hash((self.blocks, self.weights))
+    def __getnewargs__(self) -> tuple:
+        """Copies and pickles rebuild through the validating constructor."""
+        return self.blocks, self.weights
 
     def __repr__(self) -> str:
         return f"{type(self).__qualname__}(blocks={self.blocks!r}, weights={self.weights!r})"
@@ -137,11 +120,6 @@ class WeightedOrientedPartition:
         """Product of the spec coefficients of the weight vectors (0 if any
         vector is absent from the spec)."""
         return _coefficient(self.weights, spec.coeffs)
-
-
-def _fields(wop: WeightedOrientedPartition) -> tuple:
-    """The element tuple (blocks, weights, weight_of, sign) of `wop`."""
-    return wop.blocks, wop.weights, wop.weight_of, wop.sign
 
 
 def _flat(vectors) -> tuple:
@@ -201,12 +179,12 @@ def _elements(oriented, assignments) -> Iterator[tuple]:
 def weighted_oriented_partitions(n: int, k: int) -> Iterator[WeightedOrientedPartition]:
     """All weighted oriented partitions: every oriented partition paired
     with every choice of weight vectors, one per block, built unchecked
-    from :func:`_elements`."""
+    from the tuples of :func:`_elements`."""
     oriented = oriented_partitions(n, k)
     assignments = [(weights, (_flat(weights),))
                    for weights in product(increasing_compositions(n, k), repeat=n // k)]
-    build = WeightedOrientedPartition._trusted
-    return (build(*element) for element, _ in _elements(oriented, assignments))
+    build = WeightedOrientedPartition._make
+    return (build(element) for element, _ in _elements(oriented, assignments))
 
 
 def has_distinct_weights(wop: WeightedOrientedPartition) -> bool:
@@ -219,22 +197,20 @@ def has_distinct_weights(wop: WeightedOrientedPartition) -> bool:
     return _distinct(wop.weight_of)
 
 
-def _repeated_pair(weight_of) -> Optional[tuple[int, int]]:
+def smallest_repeated_pair(wop: WeightedOrientedPartition) -> Optional[tuple[int, int]]:
+    """The lexicographically least pair (i, j), i < j, with equal weights,
+    of an element or of its plain tuple."""
+    _, _, weight_of, _ = wop
     for i, weight in enumerate(weight_of):  # the first repeated weight met is at i
         if weight_of.count(weight) > 1:
             return i + 1, weight_of.index(weight, i + 1) + 1
     return None
 
 
-def smallest_repeated_pair(wop: WeightedOrientedPartition) -> Optional[tuple[int, int]]:
-    """The lexicographically least pair (i, j), i < j, with equal weights."""
-    return _repeated_pair(wop.weight_of)
-
-
 def _pair(element: tuple) -> tuple:
-    """The pairing image of a repeated-weight element tuple, as a tuple."""
-    blocks, weights, weight_of, _ = element
-    blocks, order, weight_of, sign = _swap_plan(blocks, *_repeated_pair(weight_of))
+    """The pairing image of a repeated-weight element, as a plain tuple."""
+    blocks, weights, _, _ = element
+    blocks, order, weight_of, sign = _swap_plan(blocks, *smallest_repeated_pair(element))
     weights = order(weights)
     return blocks, weights, weight_of(_flat(weights)), sign
 
@@ -250,7 +226,7 @@ def pairing_involution(wop: WeightedOrientedPartition) -> WeightedOrientedPartit
     """
     if _distinct(wop.weight_of):
         raise ValueError("all weights are distinct; there is no repeated pair to swap")
-    return WeightedOrientedPartition._trusted(*_pair(_fields(wop)))
+    return WeightedOrientedPartition._make(_pair(wop))
 
 
 def _permutation(weight_of) -> tuple[int, ...]:
@@ -327,27 +303,22 @@ def check_involution(spec: SkewSpec) -> InvolutionCheck:
     sums: tuple[dict, dict] = ({}, {})  # keyed by weight_of, which fixes the monomial
     factorizations = set()
     failure = None
-    build = WeightedOrientedPartition._trusted
+    build = WeightedOrientedPartition._make
     for element, (_, coefficient, tiling, sign_of_tiling) in _elements(
             oriented_partitions(n, k), table.items()):
         blocks, weights, weight_of, sign = element
         is_distinct = tiling is not None
         counts[is_distinct] += 1
-        terms = sums[is_distinct]
-        term = terms.get(weight_of, 0) + coefficient * sign
-        if term:
-            terms[weight_of] = term
-        else:
-            terms.pop(weight_of, None)
+        accumulate(sums[is_distinct], ((weight_of, coefficient * sign),))
         if failure is not None:
             continue
         if is_distinct:
             perm = _permutation(weight_of)
             factorizations.add((perm, tiling))
             if sign != sign_of_tiling * permutation_sign(perm):
-                failure = f"sign factorization fails on {build(*element)}"
-            elif _fields(compose_distinct(perm, tiling)) != element:
-                failure = f"factorization does not round-trip on {build(*element)}"
+                failure = f"sign factorization fails on {build(element)}"
+            elif compose_distinct(perm, tiling) != element:
+                failure = f"factorization does not round-trip on {build(element)}"
             continue
         image = _pair(element)
         image_blocks, image_weights, image_weight_of, image_sign = image
@@ -361,7 +332,7 @@ def check_involution(spec: SkewSpec) -> InvolutionCheck:
             or image_weight_of != weight_of
             or entry[1] != coefficient
         ):
-            failure = f"pairing involution misbehaves on {build(*element)}"
+            failure = f"pairing involution misbehaves on {build(element)}"
     repeated, distinct = counts
     tilings = sum(1 for _ in composition_tilings(n, k))
     repeated_sum, distinct_sum = map(from_exponent_vectors, sums)
