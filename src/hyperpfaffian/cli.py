@@ -450,8 +450,8 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OverflowError as exc:  # a forced order past what Python can index
-        print(f"error: too large to run: {exc}", file=sys.stderr)
+    except (OverflowError, MemoryError) as exc:  # an order Python cannot index, or no memory left
+        print(f"error: too large to run: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:
         print(f"error: internal: {exc}", file=sys.stderr)

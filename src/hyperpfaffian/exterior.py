@@ -134,13 +134,6 @@ class ExteriorElement:
     def coefficient(self, subset: Sequence[int]) -> Scalar | Polynomial:
         return self.table.get(_mask_of(subset, self.n), 0)
 
-    def top_coefficient(self) -> Scalar | Polynomial:
-        """Coefficient of the full-set basis element (0 if absent)."""
-        return self.table.get((1 << self.n) - 1, 0)
-
-    def grades(self) -> set[int]:
-        return {mask.bit_count() for mask in self.table}
-
     def subsets(self) -> Iterator[tuple[tuple[int, ...], Scalar | Polynomial]]:
         for mask in sorted(self.table):
             yield _subset_of(mask), self.table[mask]

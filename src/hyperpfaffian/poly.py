@@ -337,18 +337,6 @@ class Polynomial:
 
     # -- rendering --------------------------------------------------------
 
-    def sorted_terms(self) -> list[tuple[Monomial, Scalar]]:
-        """Terms in ascending graded lexicographic order."""
-        items = self.terms.items()
-        top = max((mono[-1][0] for mono, _ in items if mono), default=0)
-
-        def key(item):
-            mono, _ = item
-            exps = dict(mono)
-            return (sum(exps.values()), tuple(exps.get(v, 0) for v in range(1, top + 1)))
-
-        return sorted(items, key=key)
-
     def __str__(self) -> str:
         return render(self)
 
@@ -570,28 +558,24 @@ def vandermonde_at(values: Sequence[Scalar]) -> Scalar:
 # -- canonical text form ---------------------------------------------------
 
 
-def _render_magnitude(coeff: Scalar, mono: Monomial) -> str:
-    body = "*".join(f"x{v}" if e == 1 else f"x{v}^{e}" for v, e in mono)
-    if not body:
-        return str(coeff)
-    if coeff == 1:
-        return body
-    return f"{coeff}*{body}"
-
-
 def render(p: Polynomial) -> str:
-    """Canonical single-line rendering used by the CLI and golden tests."""
-    items = p.sorted_terms()
-    if not items:
+    """Canonical single-line rendering used by the CLI and golden tests.  Each
+    packed key's W-bit fields are read once, field by field over all keys, into
+    a dense exponent row; the rows sort on (total degree, row), and each term is
+    written from its row."""
+    packed, width = p._packed, p._width
+    if not packed:
         return "0"
+    mask = (1 << width) - 1
+    top = -(-reduce(or_, packed).bit_length() // width) or 1  # a constant gets one zero field
+    rows = list(zip(*[[key >> width * i & mask for key in packed] for i in range(top)]))
     pieces = []
-    for index, (mono, coeff) in enumerate(items):
-        negative = coeff < 0
-        magnitude = _render_magnitude(-coeff if negative else coeff, mono)
-        if index == 0:
-            pieces.append(f"-{magnitude}" if negative else magnitude)
-        else:
-            pieces.append(f" - {magnitude}" if negative else f" + {magnitude}")
+    for _, row, coeff in sorted(zip(map(sum, rows), rows, packed.values())):  # no two rows tie
+        body = "*".join(f"x{v}" if e == 1 else f"x{v}^{e}" for v, e in enumerate(row, 1) if e)
+        magnitude = -coeff if coeff < 0 else coeff
+        term = f"{magnitude}*{body}" if body and magnitude != 1 else body or str(magnitude)
+        pieces += " - " if coeff < 0 else " + ", term
+    pieces[0] = "-" if pieces[0] == " - " else ""  # the leading term takes a bare minus
     return "".join(pieces)
 
 

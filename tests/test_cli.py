@@ -933,6 +933,17 @@ class TestWorkEstimates:
         assert err == ("error: too large to run: "
                        "Python int too large to convert to C ssize_t\n")
 
+    def test_running_out_of_memory_is_an_input_error(self, tmp_path, capsys, monkeypatch):
+        import hyperpfaffian.cli as cli
+
+        def exhausted(f):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "pf_definition", exhausted)
+        path = write_spec(tmp_path, SMALLEST_SPEC)
+        assert run(capsys, "compute", "--input", path, "--method", "definition") == (
+            2, "", "error: too large to run: out of memory\n")
+
 
 class TestDefaultsAndReports:
     """Option defaults, spec-file values the guards never see, and which

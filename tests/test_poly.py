@@ -1128,6 +1128,27 @@ class TestExactDivision:
             div_exact(value, divisor)
 
 
+def graded_lex_text(p):
+    """The canonical text written out from ``p.terms``: terms sorted on (total
+    degree, dense exponent tuple over x1..x_top), then joined with signs."""
+    top = max((mono[-1][0] for mono in p.terms if mono), default=0)
+
+    def dense(mono):
+        exponents = dict(mono)
+        return tuple(exponents.get(v, 0) for v in range(1, top + 1))
+
+    text = ""
+    for mono, coeff in sorted(p.terms.items(), key=lambda t: (sum(dense(t[0])), dense(t[0]))):
+        factors = [] if abs(coeff) == 1 and mono else [str(abs(coeff))]
+        factors += [f"x{v}^{e}" if e > 1 else f"x{v}" for v, e in mono]
+        term = "*".join(factors)
+        if text:
+            text += f" - {term}" if coeff < 0 else f" + {term}"
+        else:
+            text = f"-{term}" if coeff < 0 else term
+    return text or "0"
+
+
 class TestRendering:
     def test_zero(self):
         assert render(Polynomial.zero()) == "0"
@@ -1160,9 +1181,19 @@ class TestRendering:
 
     def test_parse_inverts_render_on_random_polynomials(self):
         rng = random.Random(99)
-        for _ in range(50):
-            p = random_polynomial(rng, max_vars=4, max_terms=6)
+        draws = [random_polynomial(rng, max_vars=4, max_terms=6) for _ in range(50)]
+        wide = Polynomial.monomial({2: 70000})  # a field of 17 bits
+        cases = [
+            wide - 3 * x(1) + Polynomial.monomial({1: 65535, 3: 1}, Fraction(-2, 7)),
+            Fraction(5, 3) - x(2) + x(1) * x(3),  # +-1 coefficients, a fraction constant
+            -1 + x(1) - x(2) ** 2,  # a negative leading constant
+            -x(3) + x(1) * x(2) + 1 - Polynomial.monomial({4: 2}, Fraction(-1, 2)),
+            Polynomial.monomial({1: 1, 4: 5}, -4) + wide * Fraction(9, 4) + 7,
+        ]
+        for p in draws + cases + [random_polynomial(rng, max_vars=5, max_exp=1 << 18)
+                                  for _ in range(20)]:
             assert parse_polynomial(render(p)) == p
+            assert render(p) == graded_lex_text(p)
 
     def test_parse_rejects_garbage(self):
         for bad in ["", "x", "1 +", "x1 ^", "@", "1..2"]:
